@@ -71,12 +71,8 @@ def criterion_2(cfg: RunConfig) -> CriterionResult:
     span = 2 * math.sqrt(2) * dev.g0
     n = int(round(2 * span / 0.1)) + 1
     grid = np.linspace(dev.nu_ef - span, dev.nu_ef + span, n)
-    points = phase_difference_spectrum(dev, grid, gamma_atom)
-    nus = np.array([p.nu for p in points])
-    dphi = np.array([p.delta_phi for p in points])
-    center = phase_difference_spectrum(
-        dev, np.array([dev.nu_ef]), gamma_atom
-    )[0].delta_phi
+    r_g, r_e, dphi = phase_difference_spectrum(dev, grid, gamma_atom)
+    center = float(phase_difference_spectrum(dev, np.array([dev.nu_ef]), gamma_atom)[2][0])
     checks = [
         (
             abs(center - math.pi) <= 1e-6,
@@ -84,7 +80,7 @@ def criterion_2(cfg: RunConfig) -> CriterionResult:
         )
     ]
     for label, nu_d in zip(("-", "+"), (dev.nu_ef - 56.57, dev.nu_ef + 56.57)):
-        window = np.abs(nus - nu_d) <= 2.0
+        window = np.abs(grid - nu_d) <= 2.0
         best = float(np.min(np.abs(dphi[window] - math.pi)))
         checks.append(
             (
@@ -92,7 +88,7 @@ def criterion_2(cfg: RunConfig) -> CriterionResult:
                 f"pi reached within {best:.4f} rad near the {label} dressed frequency",
             )
         )
-    crossings = count_pi_crossings(points)
+    crossings = count_pi_crossings(r_g, r_e)
     checks.append((crossings == 3, f"{crossings} pi crossings (want 3)"))
     return _result(2, "reflection spectrum", checks)
 
@@ -124,7 +120,7 @@ def criterion_4(cfg: RunConfig) -> CriterionResult:
     peak = protocol.optimal_window(cfg.protocol, cfg.device, "fidelity")
     eff_peak = protocol.optimal_window(cfg.protocol, cfg.device, "efficiency")
     windows = cfg.sweeps.window_us.to_array()
-    darks = [protocol.dark_count(float(tw), cfg.device) for tw in windows]
+    darks = protocol.dark_count(windows, cfg.device)
     monotone = bool(np.all(np.diff(darks) >= 0))
     ratio = protocol.fidelity_metrics(cfg.protocol.with_window(0.1), cfg.device).ratio
     checks = [
@@ -167,9 +163,9 @@ def criterion_6(cfg: RunConfig) -> CriterionResult:
 
 def criterion_7(cfg: RunConfig, qnd_headline: dict) -> CriterionResult:
     thetas = np.linspace(0.0, math.pi, cfg.qnd.n_theta)
-    on = [moments.expected_moments(t, "on", cfg.qnd.scale) for t in thetas]
-    off = [moments.expected_moments(t, "off", cfg.qnd.scale) for t in thetas]
-    identical = all(a.n_avg == b.n_avg for a, b in zip(on, off))
+    n_on, _ = moments.expected_moments(thetas, "on", cfg.qnd.scale)
+    n_off, _ = moments.expected_moments(thetas, "off", cfg.qnd.scale)
+    identical = bool(np.array_equal(n_on, n_off))
     pass_count = qnd_headline["mc_pass_count"]
     n_seeds = qnd_headline["mc_seeds"]
     checks = [

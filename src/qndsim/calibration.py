@@ -2,8 +2,7 @@
 calibrated flux source, AC-Stark photon-number calibration of the detector
 cavity, and the loss budget connecting the two.
 
-Powers are carried as photon fluxes (photons/us) tagged with their carrier
-frequency; multiplying by hbar*omega only happens in the display helper.
+Powers are carried as photon fluxes (photons/us).
 """
 
 from __future__ import annotations
@@ -20,12 +19,11 @@ from scipy.optimize import least_squares
 from .core.dynamics import LindbladModel, liouvillian_matrix, steady_state
 from .core.correlations import psd, two_time_correlation
 from .core.operators import HilbertSpace, Operator, destroy, expectation, pauli
-from .core.traces import SpectrumTrace
+from .core.traces import Trace
 from .device import DeviceParams, dispersive_shift
 from .errors import FitError
 
 TWO_PI = 2.0 * math.pi
-HBAR_JS = 1.054571817e-34  # J s
 
 # tau-grid sizing for the fluorescence correlator: long enough both for the
 # 1e-4 decay required by the spectral transform and to resolve the narrowest
@@ -41,7 +39,7 @@ class MollowDataset:
     """Fluorescence spectra measured at several drive strengths."""
 
     drive_ratios: list[float]
-    spectra: list[SpectrumTrace]
+    spectra: list[Trace]
     gain_truth: float = 1.0
 
     def __post_init__(self):
@@ -77,18 +75,6 @@ class LossBudget:
     total_multiplicative: float
 
 
-@dataclass
-class PhotonFlux:
-    """Photon flux in photons/us tagged with its carrier frequency in MHz."""
-
-    flux_per_us: float
-    carrier_mhz: float
-
-    def to_watts(self) -> float:
-        omega = TWO_PI * self.carrier_mhz * 1e6  # rad/s
-        return self.flux_per_us * 1e6 * HBAR_JS * omega
-
-
 def driven_atom_model(omega_ang: float, gamma_ang: float) -> LindbladModel:
     """Resonantly driven two-level emitter in the frame of the drive.
 
@@ -121,7 +107,7 @@ def _tau_grid(omega_ratio: float, gamma_mhz: float) -> np.ndarray:
 
 def mollow_spectrum(
     omega_ratio: float, gamma: float, grid: np.ndarray
-) -> SpectrumTrace:
+) -> Trace:
     """Inelastic fluorescence flux density vs detuning (MHz) at drive
     Omega = omega_ratio * Gamma.
 
@@ -149,7 +135,7 @@ def mollow_spectrum(
     if grid.min() < spec.axis[0] or grid.max() > spec.axis[-1]:
         raise ValueError("requested grid exceeds the resolvable frequency range")
     values = gamma_ang * np.interp(grid, spec.axis, spec.values)
-    return SpectrumTrace(grid, values, label=f"inelastic psd, Omega/Gamma={omega_ratio:g}")
+    return Trace(grid, values, label=f"inelastic psd, Omega/Gamma={omega_ratio:g}")
 
 
 def inelastic_spectrum_model(
@@ -239,10 +225,10 @@ def _true_spectrum_cached(ratio: float, gamma: float, span: float, points: int):
 
 def true_mollow_spectrum(
     ratio: float, gamma: float, span: float = 2.5, points: int = 801
-) -> SpectrumTrace:
+) -> Trace:
     """Cached inelastic spectrum on the standard symmetric grid."""
     grid, values = _true_spectrum_cached(float(ratio), float(gamma), float(span), int(points))
-    return SpectrumTrace(
+    return Trace(
         grid.copy(), values.copy(), label=f"inelastic psd, Omega/Gamma={ratio:g}"
     )
 
@@ -263,35 +249,12 @@ def synthetic_mollow_dataset(
     for ratio in drive_ratios:
         true = true_mollow_spectrum(ratio, gamma, span, points)
         noisy = gain * true.values * (1.0 + noise_frac * rng.standard_normal(points))
-        spectra.append(SpectrumTrace(true.axis, np.maximum(noisy, 0.0), label=true.label))
+        spectra.append(Trace(true.axis, np.maximum(noisy, 0.0), label=true.label))
     return MollowDataset(list(drive_ratios), spectra, gain_truth=gain)
 
 
-def sideband_positions(spectrum: SpectrumTrace, omega_nominal: float) -> tuple[float, float]:
-    """Detunings of the two satellite local maxima near +-Omega (MHz).
-
-    Only meaningful where the satellites are resolved (Omega >~ 4 Gamma);
-    at moderate drive the apparent maxima are pulled toward the carrier by
-    the central peak's tails, and fit_satellite_drive is the right tool.
-    """
-    if omega_nominal <= 0:
-        raise ValueError("nominal drive must be positive")
-    values = spectrum.values
-    interior = (values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])
-    peaks = np.flatnonzero(interior) + 1
-    positions = []
-    for sign in (-1.0, 1.0):
-        lo, hi = sorted((0.3 * sign * omega_nominal, 1.8 * sign * omega_nominal))
-        candidates = [i for i in peaks if lo <= spectrum.axis[i] <= hi]
-        if not candidates:
-            raise ValueError("no resolved satellite in the search window")
-        idx = max(candidates, key=lambda i: values[i])
-        positions.append(float(spectrum.axis[idx]))
-    return positions[0], positions[1]
-
-
 def fit_satellite_drive(
-    spectrum: SpectrumTrace, gamma_init: float, omega_init: float
+    spectrum: Trace, gamma_init: float, omega_init: float
 ) -> float:
     """Drive rate (MHz) setting the satellite detunings, by a resonance fit.
 
@@ -319,7 +282,7 @@ def fit_satellite_drive(
     return float(result.x[2])
 
 
-def fit_lorentzian(spectrum: SpectrumTrace) -> tuple[float, float, float]:
+def fit_lorentzian(spectrum: Trace) -> tuple[float, float, float]:
     """(center, fwhm, height) of a single-peak spectrum by least squares."""
     axis, values = spectrum.axis, spectrum.values
     i0 = int(np.argmax(values))
@@ -338,20 +301,6 @@ def fit_lorentzian(spectrum: SpectrumTrace) -> tuple[float, float, float]:
         raise FitError("Lorentzian fit failed")
     center, fwhm, height = result.x
     return float(center), float(abs(fwhm)), float(height)
-
-
-def source_power(n_q: float, gamma: float, nu_ge: float) -> PhotonFlux:
-    """Emitted flux of the driven source: n_q * Gamma, tagged at nu_ge."""
-    if n_q < 0 or gamma < 0:
-        raise ValueError("population and linewidth must be non-negative")
-    return PhotonFlux(n_q * TWO_PI * gamma, nu_ge)
-
-
-def detector_output_flux(n_p: float, kappa: float, nu_cav: float) -> PhotonFlux:
-    """Cavity output flux kappa * n_p, tagged at the cavity frequency."""
-    if n_p < 0:
-        raise ValueError("photon number must be non-negative")
-    return PhotonFlux(TWO_PI * kappa * n_p, nu_cav)
 
 
 @dataclass

@@ -65,41 +65,37 @@ def _report(cfg: RunConfig, name: str, out_dir: Path, files: list[Path], headlin
 def run_spectrum(cfg: RunConfig, out_dir: Path) -> RunReport:
     """Conditional reflection-phase spectrum of the detector."""
     dev = cfg.device
-    grid = cfg.sweeps.nu_mhz.to_array()
-    points = phase_difference_spectrum(dev, grid, cfg.spectroscopy.gamma_atom_mhz)
+    nus = cfg.sweeps.nu_mhz.to_array()
+    r_g, r_e, dphi = phase_difference_spectrum(dev, nus, cfg.spectroscopy.gamma_atom_mhz)
     path = out_dir / "spectrum.csv"
+    columns = (nus, r_g.real, r_g.imag, r_e.real, r_e.imag, dphi)
     write_csv(
         path,
         ["nu_MHz", "re_rg", "im_rg", "re_re", "im_re", "delta_phi_rad"],
-        [
-            (p.nu, p.r_g.real, p.r_g.imag, p.r_e.real, p.r_e.imag, p.delta_phi)
-            for p in points
-        ],
+        zip(*(c.tolist() for c in columns)),
     )
-    nus = np.array([p.nu for p in points])
-    dphi = np.array([p.delta_phi for p in points])
     center = dphi[np.argmin(np.abs(nus - dev.nu_ef))]
     lo, hi = dressed_frequencies(dev, 1)
     dressed_err = {}
     for tag, nu_d in (("minus", lo), ("plus", hi)):
         window = np.abs(nus - nu_d) <= 2.0
         dressed_err[tag] = float(np.min(np.abs(dphi[window] - np.pi))) if window.any() else float("nan")
-    span = 2 * np.sqrt(2) * dev.g0
-    in_band = [p for p in points if abs(p.nu - dev.nu_ef) <= span]
+    in_band = np.abs(nus - dev.nu_ef) <= 2 * np.sqrt(2) * dev.g0
     headline = {
         "delta_phi_at_cavity": float(center),
         "pi_deviation_at_dressed_minus": dressed_err["minus"],
         "pi_deviation_at_dressed_plus": dressed_err["plus"],
-        "pi_crossings": count_pi_crossings(in_band),
+        "pi_crossings": count_pi_crossings(r_g[in_band], r_e[in_band]),
     }
     return _report(cfg, "spectrum", out_dir, [path], headline)
 
 
 def run_theta_sweep(cfg: RunConfig, out_dir: Path) -> RunReport:
     """Click probability vs photon preparation angle."""
-    rows = protocol.theta_sweep(cfg.protocol, cfg.device, cfg.sweeps.theta_rad.to_array())
+    thetas = cfg.sweeps.theta_rad.to_array()
+    p_e = protocol.theta_sweep(cfg.protocol, cfg.device, thetas)
     path = out_dir / "theta_sweep.csv"
-    write_csv(path, ["theta_rad", "p_e"], rows)
+    write_csv(path, ["theta_rad", "p_e"], zip(thetas.tolist(), p_e.tolist()))
     probs = protocol.fidelity_metrics(cfg.protocol, cfg.device)
     headline = {
         "p_e_given_1": probs.p_e_given_1,
@@ -113,17 +109,14 @@ def run_theta_sweep(cfg: RunConfig, out_dir: Path) -> RunReport:
 def run_window_sweep(cfg: RunConfig, out_dir: Path) -> RunReport:
     """Efficiency, dark count, fidelity and ratio vs window length."""
     windows = cfg.sweeps.window_us.to_array()
-    rows = protocol.window_sweep(cfg.protocol, cfg.device, windows)
+    probs = protocol.window_sweep(cfg.protocol, cfg.device, windows)
     path = out_dir / "window_sweep.csv"
+    columns = (windows, probs.p_e_given_1, probs.p_e_given_0, probs.fidelity, probs.ratio)
     write_csv(
         path,
         ["Tw_us", "p_e1", "p_e0", "fidelity", "ratio"],
-        [
-            (tw, pr.p_e_given_1, pr.p_e_given_0, pr.fidelity, pr.ratio)
-            for tw, pr in rows
-        ],
+        zip(*(c.tolist() for c in columns)),
     )
-    ratios = [pr.ratio for _, pr in rows]
     headline = {
         "peak_efficiency_window_us": protocol.optimal_window(
             cfg.protocol, cfg.device, "efficiency"
@@ -131,7 +124,7 @@ def run_window_sweep(cfg: RunConfig, out_dir: Path) -> RunReport:
         "peak_fidelity_window_us": protocol.optimal_window(
             cfg.protocol, cfg.device, "fidelity"
         ),
-        "max_ratio": float(max(ratios)),
+        "max_ratio": float(np.max(probs.ratio)),
         "ratio_at_100ns": protocol.fidelity_metrics(
             cfg.protocol.with_window(0.1), cfg.device
         ).ratio,
@@ -142,16 +135,14 @@ def run_window_sweep(cfg: RunConfig, out_dir: Path) -> RunReport:
 def run_qnd(cfg: RunConfig, out_dir: Path) -> RunReport:
     """Expected ON/OFF field moments plus the shot-noise Monte Carlo."""
     thetas = np.linspace(0.0, np.pi, cfg.qnd.n_theta)
-    on = [moments.expected_moments(t, "on", cfg.qnd.scale) for t in thetas]
-    off = [moments.expected_moments(t, "off", cfg.qnd.scale) for t in thetas]
+    on = moments.expected_moments(thetas, "on", cfg.qnd.scale)
+    off = moments.expected_moments(thetas, "off", cfg.qnd.scale)
     path_exp = out_dir / "qnd_expected.csv"
+    columns = (thetas, on[0], off[0], on[1], off[1])
     write_csv(
         path_exp,
         ["theta_rad", "n_on", "n_off", "re_a_on", "re_a_off"],
-        [
-            (t, a.n_avg, b.n_avg, a.re_a, b.re_a)
-            for t, a, b in zip(thetas, on, off)
-        ],
+        zip(*(c.tolist() for c in columns)),
     )
     expected_dev = moments.qnd_check(on, off, cfg.qnd.gate, cfg.qnd.floor)
     base = _runner_seed(cfg.seed, "qnd")

@@ -16,31 +16,27 @@ from .operators import (
     destroy,
     embed,
     expectation,
-    identity,
     number,
     pauli,
-    tensor,
 )
-from .traces import SpectrumTrace, TimeTrace
+from .traces import Trace
 
 __all__ = [
     "DensityMatrix",
     "HilbertSpace",
     "LindbladModel",
     "Operator",
-    "SpectrumTrace",
-    "TimeTrace",
+    "Trace",
     "basis_ket",
     "destroy",
     "embed",
     "evolve",
     "expectation",
-    "identity",
     "lindblad_rhs",
     "liouvillian_matrix",
     "number",
     "pauli",
     "psd",
     "steady_state",
-    "tensor",
+    "two_time_correlation",
 ]

@@ -7,7 +7,7 @@ import numpy as np
 from ..errors import TruncationError
 from .dynamics import LindbladModel, _evolve_matrix, lindblad_rhs
 from .operators import DensityMatrix, Operator
-from .traces import SpectrumTrace, TimeTrace
+from .traces import Trace
 
 STATIONARITY_TOL = 1e-8
 DECAY_FRACTION = 1e-4
@@ -20,7 +20,7 @@ def two_time_correlation(
     b_op: Operator,
     tau_grid: np.ndarray,
     require_stationary: bool = True,
-) -> TimeTrace:
+) -> Trace:
     """Stationary correlator <A(tau) B(0)> on tau_grid.
 
     Regression: propagate B rho under the Liouvillian and trace against A at
@@ -41,10 +41,10 @@ def two_time_correlation(
     tau_grid = np.asarray(tau_grid, dtype=float)
     seeded = _evolve_matrix(model, b_op.matrix @ rho_ss.matrix, tau_grid)
     values = np.einsum("ij,tji->t", a_op.matrix, seeded)
-    return TimeTrace(tau_grid, values, label="two-time correlation")
+    return Trace(tau_grid, values, label="two-time correlation")
 
 
-def psd(corr: TimeTrace) -> SpectrumTrace:
+def psd(corr: Trace) -> Trace:
     """One-sided symmetrized power spectral density of a decayed correlator.
 
     S(delta) = 2 Re integral_0^inf corr(tau) exp(-i 2 pi delta tau) dtau
@@ -66,4 +66,4 @@ def psd(corr: TimeTrace) -> SpectrumTrace:
     transform = np.fft.fft(values) - values[0] / 2
     spectrum = np.fft.fftshift(2.0 * dt * transform.real)
     freqs = np.fft.fftshift(np.fft.fftfreq(n, d=dt))
-    return SpectrumTrace(freqs, spectrum, label="psd")
+    return Trace(freqs, spectrum, label="psd")

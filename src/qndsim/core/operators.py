@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -114,18 +114,6 @@ class DensityMatrix:
         return float(self.matrix[index, index].real)
 
 
-def tensor(factors: Sequence[Operator]) -> Operator:
-    """Kronecker product of operators, in listed order."""
-    if not factors:
-        raise ValueError("tensor of an empty operator list")
-    mat = factors[0].matrix
-    dims: list[int] = list(factors[0].space.subsystem_dims)
-    for op in factors[1:]:
-        mat = np.kron(mat, op.matrix)
-        dims.extend(op.space.subsystem_dims)
-    return Operator(HilbertSpace(tuple(dims)), mat)
-
-
 def embed(space: HilbertSpace, site: int, local: np.ndarray) -> Operator:
     """Lift a single-subsystem matrix into the full space (identity elsewhere)."""
     if not 0 <= site < len(space.subsystem_dims):
@@ -137,10 +125,6 @@ def embed(space: HilbertSpace, site: int, local: np.ndarray) -> Operator:
     for k, d in enumerate(space.subsystem_dims):
         mat = np.kron(mat, local if k == site else np.eye(d))
     return Operator(space, mat)
-
-
-def identity(space: HilbertSpace) -> Operator:
-    return Operator(space, np.eye(space.dim, dtype=complex))
 
 
 def destroy(dim: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Uniformly gridded time- and frequency-domain sample containers."""
+"""Uniformly gridded time- and frequency-domain sample container."""
 
 from __future__ import annotations
 
@@ -24,8 +24,9 @@ def _validate_axis(axis: np.ndarray) -> None:
 
 
 @dataclass
-class TimeTrace:
-    """Samples on a uniform time grid (axis in microseconds)."""
+class Trace:
+    """Samples on a uniform grid: a time axis in microseconds or a
+    frequency axis in MHz."""
 
     axis: np.ndarray
     values: np.ndarray
@@ -34,29 +35,6 @@ class TimeTrace:
     def __post_init__(self):
         self.axis = np.asarray(self.axis, dtype=float)
         self.values = np.asarray(self.values)
-        _validate_axis(self.axis)
-        if self.values.shape != self.axis.shape:
-            raise ValueError("values must match the axis shape")
-
-    @property
-    def step(self) -> float:
-        return float(self.axis[1] - self.axis[0])
-
-    def __len__(self) -> int:
-        return self.axis.size
-
-
-@dataclass
-class SpectrumTrace:
-    """Real-valued samples on a uniform frequency grid (axis in MHz)."""
-
-    axis: np.ndarray
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        self.axis = np.asarray(self.axis, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
         _validate_axis(self.axis)
         if self.values.shape != self.axis.shape:
             raise ValueError("values must match the axis shape")

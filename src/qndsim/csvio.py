@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -21,8 +21,14 @@ def format_value(value) -> str:
 
 
 def write_text_atomic(path: Path, text: str) -> None:
+    """Write through a sibling temporary file and rename it into place.
+
+    The temporary file is created with mode 0o666, so the process umask
+    sets the permissions of the emitted file as it would for open().
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)

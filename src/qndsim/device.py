@@ -7,6 +7,7 @@ internally where rates combine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,10 @@ TWO_PI = 2.0 * np.pi
 # for anything below kappa/50.
 DEFAULT_GAMMA_ATOM_MHZ = 0.1
 
+# A config spelling out nu_ef in decimal can miss the binary sum
+# nu_ge + alpha by an ulp; anything further off is a contradiction.
+NU_EF_RTOL = 1e-12
+
 
 @dataclass
 class DeviceParams:
@@ -31,7 +36,7 @@ class DeviceParams:
     """
 
     nu_ge: float = 6475.0
-    nu_ef: float = 6135.0
+    nu_ef: float | None = None  # derived as nu_ge + alpha when omitted
     alpha: float = -340.0
     g0: float = 40.0
     kappa: float = 19.0
@@ -46,8 +51,11 @@ class DeviceParams:
     delta_qc: float = -676.0
 
     def __post_init__(self):
-        if self.nu_ef != self.nu_ge + self.alpha:
-            raise ValueError("nu_ef must equal nu_ge + alpha exactly")
+        nu_ef = self.nu_ge + self.alpha
+        if self.nu_ef is None:
+            self.nu_ef = nu_ef
+        elif not math.isclose(self.nu_ef, nu_ef, rel_tol=NU_EF_RTOL):
+            raise ValueError(f"nu_ef must equal nu_ge + alpha = {nu_ef!r}")
         if not 0 <= self.loss_L < 1:
             raise ValueError("loss_L must lie in [0, 1)")
         if not 0 <= self.eps_ge + self.eps_eg < 1:
@@ -58,23 +66,6 @@ class DeviceParams:
             raise ValueError("coherence times must be positive")
         if self.T2_star > 2 * self.T1:
             raise ValueError("T2_star cannot exceed 2*T1")
-
-
-@dataclass
-class ReflectionPoint:
-    """Reflection coefficients for both qubit states at one probe frequency."""
-
-    nu: float
-    r_g: complex
-    r_e: complex
-    delta_phi: float
-
-    def __post_init__(self):
-        for r in (self.r_g, self.r_e):
-            if abs(r) > 1 + 1e-9:
-                raise ValueError("reflection coefficient modulus exceeds 1")
-        if not -np.pi < self.delta_phi <= np.pi:
-            raise ValueError("delta_phi must lie in (-pi, pi]")
 
 
 def dispersive_shift(alpha: float, g: float, delta: float) -> float:
@@ -136,34 +127,32 @@ def phase_difference_spectrum(
     params: DeviceParams,
     grid: np.ndarray,
     gamma_atom: float = DEFAULT_GAMMA_ATOM_MHZ,
-) -> list[ReflectionPoint]:
-    """Conditional-phase contrast |arg r_g - arg r_e| across a frequency grid.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reflection coefficients r_g, r_e and the conditional-phase contrast
+    delta_phi = |arg r_g - arg r_e| across a frequency grid.
 
     The signed wrapped difference is odd about the cavity frequency (the two
-    reflection responses conjugate under nu -> 2*nu_ef - nu), so the stored
-    delta_phi is its magnitude; the full signed information stays available
-    in r_g and r_e.
+    reflection responses conjugate under nu -> 2*nu_ef - nu), so delta_phi
+    is its magnitude, in [0, pi]; the full signed information stays
+    available in r_g and r_e.
     """
     grid = np.asarray(grid, dtype=float)
     if np.any(np.abs(grid - params.nu_ef) > 500.0):
         raise ValueError("grid must stay within +-500 MHz of nu_ef")
     r_g = reflection_coefficient(params, grid, "g", gamma_atom)
     r_e = reflection_coefficient(params, grid, "e", gamma_atom)
-    delta = np.abs(wrap_phase(np.angle(r_g) - np.angle(r_e)))
-    return [
-        ReflectionPoint(float(nu), complex(rg), complex(re), float(dp))
-        for nu, rg, re, dp in zip(grid, r_g, r_e, delta)
-    ]
+    delta_phi = np.abs(wrap_phase(np.angle(r_g) - np.angle(r_e)))
+    return r_g, r_e, delta_phi
 
 
-def count_pi_crossings(points: list[ReflectionPoint]) -> int:
+def count_pi_crossings(r_g: np.ndarray, r_e: np.ndarray) -> int:
     """Number of grid intervals where the conditional phase passes through pi.
 
     The continuous phase difference equals pi exactly where the product
     r_g * conj(r_e) crosses the negative real axis, so crossings are sign
     changes of its imaginary part with a negative real part.
     """
-    ratio = np.array([p.r_g * np.conj(p.r_e) for p in points])
+    ratio = np.asarray(r_g) * np.conj(r_e)
     im_neg = ratio.imag < 0
     flips = im_neg[:-1] != im_neg[1:]
     on_negative_axis = (ratio.real[:-1] < 0) & (ratio.real[1:] < 0)

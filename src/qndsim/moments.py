@@ -1,10 +1,11 @@
-"""Reflected-field moment analysis: matched filtering, expected detector-ON
-and detector-OFF moments, and the power-conservation check.
+"""Reflected-field moment analysis: expected detector-ON and detector-OFF
+moments, and the power-conservation check.
 
 A nondemolition detector conserves the photon number of the reflected mode
 while erasing its phase; both statements become closed-form curves vs the
 preparation angle, plus a Monte Carlo of the moment estimation at finite
-shot count.
+shot count. Moments travel as a pair of arrays over the angle grid: the
+mean photon number n_avg and the optimized-quadrature amplitude re_a.
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core.traces import TimeTrace
-from .protocol import ProtocolConfig, photon_envelope
 
 MODES = ("on", "off")
 
@@ -29,68 +27,25 @@ POWER_GATE = 0.02
 POWER_FLOOR = 0.25  # photons; keeps the relative deviation finite near vacuum
 
 
-@dataclass
-class ModeFilter:
-    """Normalized temporal mode used to extract the photon amplitude."""
-
-    envelope: TimeTrace
-
-    def __post_init__(self):
-        norm = np.trapezoid(np.abs(self.envelope.values) ** 2, self.envelope.axis)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError("filter envelope must be normalized to unit power")
-
-
-def photon_mode_filter(cfg: ProtocolConfig, grid: np.ndarray) -> ModeFilter:
-    """Filter matched to the emitted photon envelope, renormalized on grid."""
-    grid = np.asarray(grid, dtype=float)
-    values = photon_envelope(grid, cfg).astype(complex)
-    norm = np.trapezoid(np.abs(values) ** 2, grid)
-    if norm <= 0:
-        raise ValueError("photon envelope has no support on the grid")
-    return ModeFilter(TimeTrace(grid, values / np.sqrt(norm), label="photon mode"))
-
-
-@dataclass
-class MomentPair:
-    """Mean photon number and optimized-quadrature amplitude of one mode."""
-
-    n_avg: float
-    re_a: float
-
-    def __post_init__(self):
-        if self.n_avg < 0:
-            raise ValueError("photon number must be non-negative")
-        if abs(self.re_a) > np.sqrt(self.n_avg) + 1e-9:
-            raise ValueError("amplitude violates |<a>|^2 <= <a^dag a>")
-
-
-def matched_filter(trace: TimeTrace, filt: ModeFilter) -> complex:
-    """Mode amplitude a = integral of conj(f) * s over the shared grid."""
-    f = filt.envelope
-    if trace.axis.shape != f.axis.shape or np.max(np.abs(trace.axis - f.axis)) > 1e-12 * max(
-        1.0, np.max(np.abs(f.axis))
-    ):
-        raise ValueError("trace and filter must share one time grid")
-    return complex(np.trapezoid(np.conj(f.values) * trace.values, trace.axis))
-
-
-def expected_moments(theta: float, mode: str, scale: float = 1.0) -> MomentPair:
-    """Ideal detector response at preparation angle theta.
+def expected_moments(
+    theta: float | np.ndarray, mode: str, scale: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ideal detector response (n_avg, re_a) at preparation angles theta.
 
     Both modes carry the photon number scale*sin^2(theta/2); the OFF mode
     keeps the input coherence sqrt(scale)*sin(theta)/2 while the ON mode
     erases it. scale is the separately calibrated transmission of the line.
     """
-    if not 0 <= theta <= np.pi:
+    theta = np.asarray(theta, dtype=float)
+    if np.any((theta < 0) | (theta > np.pi)):
         raise ValueError("theta must lie in [0, pi]")
     if not 0 < scale <= 1:
         raise ValueError("scale must lie in (0, 1]")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     n_avg = scale * np.sin(theta / 2) ** 2
-    re_a = 0.0 if mode == "on" else np.sqrt(scale) * np.sin(theta) / 2
-    return MomentPair(float(n_avg), float(re_a))
+    re_a = np.zeros_like(n_avg) if mode == "on" else np.sqrt(scale) * np.sin(theta) / 2
+    return n_avg, re_a
 
 
 @dataclass
@@ -100,18 +55,16 @@ class QndCheckResult:
 
 
 def qnd_check(
-    on: list[MomentPair],
-    off: list[MomentPair],
+    on: tuple[np.ndarray, np.ndarray],
+    off: tuple[np.ndarray, np.ndarray],
     gate: float = POWER_GATE,
     floor: float = POWER_FLOOR,
 ) -> QndCheckResult:
     """Largest relative ON/OFF power deviation over a shared angle grid."""
-    if len(on) != len(off):
-        raise ValueError("moment lists must share one angle grid")
-    deviations = [
-        abs(a.n_avg - b.n_avg) / max(b.n_avg, floor) for a, b in zip(on, off)
-    ]
-    max_dev = float(max(deviations))
+    n_on, n_off = np.asarray(on[0]), np.asarray(off[0])
+    if n_on.shape != n_off.shape:
+        raise ValueError("moment arrays must share one angle grid")
+    max_dev = float(np.max(np.abs(n_on - n_off) / np.maximum(n_off, floor)))
     return QndCheckResult(max_dev, max_dev <= gate)
 
 
@@ -123,25 +76,27 @@ def simulate_moment_estimates(
     n_shots: int = DEFAULT_SHOTS,
     noise_var: float = DEFAULT_NOISE_VAR,
     coherence_offset: float = 0.0,
-) -> list[MomentPair]:
-    """Moment estimates from simulated single-shot mode amplitudes.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moment estimates (n_avg, re_a) from simulated single-shot mode amplitudes.
 
     Each shot is the matched-filter output a = s + nu: the signal s has the
     modulus sqrt(n) with the mode's phase statistics (ON randomizes the sign,
     OFF keeps the fixed phase theta/2), and nu is complex amplifier noise
     with the calibrated per-quadrature variance. The photon-number estimator
-    subtracts the known noise power. coherence_offset adds a constant
+    subtracts the known noise power and is clipped at 0, and the amplitude
+    is clipped to |re_a| <= sqrt(n_avg). coherence_offset adds a constant
     spurious coherent amplitude to the ON-mode field (default off).
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    out = []
-    for theta in theta_grid:
-        ideal = expected_moments(float(theta), mode, scale)
+    n_ideal, _ = expected_moments(theta_grid, mode, scale)
+    n_avg = np.empty_like(theta_grid)
+    re_a = np.empty_like(theta_grid)
+    for i, theta in enumerate(theta_grid):
         # field amplitude sqrt(n) exp(i theta/2): its real part is the
         # prepared coherence sqrt(scale) sin(theta)/2
-        amp = np.sqrt(ideal.n_avg) * np.exp(1j * theta / 2)
+        amp = np.sqrt(n_ideal[i]) * np.exp(1j * theta / 2)
         if mode == "on":
             signs = rng.integers(0, 2, n_shots) * 2 - 1
             signal = amp * signs + coherence_offset
@@ -151,12 +106,10 @@ def simulate_moment_estimates(
             rng.standard_normal(n_shots) + 1j * rng.standard_normal(n_shots)
         )
         shots = signal + noise
-        n_est = float(np.mean(np.abs(shots) ** 2) - 2 * noise_var)
-        re_est = float(np.mean(shots.real))
-        n_safe = max(n_est, 0.0)
-        re_safe = float(np.clip(re_est, -np.sqrt(n_safe), np.sqrt(n_safe)))
-        out.append(MomentPair(n_safe, re_safe))
-    return out
+        n_avg[i] = np.mean(np.abs(shots) ** 2) - 2 * noise_var
+        re_a[i] = np.mean(shots.real)
+    n_avg = np.maximum(n_avg, 0.0)
+    return n_avg, np.clip(re_a, -np.sqrt(n_avg), np.sqrt(n_avg))
 
 
 def qnd_monte_carlo(

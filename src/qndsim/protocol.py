@@ -34,7 +34,8 @@ class ProtocolConfig:
     ramsey_law: str = "exponential"
 
     def __post_init__(self):
-        if self.Tw <= self.t0:
+        # Tw may be an array of windows: the sweeps evaluate the model at once
+        if np.any(self.Tw <= self.t0):
             raise ValueError("detection window must extend past the emission delay")
         if not 0 <= self.theta <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
@@ -43,22 +44,25 @@ class ProtocolConfig:
         if self.ramsey_law not in RAMSEY_LAWS:
             raise ValueError(f"ramsey_law must be one of {RAMSEY_LAWS}")
 
-    def with_window(self, window_us: float) -> "ProtocolConfig":
+    def with_window(self, window_us: float | np.ndarray) -> "ProtocolConfig":
         return replace(self, Tw=window_us)
 
 
 @dataclass
 class DetectionProbs:
-    """Detection efficiency, dark count, and the derived figures of merit."""
+    """Detection efficiency, dark count, and the derived figures of merit;
+    scalars for one window, arrays over a grid of windows."""
 
-    p_e_given_1: float
-    p_e_given_0: float
-    fidelity: float
-    ratio: float
+    p_e_given_1: float | np.ndarray
+    p_e_given_0: float | np.ndarray
+    fidelity: float | np.ndarray
+    ratio: float | np.ndarray
 
     @classmethod
-    def from_probs(cls, p_e_given_1: float, p_e_given_0: float) -> "DetectionProbs":
-        ratio = p_e_given_1 / p_e_given_0 if p_e_given_0 > 0 else math.inf
+    def from_probs(cls, p_e_given_1, p_e_given_0) -> "DetectionProbs":
+        p1, p0 = np.asarray(p_e_given_1), np.asarray(p_e_given_0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(p0 > 0, p1 / p0, math.inf)[()]
         return cls(p_e_given_1, p_e_given_0, p_e_given_1 - p_e_given_0, ratio)
 
 
@@ -74,33 +78,40 @@ def photon_envelope(t: float | np.ndarray, cfg: ProtocolConfig) -> float | np.nd
     return float(amp) if amp.ndim == 0 else amp
 
 
-def capture_fraction(cfg: ProtocolConfig, window_us: float | None = None) -> float:
+def capture_fraction(
+    cfg: ProtocolConfig, window_us: float | np.ndarray | None = None
+) -> float | np.ndarray:
     """Fraction of the photon envelope inside the detection window."""
-    tw = cfg.Tw if window_us is None else window_us
-    if tw < cfg.t0:
+    tw = np.asarray(cfg.Tw if window_us is None else window_us, dtype=float)
+    early = tw < cfg.t0
+    if np.any(early):
         warnings.warn("window ends before the photon emission; nothing captured")
-        return 0.0
     rate = TWO_PI * cfg.gamma_photon
-    return 1.0 - math.exp(-rate * (tw - cfg.t0))
+    return np.where(early, 0.0, 1.0 - np.exp(-rate * (tw - cfg.t0)))[()]
 
 
-def ramsey_coherence(Tw: float, T2_star: float, law: str = "exponential") -> float:
+def ramsey_coherence(
+    Tw: float | np.ndarray, T2_star: float, law: str = "exponential"
+) -> float | np.ndarray:
     """Remaining Ramsey fringe contrast after a free evolution of Tw."""
-    if Tw < 0:
+    Tw = np.asarray(Tw, dtype=float)
+    if np.any(Tw < 0):
         raise ValueError("window length must be non-negative")
     if law == "exponential":
-        return math.exp(-Tw / T2_star)
+        return np.exp(-Tw / T2_star)
     if law == "gaussian":
-        return math.exp(-((Tw / T2_star) ** 2))
+        return np.exp(-((Tw / T2_star) ** 2))
     raise ValueError(f"unknown ramsey law {law!r}")
 
 
-def dark_count(Tw: float, params: DeviceParams, law: str = "exponential") -> float:
+def dark_count(
+    Tw: float | np.ndarray, params: DeviceParams, law: str = "exponential"
+) -> float | np.ndarray:
     """Click probability without a photon: P(e|0) = (1 - C(Tw)) / 2."""
     return (1.0 - ramsey_coherence(Tw, params.T2_star, law)) / 2.0
 
 
-def detection_efficiency(cfg: ProtocolConfig, params: DeviceParams) -> float:
+def detection_efficiency(cfg: ProtocolConfig, params: DeviceParams) -> float | np.ndarray:
     """Click probability with a photon emitted.
 
     A captured photon (probability p_int = (1-L) * capture) flips the Ramsey
@@ -124,8 +135,8 @@ def fidelity_metrics(cfg: ProtocolConfig, params: DeviceParams) -> DetectionProb
 
 def theta_sweep(
     cfg: ProtocolConfig, params: DeviceParams, theta_grid: np.ndarray
-) -> list[tuple[float, float]]:
-    """Average click probability vs preparation angle.
+) -> np.ndarray:
+    """Average click probability at each preparation angle of theta_grid.
 
     P_e(theta) = P(e|0) + (P(e|1) - P(e|0)) sin^2(theta/2), tracking the
     mean photon number of the prepared superposition.
@@ -134,15 +145,14 @@ def theta_sweep(
     if np.any((theta_grid < 0) | (theta_grid > math.pi)):
         raise ValueError("theta grid must lie in [0, pi]")
     probs = fidelity_metrics(cfg, params)
-    p_e = probs.p_e_given_0 + probs.fidelity * np.sin(theta_grid / 2) ** 2
-    return list(zip(theta_grid.tolist(), p_e.tolist()))
+    return probs.p_e_given_0 + probs.fidelity * np.sin(theta_grid / 2) ** 2
 
 
 def window_sweep(
     cfg: ProtocolConfig, params: DeviceParams, windows: np.ndarray
-) -> list[tuple[float, DetectionProbs]]:
-    """fidelity_metrics evaluated across a grid of window lengths."""
-    return [(float(tw), fidelity_metrics(cfg.with_window(float(tw)), params)) for tw in windows]
+) -> DetectionProbs:
+    """fidelity_metrics evaluated across a grid of window lengths, as arrays."""
+    return fidelity_metrics(cfg.with_window(np.asarray(windows, dtype=float)), params)
 
 
 def optimal_window(
@@ -185,11 +195,6 @@ def readout_composition(p_true: float, eps_ge: float, eps_eg: float) -> float:
         if not 0 <= x <= 1:
             raise ValueError("probabilities must lie in [0, 1]")
     return p_true * (1.0 - eps_ge) + (1.0 - p_true) * eps_eg
-
-
-def invert_readout_composition(p_meas: float, eps_ge: float, eps_eg: float) -> float:
-    """Analytic inverse of readout_composition."""
-    return (p_meas - eps_eg) / (1.0 - eps_ge - eps_eg)
 
 
 def loss_deconvolution(p_g_given_1: float, loss: float) -> float:

@@ -6,7 +6,6 @@ import pytest
 from qndsim.calibration import (
     MollowDataset,
     StarkDataset,
-    detector_output_flux,
     driven_atom_model,
     extract_loss,
     fit_mollow,
@@ -15,8 +14,6 @@ from qndsim.calibration import (
     loss_budget,
     loss_calibration_roundtrip,
     mollow_spectrum,
-    sideband_positions,
-    source_power,
     stark_fit,
     steady_population,
     synthetic_mollow_dataset,
@@ -24,7 +21,7 @@ from qndsim.calibration import (
     true_mollow_spectrum,
 )
 from qndsim.core import destroy, expectation, steady_state, Operator
-from qndsim.core.traces import SpectrumTrace
+from qndsim.core.traces import Trace
 from qndsim.device import DeviceParams, dispersive_shift
 
 GAMMA_MHZ = 1.77
@@ -36,11 +33,19 @@ RATIOS = [2.0, 4.0, 6.0]
 class TestMollowSpectrum:
     @pytest.mark.parametrize("ratio", [4.0, 6.0])
     def test_resolved_satellite_maxima(self, ratio):
-        spec = true_mollow_spectrum(ratio, GAMMA_MHZ)
-        lo, hi = sideband_positions(spec, ratio * GAMMA_MHZ)
+        # satellites resolved from the carrier peak at -+Omega; at moderate
+        # drive the carrier's tails pull them in, see the resonance fit
         nominal = ratio * GAMMA_MHZ
-        assert abs(abs(lo) - nominal) / nominal < 0.05
-        assert abs(hi - nominal) / nominal < 0.05
+        spec = true_mollow_spectrum(ratio, GAMMA_MHZ)
+        v = spec.values
+        interior = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
+        peaks = np.flatnonzero(interior) + 1
+        for sign in (-1.0, 1.0):
+            offset = sign * spec.axis[peaks] / nominal
+            side = peaks[(offset >= 0.3) & (offset <= 1.8)]
+            assert side.size > 0, "no resolved satellite in the search window"
+            satellite = sign * spec.axis[side[np.argmax(v[side])]]
+            assert abs(satellite - nominal) / nominal < 0.05
 
     @pytest.mark.parametrize("ratio", RATIOS)
     def test_satellites_by_resonance_fit(self, ratio):
@@ -63,9 +68,11 @@ class TestMollowSpectrum:
     def test_strong_drive_height_ratio(self):
         # three-peak structure: the carrier is three times the satellites
         spec = true_mollow_spectrum(5.0, GAMMA_MHZ)
-        central = spec.values[np.argmin(np.abs(spec.axis))]
-        _, hi = sideband_positions(spec, 5.0 * GAMMA_MHZ)
-        satellite = spec.values[np.argmin(np.abs(spec.axis - hi))]
+        v = spec.values
+        interior = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
+        peaks = np.flatnonzero(interior) + 1
+        central = v[np.argmin(np.abs(spec.axis))]
+        satellite = v[peaks[spec.axis[peaks] >= 0.3 * 5.0 * GAMMA_MHZ]].max()
         assert central / satellite == pytest.approx(3.0, rel=0.15)
 
     def test_symmetric_in_detuning(self):
@@ -84,7 +91,7 @@ class TestMollowSpectrum:
         coherent = abs(expectation(sm, rho)) ** 2
         assert integral == pytest.approx(GAMMA * (n_q - coherent), rel=0.01)
         # at strong drive the coherent part is small: flux ~ n_q Gamma
-        assert integral == pytest.approx(source_power(n_q, GAMMA_MHZ, 6475).flux_per_us, rel=0.05)
+        assert integral == pytest.approx(n_q * GAMMA, rel=0.05)
 
     def test_grid_span_precondition(self):
         with pytest.raises(ValueError, match="2 Omega"):
@@ -113,27 +120,6 @@ class TestSteadyPopulation:
             steady_population(1.0, 0.0)
 
 
-class TestFluxes:
-    def test_source_flux_value(self):
-        flux = source_power(0.5, GAMMA_MHZ, PARAMS.nu_ge)
-        assert flux.flux_per_us == pytest.approx(5.5606, abs=1e-3)
-        assert flux.carrier_mhz == PARAMS.nu_ge
-        assert source_power(0.0, GAMMA_MHZ, PARAMS.nu_ge).flux_per_us == 0.0
-
-    def test_detector_flux(self):
-        flux = detector_output_flux(1.0, PARAMS.kappa, PARAMS.nu_ef)
-        assert flux.flux_per_us == pytest.approx(2 * math.pi * 19.0, rel=1e-12)
-        assert flux.flux_per_us == pytest.approx(119.4, abs=0.1)
-        double = detector_output_flux(2.0, PARAMS.kappa, PARAMS.nu_ef)
-        assert double.flux_per_us == pytest.approx(2 * flux.flux_per_us, rel=1e-12)
-
-    def test_watt_conversion(self):
-        flux = source_power(0.5, GAMMA_MHZ, 6475.0)
-        hbar = 1.054571817e-34
-        expected = flux.flux_per_us * 1e6 * hbar * 2 * math.pi * 6475e6
-        assert flux.to_watts() == pytest.approx(expected, rel=1e-12)
-
-
 class TestFitMollow:
     def test_exact_self_fit(self):
         # data generated from the fit model itself: residuals at machine level
@@ -143,7 +129,7 @@ class TestFitMollow:
             half = 2.5 * ratio * gamma
             grid = np.linspace(-half, half, 401)
             spectra.append(
-                SpectrumTrace(grid, 0.8 * inelastic_spectrum_model(ratio * gamma, gamma, grid))
+                Trace(grid, 0.8 * inelastic_spectrum_model(ratio * gamma, gamma, grid))
             )
         data = MollowDataset(RATIOS, spectra, gain_truth=0.8)
         fit = fit_mollow(data, gamma)
@@ -263,6 +249,6 @@ def test_mollow_dataset_validation():
     spec = true_mollow_spectrum(2.0, GAMMA_MHZ)
     with pytest.raises(ValueError, match="one spectrum"):
         MollowDataset([2.0, 4.0], [spec])
-    bad = SpectrumTrace(spec.axis, spec.values - 0.5 * spec.values.max())
+    bad = Trace(spec.axis, spec.values - 0.5 * spec.values.max())
     with pytest.raises(ValueError, match="non-negative"):
         MollowDataset([2.0], [bad])

@@ -12,13 +12,12 @@ from qndsim.core import (
     basis_ket,
     destroy,
     expectation,
-    identity,
     pauli,
     psd,
     steady_state,
     two_time_correlation,
 )
-from qndsim.core.traces import TimeTrace
+from qndsim.core.traces import Trace
 from qndsim.errors import TruncationError
 
 GAMMA = 2 * math.pi * 1.77
@@ -45,7 +44,7 @@ class TestTwoTimeCorrelation:
     def test_identity_operators_give_unit_trace(self):
         model = driven_atom_model(2 * GAMMA, GAMMA)
         rho_ss = steady_state(model)
-        eye = identity(SPACE)
+        eye = Operator(SPACE, np.eye(2))
         taus = np.linspace(0.0, 1.0, 64)
         corr = two_time_correlation(model, rho_ss, eye, eye, taus)
         np.testing.assert_allclose(corr.values, 1.0, atol=1e-9)
@@ -88,7 +87,7 @@ class TestPsd:
     def test_lorentzian_pair(self):
         gamma = 2 * math.pi * 2.0
         taus = np.linspace(0.0, 48.0 / gamma, 8192)
-        corr = TimeTrace(taus, np.exp(-gamma * taus / 2))
+        corr = Trace(taus, np.exp(-gamma * taus / 2))
         spec = psd(corr)
         center, fwhm, _ = fit_lorentzian(spec)
         assert center == pytest.approx(0.0, abs=2 * spec.step)
@@ -98,7 +97,7 @@ class TestPsd:
         gamma = 2 * math.pi * 2.0
         delta0 = 2 * math.pi * 5.0
         taus = np.linspace(0.0, 48.0 / gamma, 8192)
-        corr = TimeTrace(taus, np.exp((1j * delta0 - gamma / 2) * taus))
+        corr = Trace(taus, np.exp((1j * delta0 - gamma / 2) * taus))
         center, fwhm, _ = fit_lorentzian(psd(corr))
         assert center == pytest.approx(delta0 / (2 * math.pi), rel=1e-3)
         assert fwhm == pytest.approx(gamma / (2 * math.pi), rel=0.02)
@@ -106,7 +105,7 @@ class TestPsd:
     def test_parseval(self):
         gamma = 2 * math.pi * 1.0
         taus = np.linspace(0.0, 48.0 / gamma, 4096)
-        corr = TimeTrace(taus, 0.7 * np.exp(-gamma * taus / 2))
+        corr = Trace(taus, 0.7 * np.exp(-gamma * taus / 2))
         spec = psd(corr)
         integral = np.trapezoid(spec.values, spec.axis)
         assert integral == pytest.approx(0.7, rel=0.01)
@@ -114,13 +113,13 @@ class TestPsd:
     def test_nonnegative(self):
         gamma = 2 * math.pi * 1.0
         taus = np.linspace(0.0, 48.0 / gamma, 4096)
-        spec = psd(TimeTrace(taus, np.exp(-gamma * taus / 2)))
+        spec = psd(Trace(taus, np.exp(-gamma * taus / 2)))
         assert spec.values.min() > -1e-6
 
     def test_insufficient_decay_rejected(self):
         taus = np.linspace(0.0, 1.0, 256)
         with pytest.raises(TruncationError, match="tau grid"):
-            psd(TimeTrace(taus, np.exp(-0.5 * taus)))
+            psd(Trace(taus, np.exp(-0.5 * taus)))
 
 
 @pytest.mark.parametrize("gamma_mhz", [1.0, 1.77, 3.0])

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from qndsim.config import config_digest, default_config, from_dict
 from qndsim.device import (
     DeviceParams,
-    ReflectionPoint,
     count_pi_crossings,
     dispersive_shift,
     dressed_frequencies,
@@ -36,6 +36,26 @@ class TestDeviceParams:
     def test_invariants_enforced(self, kwargs):
         with pytest.raises(ValueError):
             DeviceParams(**kwargs)
+
+    def test_nu_ef_derived_when_omitted(self):
+        assert DeviceParams(nu_ge=6500.0).nu_ef == 6160.0
+        cfg = from_dict({"device": {"nu_ge": 6500.0}})
+        assert cfg.device.nu_ef == 6500.0 + cfg.device.alpha
+        # spelling out the derived value resolves to the same configuration
+        assert config_digest(from_dict({"device": {}})) == config_digest(default_config())
+        assert config_digest(from_dict({"device": {"nu_ef": 6135.0}})) == config_digest(
+            default_config()
+        )
+
+    def test_nu_ef_compared_with_relative_tolerance(self):
+        # 6475.1 + (-340.2) is 6134.900000000001 in binary floating point
+        assert 6475.1 + -340.2 != 6134.9
+        params = DeviceParams(nu_ge=6475.1, alpha=-340.2, nu_ef=6134.9)
+        assert params.nu_ef == 6134.9
+        cfg = from_dict({"device": {"nu_ge": 6475.1, "alpha": -340.2, "nu_ef": 6134.9}})
+        assert cfg.device.nu_ef == 6134.9
+        with pytest.raises(ValueError, match="nu_ge \\+ alpha"):
+            DeviceParams(nu_ge=6475.1, alpha=-340.2, nu_ef=6134.9 * (1 + 1e-9))
 
 
 class TestDispersiveShift:
@@ -124,39 +144,44 @@ class TestReflection:
 
 
 @pytest.fixture(scope="module")
-def points():
+def spectrum():
     span = 2 * SQRT2_G0
     grid = np.linspace(6135.0 - span, 6135.0 + span, int(round(2 * span / 0.1)) + 1)
-    return phase_difference_spectrum(PARAMS, grid)
+    return (grid, *phase_difference_spectrum(PARAMS, grid))
 
 
 class TestPhaseSpectrum:
-    def test_pi_at_cavity_frequency(self):
-        point = phase_difference_spectrum(PARAMS, np.array([6135.0]))[0]
-        assert point.delta_phi == pytest.approx(math.pi, abs=1e-6)
+    def test_arrays_match_reflection_coefficient(self, spectrum):
+        grid, r_g, r_e, dphi = spectrum
+        np.testing.assert_array_equal(r_g, reflection_coefficient(PARAMS, grid, "g"))
+        np.testing.assert_array_equal(r_e, reflection_coefficient(PARAMS, grid, "e"))
+        np.testing.assert_array_equal(dphi, np.abs(wrap_phase(np.angle(r_g) - np.angle(r_e))))
+        assert np.max(np.abs(r_g)) <= 1 + 1e-9 and np.max(np.abs(r_e)) <= 1 + 1e-9
+        assert np.all((dphi >= 0) & (dphi <= math.pi))
 
-    def test_pi_attained_near_dressed_frequencies(self, points):
-        nus = np.array([p.nu for p in points])
-        dphi = np.array([p.delta_phi for p in points])
+    def test_pi_at_cavity_frequency(self):
+        _, _, dphi = phase_difference_spectrum(PARAMS, np.array([6135.0]))
+        assert dphi[0] == pytest.approx(math.pi, abs=1e-6)
+
+    def test_pi_attained_near_dressed_frequencies(self, spectrum):
+        nus, _, _, dphi = spectrum
         for nu_d in (6135.0 - SQRT2_G0, 6135.0 + SQRT2_G0):
             window = np.abs(nus - nu_d) <= 2.0
             assert np.min(np.abs(dphi[window] - math.pi)) < 0.05
 
-    def test_exactly_three_pi_crossings(self, points):
-        assert count_pi_crossings(points) == 3
+    def test_exactly_three_pi_crossings(self, spectrum):
+        _, r_g, r_e, _ = spectrum
+        assert count_pi_crossings(r_g, r_e) == 3
 
     def test_symmetric_about_cavity(self):
         offsets = np.linspace(0.3, 250.0, 713)
-        upper = phase_difference_spectrum(PARAMS, 6135.0 + offsets)
-        lower = phase_difference_spectrum(PARAMS, 6135.0 - offsets)
-        du = np.array([p.delta_phi for p in upper])
-        dl = np.array([p.delta_phi for p in lower])
+        _, _, du = phase_difference_spectrum(PARAMS, 6135.0 + offsets)
+        _, _, dl = phase_difference_spectrum(PARAMS, 6135.0 - offsets)
         np.testing.assert_allclose(du, dl, atol=1e-9)
 
     def test_small_contrast_far_detuned(self):
-        for nu in (6135.0 - 300.0, 6135.0 + 300.0):
-            point = phase_difference_spectrum(PARAMS, np.array([nu]))[0]
-            assert abs(point.delta_phi) < 0.1
+        _, _, dphi = phase_difference_spectrum(PARAMS, np.array([6135.0 - 300.0, 6135.0 + 300.0]))
+        assert np.all(np.abs(dphi) < 0.1)
 
     def test_grid_range_enforced(self):
         with pytest.raises(ValueError, match="500"):
@@ -167,8 +192,3 @@ def test_wrap_phase_branch_convention():
     assert wrap_phase(math.pi) == pytest.approx(math.pi)
     assert wrap_phase(-math.pi) == pytest.approx(math.pi)
     assert wrap_phase(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
-
-
-def test_reflection_point_validates_modulus():
-    with pytest.raises(ValueError):
-        ReflectionPoint(6135.0, 1.5 + 0j, 1.0 + 0j, 0.0)

@@ -9,9 +9,7 @@ from qndsim.core import (
     destroy,
     embed,
     expectation,
-    identity,
     pauli,
-    tensor,
 )
 
 
@@ -34,12 +32,13 @@ class TestHilbertSpace:
 
 class TestTensor:
     def test_identity_case(self):
-        result = tensor([op([2], np.eye(2)), op([2], np.eye(2))])
+        result = embed(HilbertSpace((2, 2)), 0, np.eye(2))
         assert result.space.subsystem_dims == (2, 2)
         np.testing.assert_array_equal(result.matrix, np.eye(4))
 
     def test_sigma_z_with_identity(self):
-        result = tensor([op([2], pauli("z")), op([2], np.eye(2))])
+        # the first subsystem is the most significant index of the product
+        result = embed(HilbertSpace((2, 2)), 0, pauli("z"))
         np.testing.assert_allclose(np.diag(result.matrix), [1, 1, -1, -1])
 
     def test_disjoint_mode_operators_commute(self):
@@ -49,14 +48,13 @@ class TestTensor:
         right = np.kron(np.eye(4), a.conj().T)
         comm = left @ right - right @ left
         assert np.max(np.abs(comm)) < 1e-12
-        lhs = tensor([op([4], a), op([4], np.eye(4))])
-        rhs = tensor([op([4], np.eye(4)), op([4], a.conj().T)])
+        space = HilbertSpace((4, 4))
+        lhs = embed(space, 0, a)
+        rhs = embed(space, 1, a.conj().T)
+        np.testing.assert_array_equal(lhs.matrix, left)
+        np.testing.assert_array_equal(rhs.matrix, right)
         comm_ops = (lhs @ rhs - rhs @ lhs).matrix
         assert np.max(np.abs(comm_ops)) < 1e-12
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            tensor([])
 
 
 class TestOperator:
@@ -124,4 +122,4 @@ def test_basis_ket_and_expectation():
     rho = DensityMatrix.from_ket(HilbertSpace((2,)), basis_ket(HilbertSpace((2,)), (1,)))
     sz = Operator(HilbertSpace((2,)), pauli("z"))
     assert expectation(sz, rho) == pytest.approx(-1.0)
-    assert expectation(identity(HilbertSpace((2,))), rho) == pytest.approx(1.0)
+    assert expectation(Operator(HilbertSpace((2,)), np.eye(2)), rho) == pytest.approx(1.0)
