@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eig
@@ -216,21 +215,12 @@ def fit_mollow(data: MollowDataset, gamma_init: float) -> MollowFit:
     )
 
 
-@lru_cache(maxsize=64)
-def _true_spectrum_cached(ratio: float, gamma: float, span: float, points: int):
-    half = span * ratio * gamma
-    grid = np.linspace(-half, half, points)
-    return grid, mollow_spectrum(ratio, gamma, grid).values
-
-
 def true_mollow_spectrum(
     ratio: float, gamma: float, span: float = 2.5, points: int = 801
 ) -> Trace:
-    """Cached inelastic spectrum on the standard symmetric grid."""
-    grid, values = _true_spectrum_cached(float(ratio), float(gamma), float(span), int(points))
-    return Trace(
-        grid.copy(), values.copy(), label=f"inelastic psd, Omega/Gamma={ratio:g}"
-    )
+    """Inelastic spectrum on the standard symmetric grid of +-span*Omega."""
+    half = span * ratio * gamma
+    return mollow_spectrum(ratio, gamma, np.linspace(-half, half, points))
 
 
 def synthetic_mollow_dataset(

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -20,6 +21,10 @@ from .device import DEFAULT_GAMMA_ATOM_MHZ, DeviceParams
 from .protocol import ProtocolConfig
 
 CONFIG_VERSION = 1
+
+# A step grid's span must be a whole number of steps to this relative
+# tolerance, which absorbs the rounding of decimal steps such as 0.1.
+GRID_STEPS_RTOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -44,6 +49,13 @@ class GridSpec:
             raise ConfigError("grid step must be positive")
         if self.num is not None and self.num < 2:
             raise ConfigError("grid num must be at least 2")
+        if self.step is not None:
+            steps = (self.stop - self.start) / self.step
+            if abs(steps - round(steps)) > GRID_STEPS_RTOL * steps:
+                raise ConfigError(
+                    f"grid step {self.step:g} does not divide the span "
+                    f"{self.stop - self.start:g} ({steps:.6g} steps)"
+                )
 
     def to_array(self) -> np.ndarray:
         if self.num is not None:
@@ -59,6 +71,10 @@ class SweepConfig:
     theta_rad: GridSpec = field(default_factory=lambda: GridSpec(0.0, math.pi, num=33))
     drive_ratios: list[float] = field(default_factory=lambda: [2.0, 4.0, 6.0])
 
+    def __post_init__(self):
+        if not self.drive_ratios or any(r <= 0 for r in self.drive_ratios):
+            raise ConfigError("sweeps.drive_ratios must be positive and non-empty")
+
 
 @dataclass
 class SpectroscopyConfig:
@@ -71,6 +87,13 @@ class ReadoutRunConfig:
     snr: float = 5.75
     n_bins: int = 101
     preselect_sigmas: float = 3.0
+
+    def __post_init__(self):
+        # preconditions of readout.fit_double_gaussian, checked at load time
+        if self.n_shots < 100:
+            raise ConfigError("readout.n_shots must be at least 100")
+        if self.n_bins < 20:
+            raise ConfigError("readout.n_bins must be at least 20")
 
 
 @dataclass
@@ -147,85 +170,71 @@ class RunConfig:
             raise ConfigError("seed must fit an unsigned 64-bit integer")
 
 
-_SECTION_TYPES = {
-    "device": DeviceParams,
-    "protocol": ProtocolConfig,
-    "spectroscopy": SpectroscopyConfig,
-    "readout": ReadoutRunConfig,
-    "qnd": QndRunConfig,
-    "mollow": MollowRunConfig,
-    "stark": StarkRunConfig,
-    "loss": LossRunConfig,
-    "reference": ReferenceValues,
+# Dataclasses a config mapping nests, by the field annotation naming them.
+_NESTED = {
+    cls.__name__: cls
+    for cls in (
+        DeviceParams,
+        ProtocolConfig,
+        SweepConfig,
+        GridSpec,
+        SpectroscopyConfig,
+        ReadoutRunConfig,
+        QndRunConfig,
+        MollowRunConfig,
+        StarkRunConfig,
+        LossRunConfig,
+        ReferenceValues,
+    )
 }
+_SCALARS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
-def _build_section(cls, data: dict, path: str):
+def _key(path: str, name) -> str:
+    return f"{path}.{name}" if path else str(name)
+
+
+def _number(value, path: str) -> float:
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"'{path}' must be a number, got {value!r}")
+    return float(value)
+
+
+def _field_value(kind: str, value, path: str):
+    """One config value checked against its field annotation."""
+    if kind in _NESTED:
+        return _build(_NESTED[kind], value, path)
+    if kind == "list[float]":
+        if not isinstance(value, list):
+            raise ConfigError(f"'{path}' must be a list of numbers")
+        return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if kind == "list[tuple[str, float]]":
+        if not isinstance(value, dict):
+            raise ConfigError(f"'{path}' must be a mapping of name to number")
+        return [(str(k), _number(v, _key(path, k))) for k, v in value.items()]
+    base, _, optional = kind.partition(" | ")
+    if not isinstance(value, _SCALARS[base]) and not (value is None and optional):
+        raise ConfigError(f"'{path}' must be of type {base}, got {value!r}")
+    return value
+
+
+def _build(cls, data, path: str = ""):
+    """A config dataclass from a mapping; nested sections and grids recurse."""
     if not isinstance(data, dict):
-        raise ConfigError(f"section '{path}' must be a mapping")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+        raise ConfigError(f"section '{path or 'top-level'}' must be a mapping")
+    kinds = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(kinds)
     if unknown:
-        raise ConfigError(f"unknown key '{path}.{sorted(unknown)[0]}'")
+        raise ConfigError(f"unknown key '{_key(path, sorted(unknown)[0])}'")
+    kwargs = {name: _field_value(kinds[name], v, _key(path, name)) for name, v in data.items()}
     try:
-        return cls(**data)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid section '{path}': {exc}") from exc
-
-
-def _build_grid(data, path: str) -> GridSpec:
-    if isinstance(data, dict):
-        known = {"start", "stop", "step", "num"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown key '{path}.{sorted(unknown)[0]}'")
-        try:
-            return GridSpec(**data)
-        except (TypeError, ConfigError) as exc:
-            raise ConfigError(f"invalid grid '{path}': {exc}") from exc
-    raise ConfigError(f"grid '{path}' must be a mapping with start/stop/step|num")
+        raise ConfigError(f"invalid section '{path}': {exc}" if path else str(exc)) from exc
 
 
 def from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("top-level config must be a mapping")
-    top_known = set(_SECTION_TYPES) | {"sweeps", "seed", "output_dir", "config_version"}
-    unknown = set(data) - top_known
-    if unknown:
-        raise ConfigError(f"unknown key '{sorted(unknown)[0]}'")
-    kwargs = {}
-    for name, cls in _SECTION_TYPES.items():
-        if name in data:
-            section = dict(data[name])
-            if name == "loss" and "components" in section:
-                section["components"] = [
-                    (str(k), float(v)) for k, v in dict(section["components"]).items()
-                ]
-            kwargs[name] = _build_section(cls, section, name)
-    if "sweeps" in data:
-        sw = data["sweeps"]
-        if not isinstance(sw, dict):
-            raise ConfigError("section 'sweeps' must be a mapping")
-        unknown = set(sw) - {"nu_mhz", "window_us", "theta_rad", "drive_ratios"}
-        if unknown:
-            raise ConfigError(f"unknown key 'sweeps.{sorted(unknown)[0]}'")
-        sweep_kwargs = {}
-        for key in ("nu_mhz", "window_us", "theta_rad"):
-            if key in sw:
-                sweep_kwargs[key] = _build_grid(sw[key], f"sweeps.{key}")
-        if "drive_ratios" in sw:
-            ratios = [float(r) for r in sw["drive_ratios"]]
-            if not ratios or any(r <= 0 for r in ratios):
-                raise ConfigError("sweeps.drive_ratios must be positive and non-empty")
-            sweep_kwargs["drive_ratios"] = ratios
-        kwargs["sweeps"] = SweepConfig(**sweep_kwargs)
-    for key in ("seed", "output_dir", "config_version"):
-        if key in data:
-            kwargs[key] = data[key]
-    try:
-        return RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(RunConfig, data)
 
 
 def to_dict(cfg: RunConfig) -> dict:

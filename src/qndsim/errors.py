@@ -6,7 +6,7 @@ class SimulationError(Exception):
 
 
 class NumericsError(SimulationError):
-    """A numerical routine failed (integration, linear algebra)."""
+    """A numerical routine failed (linear algebra, truncation)."""
 
 
 class TruncationError(NumericsError):

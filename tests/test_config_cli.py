@@ -33,6 +33,19 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             GridSpec(0.0, 1.0, step=0.1, num=5)
 
+    @pytest.mark.parametrize(
+        "start, stop, step",
+        [(5985.0, 6285.0, 0.1), (0.05, 0.6, 0.005), (0.0, 300.0, 0.1), (0.0, 0.55, 0.005)],
+    )
+    def test_decimal_steps_divide_their_span(self, start, stop, step):
+        grid = GridSpec(start, stop, step=step).to_array()
+        assert grid[0] == start and grid[-1] == stop
+        np.testing.assert_allclose(np.diff(grid), step, rtol=1e-9)
+
+    def test_step_must_divide_span(self):
+        with pytest.raises(ConfigError, match="does not divide"):
+            GridSpec(0.0, 1.0, step=0.3)
+
     def test_ordering_enforced(self):
         with pytest.raises(ConfigError):
             GridSpec(1.0, 0.0, step=0.1)
@@ -67,6 +80,14 @@ class TestConfig:
     def test_bad_seed(self):
         with pytest.raises(ConfigError, match="seed"):
             from_dict({"seed": -4})
+
+    @pytest.mark.parametrize(
+        "section, match", [({"n_shots": 99}, "n_shots"), ({"n_bins": 19}, "n_bins")]
+    )
+    def test_readout_fit_preconditions(self, section, match):
+        with pytest.raises(ConfigError, match=match):
+            from_dict({"readout": section})
+        from_dict({"readout": {"n_shots": 100, "n_bins": 20}})
 
     def test_yaml_error_has_context(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -146,6 +167,33 @@ class TestExitCodes:
         assert cli.main(["spectrum", "--config", str(bad), "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "device: [1]",
+            "loss: {components: [1, 2]}",
+            "loss: {components: {a: x}}",
+            "sweeps: {drive_ratios: 5}",
+            "sweeps: {drive_ratios: [a]}",
+            "sweeps: {theta_rad: {start: 0, stop: 1, step: 0.3}}",
+            "sweeps: {nu_mhz: {start: 5985, stop: 6285, num: 30.5}}",
+            "readout: {n_shots: 50}",
+            "readout: {n_shots: 150.5}",
+            "qnd: {n_theta: 2.5}",
+            "seed: 1.5",
+            "qnd: {noise_var: x}",
+            "output_dir: 5",
+            "device:",
+        ],
+    )
+    def test_malformed_content_exit_1_without_traceback(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text + "\n")
+        assert cli.main(["theta-sweep", "--config", str(bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+
     def test_missing_config_exit_1(self, tmp_path):
         assert (
             cli.main(["spectrum", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])
@@ -160,7 +208,7 @@ class TestExitCodes:
         # sweep, surfaced with subcommand context
         path = tmp_path / "run.yaml"
         path.write_text(
-            yaml.safe_dump({"sweeps": {"window_us": {"start": 0.005, "stop": 0.5, "step": 0.05}}})
+            yaml.safe_dump({"sweeps": {"window_us": {"start": 0.005, "stop": 0.5, "step": 0.0495}}})
         )
         assert cli.main(["window-sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "window-sweep" in capsys.readouterr().err

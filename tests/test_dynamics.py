@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qndsim.calibration import driven_atom_model, steady_population
 from qndsim.core import (
@@ -13,9 +14,11 @@ from qndsim.core import (
     destroy,
     evolve,
     lindblad_rhs,
+    liouvillian_matrix,
     pauli,
     steady_state,
 )
+from qndsim.core.dynamics import _evolve_matrix
 from qndsim.errors import NonUniqueSteadyStateError
 
 GAMMA = 2 * math.pi * 1.77  # 1/us
@@ -100,6 +103,32 @@ class TestEvolve:
         assert traces.max() < 1e-7
         assert herm < 1e-8
         assert eigmin > -1e-7
+
+    def test_exceptional_point_matches_per_time_expm(self):
+        # Omega = Gamma/4 makes the Liouvillian defective (coalescing
+        # eigenvalues -3 Gamma/4), where an eigenbasis propagator would fail
+        model = driven_atom_model(GAMMA / 4, GAMMA)
+        times = np.linspace(0.0, 3.0, 301)
+        states = evolve(model, EXCITED, times)
+        sup = liouvillian_matrix(model)
+        vec0 = EXCITED.matrix.reshape(-1)
+        for t, state in zip(times, states):
+            want = (expm(sup * t) @ vec0).reshape(2, 2)
+            np.testing.assert_allclose(state.matrix, want, rtol=0, atol=1e-12)
+
+    def test_non_uniform_grid_rejected(self):
+        with pytest.raises(ValueError, match="uniform"):
+            evolve(decay_model(), EXCITED, np.array([0.0, 0.1, 0.3]))
+
+    @pytest.mark.parametrize("ratio", [0.25, 2.0])
+    def test_long_grid_meets_density_matrix_defaults(self, ratio):
+        # the stacked propagation evolve() wraps, checked in bulk: 1e5
+        # validated DensityMatrix objects would take seconds
+        times = np.linspace(0.0, 20.0, 100_000)
+        mats = _evolve_matrix(driven_atom_model(ratio * GAMMA, GAMMA), EXCITED.matrix, times)
+        assert np.max(np.abs(np.trace(mats, axis1=1, axis2=2) - 1.0)) < 1e-9
+        assert np.max(np.abs(mats - mats.conj().transpose(0, 2, 1))) < 1e-9
+        assert np.min(np.linalg.eigvalsh(mats)) > -1e-9
 
 
 class TestSteadyState:
