@@ -312,7 +312,7 @@ def criterion_11(cfg: RunConfig) -> CriterionResult:
     )
     mix = readout.GaussianMixture(0.0, cfg.readout.snr, 1.0, cfg.device.p_thermal)
     shots = readout.sample_shots(mix, cfg.device.p_thermal, n, 314159)
-    _, discard = readout.preselect(shots, readout.preselect_threshold(mix))
+    discard = readout.preselect(shots, readout.preselect_threshold(mix))
     sigma_bin = math.sqrt(0.06 * 0.94 / n)
     checks.append(
         (

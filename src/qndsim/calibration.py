@@ -173,6 +173,17 @@ class MollowFit:
     rss: float
 
 
+def _fluorescence_fit(residuals, base, targets, gamma_init, omegas0):
+    """least_squares over (gain, Gamma, Omega_1..n), started from the gain
+    projecting the start-value model base onto the targets, with each rate
+    bounded to [0.2, 5] times its start value."""
+    gain0 = float(base @ targets / (base @ base))
+    x0 = np.array([gain0, gamma_init, *omegas0])
+    lower = np.array([1e-6, 0.2 * gamma_init, *(0.2 * om for om in omegas0)])
+    upper = np.array([np.inf, 5.0 * gamma_init, *(5.0 * om for om in omegas0)])
+    return least_squares(residuals, x0, bounds=(lower, upper), x_scale=np.abs(x0))
+
+
 def fit_mollow(data: MollowDataset, gamma_init: float) -> MollowFit:
     """Joint fit of all spectra sharing (gain, Gamma) with one Omega each."""
     if len(data.spectra) < 3:
@@ -186,21 +197,16 @@ def fit_mollow(data: MollowDataset, gamma_init: float) -> MollowFit:
             [inelastic_spectrum_model(om, gamma, g) for om, g in zip(omegas, grids)]
         )
 
-    base = model_stack(gamma_init, omegas0)
-    gain0 = float(base @ targets / (base @ base))
-
     def residuals(p):
         gain, gamma = p[0], p[1]
         return gain * model_stack(gamma, p[2:]) - targets
 
-    x0 = np.array([gain0, gamma_init, *omegas0])
-    lower = np.array([1e-6, 0.2 * gamma_init, *(0.2 * om for om in omegas0)])
-    upper = np.array([np.inf, 5.0 * gamma_init, *(5.0 * om for om in omegas0)])
-    result = least_squares(residuals, x0, bounds=(lower, upper), x_scale=np.abs(x0))
+    base = model_stack(gamma_init, omegas0)
+    result = _fluorescence_fit(residuals, base, targets, gamma_init, omegas0)
     if not result.success:
         raise FitError(f"joint fluorescence fit failed (final cost {result.cost:.3e})")
     rss = float(2 * result.cost)
-    dof = max(targets.size - x0.size, 1)
+    dof = max(targets.size - result.x.size, 1)
     try:
         cov = np.linalg.inv(result.jac.T @ result.jac) * rss / dof
         gain_err = float(np.sqrt(max(cov[0, 0], 0.0)))
@@ -259,14 +265,7 @@ def fit_satellite_drive(
         return gain * inelastic_spectrum_model(omega, gamma, spectrum.axis) - spectrum.values
 
     base = inelastic_spectrum_model(omega_init, gamma_init, spectrum.axis)
-    gain0 = float(base @ spectrum.values / (base @ base))
-    x0 = np.array([gain0, gamma_init, omega_init])
-    result = least_squares(
-        residuals,
-        x0,
-        bounds=([1e-6, 0.2 * gamma_init, 0.2 * omega_init], [np.inf, 5 * gamma_init, 5 * omega_init]),
-        x_scale=np.abs(x0),
-    )
+    result = _fluorescence_fit(residuals, base, spectrum.values, gamma_init, [omega_init])
     if not result.success:
         raise FitError("single-spectrum resonance fit failed")
     return float(result.x[2])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,15 +35,6 @@ class RunReport:
     files: list[str] = field(default_factory=list)
     headline: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "files": self.files,
-            "headline": self.headline,
-        }
-
 
 def _runner_seed(master: int, name: str) -> int:
     digest = hashlib.sha256(f"{master}:{name}".encode()).digest()
@@ -58,7 +49,7 @@ def _report(cfg: RunConfig, name: str, out_dir: Path, files: list[Path], headlin
         files=sorted(p.name for p in files),
         headline=headline,
     )
-    write_json(out_dir / f"{name}_report.json", report.to_dict())
+    write_json(out_dir / f"{name}_report.json", asdict(report))
     return report
 
 
@@ -284,7 +275,7 @@ def run_readout(cfg: RunConfig, out_dir: Path) -> RunReport:
         gen = readout.GaussianMixture(mix.mu_g, mix.mu_e, mix.sigma, p_e)
         shots = readout.sample_shots(gen, p_e, ro.n_shots, seed)
         path_shots = out_dir / f"shots_{name}.csv"
-        write_csv(path_shots, ["index", "q"], list(enumerate(shots.values.tolist())))
+        write_csv(path_shots, ["index", "q"], list(enumerate(shots.tolist())))
         hist = readout.histogram_shots(shots, ro.n_bins)
         path_hist = out_dir / f"hist_{name}.csv"
         write_csv(path_hist, ["bin_center", "count"], zip(hist.bin_centers, hist.counts))
@@ -310,7 +301,7 @@ def run_readout(cfg: RunConfig, out_dir: Path) -> RunReport:
         pre_mix, dev.p_thermal, ro.n_shots, _runner_seed(cfg.seed, "readout:preselect")
     )
     pre_thr = readout.preselect_threshold(mix, ro.preselect_sigmas)
-    _, discard = readout.preselect(pre_shots, pre_thr)
+    discard = readout.preselect(pre_shots, pre_thr)
     pre_hist = readout.histogram_shots(pre_shots, ro.n_bins)
     path_pre = out_dir / "hist_preselect.csv"
     write_csv(path_pre, ["bin_center", "count"], zip(pre_hist.bin_centers, pre_hist.counts))

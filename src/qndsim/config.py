@@ -94,6 +94,11 @@ class ReadoutRunConfig:
             raise ConfigError("readout.n_shots must be at least 100")
         if self.n_bins < 20:
             raise ConfigError("readout.n_bins must be at least 20")
+        # readout.GaussianMixture places e above g
+        if not 0 < self.snr < math.inf:
+            raise ConfigError("readout.snr must be positive and finite")
+        if not self.preselect_sigmas > 0:
+            raise ConfigError("readout.preselect_sigmas must be positive")
 
 
 @dataclass

@@ -16,7 +16,7 @@ from scipy.special import erfc
 
 from .errors import FitError
 
-DEFAULT_SNR = 5.75  # |mu_e - mu_g| / sigma placing the overlap error at 0.2%
+DEFAULT_SNR = 5.75  # (mu_e - mu_g) / sigma placing the overlap error at 0.2%
 DEFAULT_BINS = 101
 DEFAULT_SPAN_SIGMAS = 6.0
 PRESELECT_SIGMAS = 3.0  # conservative ground-state heralding threshold
@@ -24,58 +24,21 @@ PRESELECT_SIGMAS = 3.0  # conservative ground-state heralding threshold
 
 @dataclass
 class GaussianMixture:
-    """Two Gaussian components on the quadrature axis.
-
-    Widths are shared by default; sigma_e overrides the excited component
-    for generative use (fits and the overlap formula stay common-width).
-    """
+    """Two common-width Gaussian components on the quadrature axis, with the
+    excited mean above the ground mean."""
 
     mu_g: float = 0.0
     mu_e: float = DEFAULT_SNR
     sigma: float = 1.0
     w_e: float = 0.5
-    sigma_e: float | None = None
 
     def __post_init__(self):
-        if self.sigma <= 0 or (self.sigma_e is not None and self.sigma_e <= 0):
+        if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.mu_g == self.mu_e:
-            raise ValueError("component means must differ")
+        if not self.mu_e > self.mu_g:
+            raise ValueError("the excited mean must lie above the ground mean")
         if not 0 <= self.w_e <= 1:
             raise ValueError("w_e must lie in [0, 1]")
-
-    @property
-    def excited_sigma(self) -> float:
-        return self.sigma if self.sigma_e is None else self.sigma_e
-
-
-@dataclass
-class ShotSet:
-    """Integrated quadrature amplitudes with their preparation tag and seed."""
-
-    values: np.ndarray
-    label: str = ""
-    seed: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass
-class Threshold:
-    """Decision boundary; orientation names the side assigned to e."""
-
-    q_star: float
-    orientation: str = "above"
-
-    def __post_init__(self):
-        if not np.isfinite(self.q_star):
-            raise ValueError("threshold must be finite")
-        if self.orientation not in ("above", "below"):
-            raise ValueError("orientation must be 'above' or 'below'")
 
 
 @dataclass
@@ -107,7 +70,7 @@ class DoubleGaussianFit:
     rss: float
 
 
-def sample_shots(mix: GaussianMixture, p_e: float, n: int, seed: int) -> ShotSet:
+def sample_shots(mix: GaussianMixture, p_e: float, n: int, seed: int) -> np.ndarray:
     """Draw n shots, each from the e component with probability p_e."""
     if n < 1:
         raise ValueError("need at least one shot")
@@ -116,54 +79,39 @@ def sample_shots(mix: GaussianMixture, p_e: float, n: int, seed: int) -> ShotSet
     rng = np.random.default_rng(seed)
     excited = rng.random(n) < p_e
     means = np.where(excited, mix.mu_e, mix.mu_g)
-    widths = np.where(excited, mix.excited_sigma, mix.sigma)
-    values = means + widths * rng.standard_normal(n)
-    return ShotSet(values, label=f"p_e={p_e:g}", seed=seed)
+    return means + mix.sigma * rng.standard_normal(n)
 
 
-def midpoint_threshold(mix: GaussianMixture) -> Threshold:
-    orientation = "above" if mix.mu_e > mix.mu_g else "below"
-    return Threshold((mix.mu_g + mix.mu_e) / 2, orientation)
+def midpoint_threshold(mix: GaussianMixture) -> float:
+    return (mix.mu_g + mix.mu_e) / 2
 
 
-def preselect_threshold(mix: GaussianMixture, n_sigmas: float = PRESELECT_SIGMAS) -> Threshold:
-    """Conservative boundary n_sigmas from the ground mean toward e."""
-    sign = 1.0 if mix.mu_e > mix.mu_g else -1.0
-    orientation = "above" if sign > 0 else "below"
-    return Threshold(mix.mu_g + sign * n_sigmas * mix.sigma, orientation)
+def preselect_threshold(mix: GaussianMixture, n_sigmas: float = PRESELECT_SIGMAS) -> float:
+    """Conservative boundary n_sigmas above the ground mean."""
+    return mix.mu_g + n_sigmas * mix.sigma
 
 
-def assigned_fraction(shots: ShotSet, thr: Threshold) -> float:
-    """Fraction of shots assigned to the excited state."""
-    if len(shots) == 0:
-        return 0.0
-    if thr.orientation == "above":
-        return float(np.mean(shots.values > thr.q_star))
-    return float(np.mean(shots.values < thr.q_star))
+def assigned_fraction(shots: np.ndarray, q_star: float) -> float:
+    """Fraction of shots assigned to the excited state, those above q_star."""
+    return float(np.mean(shots > q_star))
 
 
-def preselect(shots: ShotSet, thr: Threshold) -> tuple[ShotSet, float]:
-    """Keep only ground-assigned shots; report the discarded fraction."""
-    if len(shots) == 0:
-        return ShotSet(np.empty(0), label=shots.label, seed=shots.seed), 0.0
-    if thr.orientation == "above":
-        keep = shots.values <= thr.q_star
-    else:
-        keep = shots.values >= thr.q_star
-    retained = ShotSet(shots.values[keep], label=shots.label, seed=shots.seed)
-    return retained, 1.0 - len(retained) / len(shots)
+def preselect(shots: np.ndarray, q_star: float) -> float:
+    """Fraction of shots discarded as excited-assigned by the heralding cut."""
+    kept = np.count_nonzero(shots <= q_star)
+    return 1.0 - kept / shots.size
 
 
 def histogram_shots(
-    shots: ShotSet,
+    shots: np.ndarray,
     n_bins: int = DEFAULT_BINS,
     span_sigmas: float = DEFAULT_SPAN_SIGMAS,
 ) -> Histogram:
     """Uniform binning over mean +- span_sigmas standard deviations."""
-    center = shots.values.mean()
-    half = span_sigmas * shots.values.std()
+    center = shots.mean()
+    half = span_sigmas * shots.std()
     edges = np.linspace(center - half, center + half, n_bins + 1)
-    counts, _ = np.histogram(shots.values, bins=edges)
+    counts, _ = np.histogram(shots, bins=edges)
     return Histogram((edges[:-1] + edges[1:]) / 2, counts.astype(float))
 
 
@@ -253,7 +201,7 @@ def overlap_error(mix: GaussianMixture) -> float:
 
     erfc(d / (2 sqrt(2) sigma)) / 2 with d the separation of the means.
     """
-    d = abs(mix.mu_e - mix.mu_g)
+    d = mix.mu_e - mix.mu_g
     return float(0.5 * erfc(d / (2 * np.sqrt(2) * mix.sigma)))
 
 

@@ -82,7 +82,14 @@ class TestConfig:
             from_dict({"seed": -4})
 
     @pytest.mark.parametrize(
-        "section, match", [({"n_shots": 99}, "n_shots"), ({"n_bins": 19}, "n_bins")]
+        "section, match",
+        [
+            ({"n_shots": 99}, "n_shots"),
+            ({"n_bins": 19}, "n_bins"),
+            ({"snr": 0.0}, "readout.snr"),
+            ({"snr": -5.75}, "readout.snr"),
+            ({"preselect_sigmas": 0.0}, "readout.preselect_sigmas"),
+        ],
     )
     def test_readout_fit_preconditions(self, section, match):
         with pytest.raises(ConfigError, match=match):
@@ -179,6 +186,10 @@ class TestExitCodes:
             "sweeps: {nu_mhz: {start: 5985, stop: 6285, num: 30.5}}",
             "readout: {n_shots: 50}",
             "readout: {n_shots: 150.5}",
+            "readout: {snr: 0}",
+            "readout: {snr: -5.75}",
+            "readout: {preselect_sigmas: -1}",
+            "readout: {snr: .inf}",
             "qnd: {n_theta: 2.5}",
             "seed: 1.5",
             "qnd: {noise_var: x}",

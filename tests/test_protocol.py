@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,6 +231,26 @@ class TestWindowOptimum:
         windows = np.arange(0.08, 0.5001, 0.002)
         ratios = window_sweep(CFG, PARAMS, windows).ratio
         assert np.all(np.diff(ratios) < 0)
+
+    def test_exponential_law_optima_match_closed_forms(self):
+        # F = a (1 - exp(-G s)) exp(-Tw/T2*) with s = Tw - t0, a = 1 - L and
+        # G = 2 pi gamma_photon peaks at s = ln(1 + G T2*) / G; P(e|1) =
+        # (1 - C)/2 + p_int C peaks at s = ln(a (1 + G T2*) / (a - 1/2)) / G
+        rng = np.random.default_rng(6)
+        for _ in range(6):
+            params = replace(
+                PARAMS, T2_star=rng.uniform(1.0, 3.0), loss_L=rng.uniform(0.05, 0.45)
+            )
+            cfg = replace(CFG, t0=rng.uniform(0.01, 0.04), gamma_photon=rng.uniform(1.0, 3.0))
+            rate = 2 * math.pi * cfg.gamma_photon
+            a = 1.0 - params.loss_L
+            growth = 1.0 + rate * params.T2_star
+            fidelity_peak = cfg.t0 + math.log(growth) / rate
+            efficiency_peak = cfg.t0 + math.log(a * growth / (a - 0.5)) / rate
+            assert optimal_window(cfg, params, "fidelity") == pytest.approx(fidelity_peak, abs=1e-7)
+            assert optimal_window(cfg, params, "efficiency") == pytest.approx(
+                efficiency_peak, abs=1e-7
+            )
 
 
 class TestReadoutComposition:
