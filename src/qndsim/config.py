@@ -112,6 +112,25 @@ class QndRunConfig:
     floor: float = 0.25
     coherence_offset: float = 0.0
 
+    def __post_init__(self):
+        if self.mc_seeds < 1:
+            raise ConfigError("qnd.mc_seeds must be at least 1")
+        if self.n_shots < 1:
+            raise ConfigError("qnd.n_shots must be at least 1")
+        # the angle grid runs from 0 to pi
+        if self.n_theta < 2:
+            raise ConfigError("qnd.n_theta must be at least 2")
+        if not 0 < self.noise_var < math.inf:
+            raise ConfigError("qnd.noise_var must be positive and finite")
+        if not 0 < self.scale <= 1:
+            raise ConfigError("qnd.scale must lie in (0, 1]")
+        if not self.gate > 0:
+            raise ConfigError("qnd.gate must be positive")
+        if not self.floor > 0:
+            raise ConfigError("qnd.floor must be positive")
+        if not math.isfinite(self.coherence_offset):
+            raise ConfigError("qnd.coherence_offset must be finite")
+
 
 @dataclass
 class MollowRunConfig:

@@ -6,6 +6,14 @@ while erasing its phase; both statements become closed-form curves vs the
 preparation angle, plus a Monte Carlo of the moment estimation at finite
 shot count. Moments travel as a pair of arrays over the angle grid: the
 mean photon number n_avg and the optimized-quadrature amplitude re_a.
+
+The Monte Carlo draws the estimator's sufficient statistics, Σ Re a and
+Σ|a|² over the shots, from their exact joint law instead of drawing every
+shot: the shots split into groups of equal signal (ON: the two signs, OFF:
+one group), each group's quadrature means are Gaussian, and the spread of
+the shots about their group means is an independent σ²·χ². The estimates
+therefore have exactly the distribution of the per-shot estimator; this is
+not an approximation.
 """
 
 from __future__ import annotations
@@ -77,38 +85,50 @@ def simulate_moment_estimates(
     noise_var: float = DEFAULT_NOISE_VAR,
     coherence_offset: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Moment estimates (n_avg, re_a) from simulated single-shot mode amplitudes.
+    """Moment estimates (n_avg, re_a) from n_shots simulated single shots.
 
     Each shot is the matched-filter output a = s + nu: the signal s has the
     modulus sqrt(n) with the mode's phase statistics (ON randomizes the sign,
     OFF keeps the fixed phase theta/2), and nu is complex amplifier noise
-    with the calibrated per-quadrature variance. The photon-number estimator
-    subtracts the known noise power and is clipped at 0, and the amplitude
-    is clipped to |re_a| <= sqrt(n_avg). coherence_offset adds a constant
-    spurious coherent amplitude to the ON-mode field (default off).
+    with the per-quadrature variance σ² = noise_var. coherence_offset adds a
+    constant spurious coherent amplitude to the ON-mode field (default off).
+    The estimates are n_avg = mean|a|² - 2σ², clipped at 0, and
+    re_a = mean Re a, clipped to |re_a| <= sqrt(n_avg).
+
+    The sums over the N = n_shots shots are drawn from their exact joint
+    law, per angle, rather than shot by shot: ON draws
+    the number k of + signs from Binomial(N, 1/2), giving groups of k and
+    N - k shots with mean signal ±amp + coherence_offset; OFF has one group
+    of N shots with mean amp. A non-empty group of m shots has Gaussian
+    quadrature means x̄ ~ N(μ, σ²/m), so Σ Re a = Σ m·Re x̄ and
+    Σ|a|² = Σ m·|x̄|² + σ²·χ²(2N - 2G), with G the number of non-empty
+    groups. The estimates are distributed exactly as the per-shot ones.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if n_shots < 1 or not noise_var >= 0:
+        raise ValueError("n_shots must be at least 1 and noise_var non-negative")
     n_ideal, _ = expected_moments(theta_grid, mode, scale)
-    n_avg = np.empty_like(theta_grid)
-    re_a = np.empty_like(theta_grid)
-    for i, theta in enumerate(theta_grid):
-        # field amplitude sqrt(n) exp(i theta/2): its real part is the
-        # prepared coherence sqrt(scale) sin(theta)/2
-        amp = np.sqrt(n_ideal[i]) * np.exp(1j * theta / 2)
-        if mode == "on":
-            signs = rng.integers(0, 2, n_shots) * 2 - 1
-            signal = amp * signs + coherence_offset
-        else:
-            signal = np.full(n_shots, amp)
-        noise = np.sqrt(noise_var) * (
-            rng.standard_normal(n_shots) + 1j * rng.standard_normal(n_shots)
-        )
-        shots = signal + noise
-        n_avg[i] = np.mean(np.abs(shots) ** 2) - 2 * noise_var
-        re_a[i] = np.mean(shots.real)
-    n_avg = np.maximum(n_avg, 0.0)
+    # field amplitude sqrt(n) exp(i theta/2): its real part is the prepared
+    # coherence sqrt(scale) sin(theta)/2
+    amp = np.sqrt(n_ideal) * np.exp(0.5j * theta_grid)
+    if mode == "on":
+        n_plus = rng.binomial(n_shots, 0.5, theta_grid.shape)
+        sizes = np.stack([n_plus, n_shots - n_plus])
+        means = np.stack([amp, -amp]) + coherence_offset
+    else:
+        sizes = np.full((1,) + theta_grid.shape, n_shots)
+        means = amp[np.newaxis]
+    # an empty group draws a mean too, but its weight m = 0 drops it
+    spread = np.sqrt(noise_var / np.maximum(sizes, 1))
+    mean_re = means.real + spread * rng.standard_normal(sizes.shape)
+    mean_im = means.imag + spread * rng.standard_normal(sizes.shape)
+    dof = 2 * n_shots - 2 * np.count_nonzero(sizes, axis=0)
+    chi2 = rng.gamma(dof / 2, 2.0)  # χ²(dof); gamma returns 0 at dof = 0
+    power = np.sum(sizes * (mean_re**2 + mean_im**2), axis=0) + noise_var * chi2
+    n_avg = np.maximum(power / n_shots - 2 * noise_var, 0.0)
+    re_a = np.sum(sizes * mean_re, axis=0) / n_shots
     return n_avg, np.clip(re_a, -np.sqrt(n_avg), np.sqrt(n_avg))
 
 

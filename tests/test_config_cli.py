@@ -96,6 +96,27 @@ class TestConfig:
             from_dict({"readout": section})
         from_dict({"readout": {"n_shots": 100, "n_bins": 20}})
 
+    @pytest.mark.parametrize(
+        "section, match",
+        [
+            ({"mc_seeds": 0}, "qnd.mc_seeds"),
+            ({"n_shots": 0}, "qnd.n_shots"),
+            ({"n_theta": 1}, "qnd.n_theta"),
+            ({"noise_var": -0.01}, "qnd.noise_var"),
+            ({"noise_var": 0.0}, "qnd.noise_var"),
+            ({"noise_var": math.inf}, "qnd.noise_var"),
+            ({"scale": 0.0}, "qnd.scale"),
+            ({"scale": 1.5}, "qnd.scale"),
+            ({"gate": 0.0}, "qnd.gate"),
+            ({"floor": -0.25}, "qnd.floor"),
+            ({"coherence_offset": math.nan}, "qnd.coherence_offset"),
+        ],
+    )
+    def test_qnd_limits(self, section, match):
+        with pytest.raises(ConfigError, match=match):
+            from_dict({"qnd": section})
+        from_dict({"qnd": {"mc_seeds": 1, "n_shots": 1, "n_theta": 2, "scale": 1.0}})
+
     def test_yaml_error_has_context(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("device: [unclosed")
@@ -191,6 +212,12 @@ class TestExitCodes:
             "readout: {preselect_sigmas: -1}",
             "readout: {snr: .inf}",
             "qnd: {n_theta: 2.5}",
+            "qnd: {mc_seeds: 0}",
+            "qnd: {n_shots: 0}",
+            "qnd: {noise_var: -0.01}",
+            "qnd: {scale: 1.5}",
+            "qnd: {n_theta: 0}",
+            "qnd: {coherence_offset: .inf}",
             "seed: 1.5",
             "qnd: {noise_var: x}",
             "output_dir: 5",

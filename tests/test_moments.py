@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from qndsim.moments import (
+    DEFAULT_NOISE_VAR,
+    DEFAULT_SHOTS,
     expected_moments,
     qnd_check,
     qnd_monte_carlo,
@@ -15,6 +18,32 @@ def assert_physical(n_avg, re_a):
     """A valid mode moment pair: n >= 0 and |<a>|^2 <= <a^dag a>."""
     assert np.all(n_avg >= 0)
     assert np.all(np.abs(re_a) <= np.sqrt(n_avg) + 1e-9)
+
+
+def per_shot_reference(
+    theta_grid,
+    mode,
+    rng,
+    scale=1.0,
+    n_shots=DEFAULT_SHOTS,
+    noise_var=DEFAULT_NOISE_VAR,
+    coherence_offset=0.0,
+):
+    """The moment estimator computed from every single shot: the slow
+    reference whose law simulate_moment_estimates draws from sufficient
+    statistics. One row of n_shots shots per angle."""
+    n_ideal, _ = expected_moments(theta_grid, mode, scale)
+    amp = (np.sqrt(n_ideal) * np.exp(0.5j * theta_grid))[:, np.newaxis]
+    shape = (len(theta_grid), n_shots)
+    if mode == "on":
+        signal = amp * (rng.integers(0, 2, shape) * 2 - 1) + coherence_offset
+    else:
+        signal = np.broadcast_to(amp, shape)
+    noise = np.sqrt(noise_var) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    shots = signal + noise
+    n_avg = np.maximum(np.mean(np.abs(shots) ** 2, axis=1) - 2 * noise_var, 0.0)
+    re_a = np.mean(shots.real, axis=1)
+    return n_avg, np.clip(re_a, -np.sqrt(n_avg), np.sqrt(n_avg))
 
 
 class TestExpectedMoments:
@@ -104,6 +133,80 @@ class TestMonteCarlo:
         )
         assert abs(clean[0]) < 0.01
         assert shifted[0] == pytest.approx(0.1, abs=0.02)
+
+    def test_input_validation(self, rng):
+        thetas = np.array([0.0, math.pi])
+        with pytest.raises(ValueError):
+            simulate_moment_estimates(thetas, "sideways", rng)
+        with pytest.raises(ValueError):
+            simulate_moment_estimates(thetas, "on", rng, n_shots=0)
+        with pytest.raises(ValueError):
+            simulate_moment_estimates(thetas, "off", rng, noise_var=-0.01)
+
+
+class TestExactLaw:
+    """simulate_moment_estimates has exactly the law of the per-shot
+    estimator, checked against the per-shot reference and against the
+    closed-form law of the photon-number estimate."""
+
+    THETAS = np.array([0.0, math.pi / 2, math.pi])
+    REPS = 4000
+    # Each KS comparison must clear this p-value. Over the 48 comparisons
+    # below, the chance that a correct law fails any of them stays under
+    # 1e-3, and wrong laws still fail: no sign randomization, a χ² that
+    # ignores empty sign groups or is off by 2 degrees of freedom, its mean
+    # in place of a draw, per-group means with the spread of all N shots,
+    # and the two sums drawn independently.
+    P_FLOOR = 1e-5
+
+    @pytest.mark.parametrize("n_shots", [2, 40])
+    @pytest.mark.parametrize("mode, offset", [("on", 0.0), ("off", 0.0), ("on", 0.1)])
+    def test_matches_per_shot_reference(self, mode, offset, n_shots):
+        # two-sample KS per angle and statistic. theta = 0 exercises the
+        # clips; N = 2 leaves a sign group empty half the time; the offset
+        # makes re_a depend on the sign split, so a law that drew the two
+        # sums independently fails here
+        grid = np.repeat(self.THETAS, self.REPS)
+        fast = simulate_moment_estimates(
+            grid, mode, np.random.default_rng(0), n_shots=n_shots, coherence_offset=offset
+        )
+        slow = per_shot_reference(
+            grid, mode, np.random.default_rng(1), n_shots=n_shots, coherence_offset=offset
+        )
+        shape = (len(self.THETAS), self.REPS)
+        for fast_stat, slow_stat in zip(fast, slow):
+            for theta, a, b in zip(self.THETAS, fast_stat.reshape(shape), slow_stat.reshape(shape)):
+                assert stats.ks_2samp(a, b).pvalue > self.P_FLOOR, f"theta = {theta:.3f}"
+
+    @pytest.mark.parametrize("n_shots", [1, 2, 40])
+    @pytest.mark.parametrize("mode", ["on", "off"])
+    def test_photon_number_is_noncentral_chi2(self, mode, n_shots):
+        # Σ|a|²/σ² is noncentral χ² with 2N degrees of freedom and
+        # noncentrality N·n/σ² in both modes; the random sign leaves it
+        # unchanged. At these angles the clip at 0 lies over 5 standard
+        # deviations below n, so n_avg is the unclipped estimate. N = 1 puts
+        # the residual χ² at 0 degrees of freedom.
+        var = DEFAULT_NOISE_VAR
+        rng = np.random.default_rng(2)
+        for theta in (2 * math.pi / 3, math.pi):
+            n_avg, _ = simulate_moment_estimates(
+                np.full(self.REPS, theta), mode, rng, n_shots=n_shots
+            )
+            law = stats.ncx2(2 * n_shots, n_shots * math.sin(theta / 2) ** 2 / var)
+            pvalue = stats.kstest(n_avg, lambda x: law.cdf((x + 2 * var) * n_shots / var)).pvalue
+            assert pvalue > self.P_FLOOR, f"theta = {theta:.3f}"
+
+    @pytest.mark.parametrize("n_shots", [1, 2, 3])
+    @pytest.mark.parametrize("mode, offset", [("on", 0.0), ("off", 0.0), ("on", 0.1)])
+    def test_few_shots_finite_and_physical(self, mode, offset, n_shots):
+        # ON with N = 1 always leaves one sign group empty, and 0 degrees of
+        # freedom for the residual χ²; N = 2 and 3 leave one empty often
+        grid = np.repeat(np.linspace(0.0, math.pi, 9), 500)
+        n_avg, re_a = simulate_moment_estimates(
+            grid, mode, np.random.default_rng(3), n_shots=n_shots, coherence_offset=offset
+        )
+        assert np.all(np.isfinite(n_avg)) and np.all(np.isfinite(re_a))
+        assert_physical(n_avg, re_a)
 
 
 def test_moment_invariants():
