@@ -1,8 +1,8 @@
 """Batch front end: one subcommand per experiment, deterministic seeding,
 CSV/JSON emission, and the acceptance check.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric or fit error,
-3 acceptance failure under check.
+Exit codes: 0 success, 1 configuration error or unwritable output, 2 numeric
+or fit error, 3 acceptance failure under check.
 """
 
 from __future__ import annotations
@@ -275,7 +275,7 @@ def run_readout(cfg: RunConfig, out_dir: Path) -> RunReport:
         gen = readout.GaussianMixture(mix.mu_g, mix.mu_e, mix.sigma, p_e)
         shots = readout.sample_shots(gen, p_e, ro.n_shots, seed)
         path_shots = out_dir / f"shots_{name}.csv"
-        write_csv(path_shots, ["index", "q"], list(enumerate(shots.tolist())))
+        write_csv(path_shots, ["index", "q"], enumerate(shots.tolist()))
         hist = readout.histogram_shots(shots, ro.n_bins)
         path_hist = out_dir / f"hist_{name}.csv"
         write_csv(path_hist, ["bin_center", "count"], zip(hist.bin_centers, hist.counts))
@@ -417,6 +417,10 @@ def main(argv: list[str] | None = None) -> int:
     except (SimulationError, ValueError) as exc:
         print(f"{args.subcommand}: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # --out names a path that cannot hold the output tree
+        print(f"{args.subcommand}: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

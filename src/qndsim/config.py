@@ -274,7 +274,8 @@ def load_config(path: str | Path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        # libyaml's loader where PyYAML was built with it; same result, faster
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"YAML parse error in {path}: {exc}") from exc
     if data is None:

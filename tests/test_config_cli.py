@@ -117,6 +117,27 @@ class TestConfig:
             from_dict({"qnd": section})
         from_dict({"qnd": {"mc_seeds": 1, "n_shots": 1, "n_theta": 2, "scale": 1.0}})
 
+    def test_libyaml_and_pure_python_loaders_agree(self, tmp_path, monkeypatch):
+        loaders = []
+        load = yaml.load
+
+        def spy(text, Loader):
+            loaders.append(Loader)
+            return load(text, Loader)
+
+        monkeypatch.setattr(yaml, "load", spy)
+        libyaml = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        fast = load_config(default_config_path())
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        slow = load_config(default_config_path())
+        assert loaders == [libyaml, yaml.SafeLoader]
+        assert fast == slow
+        assert config_digest(fast) == config_digest(slow) == SHIPPED_DIGEST
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("device: [unclosed")
+        with pytest.raises(ConfigError, match="parse error"):
+            load_config(bad)
+
     def test_yaml_error_has_context(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("device: [unclosed")
@@ -129,6 +150,8 @@ class TestConfig:
         assert cfg.device.kappa == 19.0
         assert cfg.seed == 9
 
+
+SHIPPED_DIGEST = "801d63eb8c3a131c8b4f2fa7492efb30ee881fb7eec80e136b220ef797f3f3b3"
 
 EXPECTED_HEADERS = {
     "spectrum.csv": "nu_MHz,re_rg,im_rg,re_re,im_re,delta_phi_rad",
@@ -178,6 +201,21 @@ class TestRunners:
         ra = json.loads((out_a / "theta_sweep_report.json").read_text())
         rb = json.loads((out_b / "theta_sweep_report.json").read_text())
         assert ra["config_digest"] == rb["config_digest"]
+
+    def test_mollow_fit_truth_column_mixes_int_and_floats(self, tmp_path):
+        # an int gain_truth heads a column of floats; each cell keeps its own
+        # format, so 3 * 1.77 reads 5.31 and not its repr 5.3100000000000005
+        path = tmp_path / "run.yaml"
+        path.write_text(
+            yaml.safe_dump(
+                {"mollow": {"gain_truth": 1}, "sweeps": {"drive_ratios": [2.0, 3.0, 4.0]}}
+            )
+        )
+        assert cli.main(["mollow", "--config", str(path), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "mollow_fit.csv").read_text().splitlines()[1:]
+        truth = dict(row.split(",")[::2] for row in rows)
+        cells = [truth["gain"], truth["gamma_MHz"], truth["omega_MHz_ratio_3"]]
+        assert cells == ["1", "1.77", "5.31"]
 
     def test_custom_config_file(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -240,6 +278,15 @@ class TestExitCodes:
 
     def test_bad_seed_exit_1(self, tmp_path):
         assert cli.main(["spectrum", "--seed", "-1", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("subcommand", ["spectrum", "check"])
+    def test_unwritable_out_exit_1_without_traceback(self, tmp_path, capsys, subcommand):
+        blocker = tmp_path / "regular_file"
+        blocker.write_text("")
+        assert cli.main([subcommand, "--out", str(blocker)]) == 1
+        err = capsys.readouterr().err
+        assert f"{subcommand}: cannot write output" in err
+        assert "Traceback" not in err
 
     def test_downstream_error_exit_2(self, tmp_path, capsys):
         # a window grid reaching below the emission delay fails inside the
