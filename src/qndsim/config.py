@@ -72,8 +72,11 @@ class SweepConfig:
     drive_ratios: list[float] = field(default_factory=lambda: [2.0, 4.0, 6.0])
 
     def __post_init__(self):
-        if not self.drive_ratios or any(r <= 0 for r in self.drive_ratios):
-            raise ConfigError("sweeps.drive_ratios must be positive and non-empty")
+        # calibration.fit_mollow fits the spectra jointly and needs three
+        if len(self.drive_ratios) < 3:
+            raise ConfigError("sweeps.drive_ratios needs at least three ratios")
+        if any(r <= 0 for r in self.drive_ratios):
+            raise ConfigError("sweeps.drive_ratios must be positive")
 
 
 @dataclass
@@ -192,6 +195,11 @@ class RunConfig:
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit an unsigned 64-bit integer")
+        # ProtocolConfig rejects a window that ends at or before the emission delay
+        if self.sweeps.window_us.start <= self.protocol.t0:
+            raise ConfigError(
+                f"sweeps.window_us.start must exceed protocol.t0 ({self.protocol.t0:g} us)"
+            )
 
 
 # Dataclasses a config mapping nests, by the field annotation naming them.

@@ -9,16 +9,38 @@ with H in rad/us, so time grids are in microseconds throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from ..errors import NonUniqueSteadyStateError, NumericsError
-from .operators import DensityMatrix, HilbertSpace, Operator
+from .operators import DensityMatrix, HilbertSpace, Operator, _kron
 from .traces import _validate_axis
 
 DEGENERACY_RATIO = 1e-10
+
+# Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005): the largest 1-norm at
+# which the diagonal Pade approximant of each degree meets double-precision
+# unit roundoff, and that approximant's coefficients b_0..b_m.
+_PADE_THETA = (
+    (3, 1.495585217958292e-2),
+    (5, 2.539398330063230e-1),
+    (7, 9.504178996162932e-1),
+    (9, 2.097847961257068e0),
+    (13, 5.371920351148152e0),
+)
+_PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
 
 
 @dataclass
@@ -60,35 +82,73 @@ def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     d = model.space.dim
     eye = np.eye(d, dtype=complex)
     h = model.hamiltonian.matrix
-    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    sup = -1j * (_kron(h, eye) - _kron(eye, h.T))
     for op in model.collapse_ops:
         l = op.matrix
         ldl = l.conj().T @ l
-        sup += np.kron(l, l.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+        sup += _kron(l, l.conj()) - 0.5 * (_kron(ldl, eye) + _kron(eye, ldl.T))
     return sup
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # einsum, not @: the matmul path wakes BLAS worker threads
+    return np.einsum("ij,jk->ik", a, b)
+
+
+def _pade(a: np.ndarray, m: int) -> np.ndarray:
+    """Degree-m diagonal Pade approximant r_m(a) = (V - U)^-1 (V + U), with U
+    the odd and V the even part of its numerator polynomial."""
+    b = _PADE_COEFFS[m]
+    eye = np.eye(len(a), dtype=a.dtype)
+    a2 = _mm(a, a)
+    powers = [eye, a2]
+    while len(powers) <= m // 2:
+        powers.append(_mm(powers[-1], a2))
+    u = _mm(a, sum(b[2 * k + 1] * p for k, p in enumerate(powers)))
+    v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    return np.linalg.solve(v - u, v + u)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring (Higham 2005): the lowest Pade degree
+    whose theta bounds the 1-norm; above theta_13, r_13 of a / 2^s squared
+    s times, with s the fewest halvings that bring the norm to theta_13."""
+    norm = np.abs(a).sum(axis=0).max()
+    for m, theta in _PADE_THETA:
+        if norm <= theta:
+            return _pade(a, m)
+    s = math.ceil(math.log2(norm / theta))
+    out = _pade(a / 2.0**s, m)
+    for _ in range(s):
+        out = _mm(out, out)
+    return out
 
 
 def _evolve_matrix(model: LindbladModel, m0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Propagate an arbitrary matrix under the Lindblad generator.
 
-    Exact on a uniform grid: P = expm(L dt) is formed once (expm, not an
-    eigendecomposition, since L can be defective, e.g. the driven emitter at
-    Omega = Gamma/4), and the states are filled by doubling: rows k..2k-1
-    are P^k applied to rows 0..k-1, then P is squared. Returns an array of
-    shape (len(times), d, d); times[0] is the initial time of m0.
+    Exact on a uniform grid: P = exp(L dt) is formed once, and the states
+    are filled by doubling: rows k..2k-1 are P^k applied to rows 0..k-1,
+    then P is squared. Returns an array of shape (len(times), d, d);
+    times[0] is the initial time of m0.
+
+    P comes from Higham's scaling-and-squaring Pade (_expm), not from an
+    eigendecomposition, since L can be defective (the driven emitter at
+    Omega = Gamma/4). It replaces scipy.linalg.expm, whose LAPACK solve wakes
+    OpenBLAS worker threads that keep spinning after it returns; the Pade
+    uses einsum products and np.linalg.solve, which stay on one core.
     """
     times = np.asarray(times, dtype=float)
     _validate_axis(times)
     n, d = times.size, model.space.dim
-    prop = expm(liouvillian_matrix(model) * ((times[-1] - times[0]) / (n - 1)))
+    prop = _expm(liouvillian_matrix(model) * ((times[-1] - times[0]) / (n - 1)))
     out = np.empty((n, d * d), dtype=complex)
     out[0] = np.asarray(m0, dtype=complex).reshape(-1)
     k = 1
     while k < n:
         m = min(k, n - k)
-        # einsum, not @: the matmul path wakes BLAS worker threads
         out[k : k + m] = np.einsum("ij,tj->ti", prop, out[:m])
-        prop = np.einsum("ij,jk->ik", prop, prop)
+        prop = _mm(prop, prop)
         k += m
     return out.reshape(n, d, d)
 

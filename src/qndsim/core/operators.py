@@ -114,6 +114,16 @@ class DensityMatrix:
         return float(self.matrix[index, index].real)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices by broadcasting.
+
+    The same elementwise products as np.kron, so bit-identical to it, without
+    its generic n-dimensional shape handling.
+    """
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 def embed(space: HilbertSpace, site: int, local: np.ndarray) -> Operator:
     """Lift a single-subsystem matrix into the full space (identity elsewhere)."""
     if not 0 <= site < len(space.subsystem_dims):
@@ -123,7 +133,7 @@ def embed(space: HilbertSpace, site: int, local: np.ndarray) -> Operator:
         raise ValueError("local matrix does not match the subsystem dimension")
     mat = np.eye(1, dtype=complex)
     for k, d in enumerate(space.subsystem_dims):
-        mat = np.kron(mat, local if k == site else np.eye(d))
+        mat = _kron(mat, local if k == site else np.eye(d))
     return Operator(space, mat)
 
 

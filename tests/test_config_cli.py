@@ -117,6 +117,25 @@ class TestConfig:
             from_dict({"qnd": section})
         from_dict({"qnd": {"mc_seeds": 1, "n_shots": 1, "n_theta": 2, "scale": 1.0}})
 
+    @pytest.mark.parametrize("ratios", [[], [3.0], [2.0, 4.0], [2.0, -4.0, 6.0]])
+    def test_drive_ratios_limits(self, ratios):
+        with pytest.raises(ConfigError, match="sweeps.drive_ratios"):
+            from_dict({"sweeps": {"drive_ratios": ratios}})
+        from_dict({"sweeps": {"drive_ratios": [2.0, 4.0, 6.0]}})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"sweeps": {"window_us": {"start": 0.02, "stop": 0.5, "num": 11}}},
+            {"sweeps": {"window_us": {"start": 0.005, "stop": 0.5, "step": 0.0495}}},
+            {"protocol": {"t0": 0.05}},
+        ],
+    )
+    def test_window_grid_must_start_after_emission_delay(self, data):
+        with pytest.raises(ConfigError, match="sweeps.window_us.start must exceed protocol.t0"):
+            from_dict(data)
+        from_dict({"sweeps": {"window_us": {"start": 0.0201, "stop": 0.5, "num": 11}}})
+
     def test_libyaml_and_pure_python_loaders_agree(self, tmp_path, monkeypatch):
         loaders = []
         load = yaml.load
@@ -241,6 +260,8 @@ class TestExitCodes:
             "loss: {components: {a: x}}",
             "sweeps: {drive_ratios: 5}",
             "sweeps: {drive_ratios: [a]}",
+            "sweeps: {drive_ratios: [3.0]}",
+            "sweeps: {window_us: {start: 0.005, stop: 0.5, step: 0.0495}}",
             "sweeps: {theta_rad: {start: 0, stop: 1, step: 0.3}}",
             "sweeps: {nu_mhz: {start: 5985, stop: 6285, num: 30.5}}",
             "readout: {n_shots: 50}",
@@ -289,14 +310,15 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_downstream_error_exit_2(self, tmp_path, capsys):
-        # a window grid reaching below the emission delay fails inside the
-        # sweep, surfaced with subcommand context
+        # a Mollow grid wider than the frequency range the correlator's tau
+        # grid resolves fails inside the spectrum computation, surfaced with
+        # subcommand context
         path = tmp_path / "run.yaml"
-        path.write_text(
-            yaml.safe_dump({"sweeps": {"window_us": {"start": 0.005, "stop": 0.5, "step": 0.0495}}})
-        )
-        assert cli.main(["window-sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert "window-sweep" in capsys.readouterr().err
+        path.write_text(yaml.safe_dump({"mollow": {"span": 400.0}}))
+        assert cli.main(["mollow", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "mollow: requested grid exceeds the resolvable frequency range" in err
+        assert "Traceback" not in err
 
     def test_check_exit_3_on_failing_criterion(self, tmp_path, capsys):
         # g0 = 45 MHz moves chi to -3.03 MHz, outside criterion 1's

@@ -12,13 +12,15 @@ from qndsim.core import (
     Operator,
     basis_ket,
     destroy,
+    embed,
     evolve,
     lindblad_rhs,
     liouvillian_matrix,
     pauli,
     steady_state,
 )
-from qndsim.core.dynamics import _evolve_matrix
+from qndsim.core import dynamics
+from qndsim.core.dynamics import _evolve_matrix, _expm
 from qndsim.errors import NonUniqueSteadyStateError
 
 GAMMA = 2 * math.pi * 1.77  # 1/us
@@ -32,6 +34,69 @@ GROUND = DensityMatrix.from_ket(SPACE, basis_ket(SPACE, (0,)))
 
 def decay_model(gamma=GAMMA):
     return LindbladModel(H_ZERO, [math.sqrt(gamma) * SM])
+
+
+def two_site_model():
+    """A driven emitter coupled to a decaying cavity mode, each truncated to
+    two levels: a 16 x 16 Liouvillian built from embed."""
+    space = HilbertSpace((2, 2))
+    sm, a = embed(space, 0, destroy(2)), embed(space, 1, destroy(2))
+    h = 0.7 * GAMMA * (sm + sm.dag()) + 2.3 * GAMMA * (a.dag() @ sm + sm.dag() @ a)
+    h = h + 0.4 * GAMMA * (a.dag() @ a)
+    return LindbladModel(h, [math.sqrt(GAMMA) * sm, math.sqrt(3 * GAMMA) * a])
+
+
+def kron_liouvillian_reference(model):
+    """The superoperator spelled out with np.kron, which liouvillian_matrix
+    must match bit for bit."""
+    d = model.space.dim
+    eye = np.eye(d, dtype=complex)
+    h = model.hamiltonian.matrix
+    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for op in model.collapse_ops:
+        l = op.matrix
+        ldl = l.conj().T @ l
+        sup += np.kron(l, l.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    return sup
+
+
+def random_model(rng, dim, n_collapse):
+    space = HilbertSpace((dim,))
+    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    ops = [
+        Operator(space, rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        for _ in range(n_collapse)
+    ]
+    return LindbladModel(Operator(space, (h + h.conj().T) / 2), ops)
+
+
+def bits(mat):
+    return np.ascontiguousarray(mat).view(np.uint64)
+
+
+# Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3: the largest
+# 1-norm for each Pade degree
+THETAS = {
+    3: 1.495585217958292e-2,
+    5: 2.539398330063230e-1,
+    7: 9.504178996162932e-1,
+    9: 2.097847961257068e0,
+    13: 5.371920351148152e0,
+}
+# 1-norms just below and just above each theta, then well above theta_13,
+# where the argument is scaled by 2^s and the result squared s times
+PADE_NORMS = [f * theta for theta in THETAS.values() for f in (0.99, 1.01)]
+PADE_NORMS += [10 * THETAS[13], 100 * THETAS[13]]
+
+
+def scaled_to_norm(mat, norm):
+    return mat * (norm / np.abs(mat).sum(axis=0).max())
+
+
+def assert_matches_scipy_expm(a):
+    want = expm(a)
+    got = _expm(a)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestRhs:
@@ -129,6 +194,62 @@ class TestEvolve:
         assert np.max(np.abs(np.trace(mats, axis1=1, axis2=2) - 1.0)) < 1e-9
         assert np.max(np.abs(mats - mats.conj().transpose(0, 2, 1))) < 1e-9
         assert np.min(np.linalg.eigvalsh(mats)) > -1e-9
+
+
+class TestLiouvillian:
+    @pytest.mark.parametrize("ratio", [0.1, 0.25, 1.0, 2.0, 8.0])
+    def test_driven_emitter_bit_identical_to_kron(self, ratio):
+        model = driven_atom_model(ratio * GAMMA, GAMMA)
+        assert np.array_equal(bits(liouvillian_matrix(model)), bits(kron_liouvillian_reference(model)))
+
+    def test_two_site_bit_identical_to_kron(self):
+        model = two_site_model()
+        sup = liouvillian_matrix(model)
+        assert sup.shape == (16, 16)
+        assert np.array_equal(bits(sup), bits(kron_liouvillian_reference(model)))
+
+    def test_sampled_models_bit_identical_to_kron(self, rng):
+        for dim, n_collapse in [(2, 0), (2, 1), (3, 2), (4, 3)] * 25:
+            model = random_model(rng, dim, n_collapse)
+            sup = liouvillian_matrix(model)
+            assert np.array_equal(bits(sup), bits(kron_liouvillian_reference(model)))
+
+
+class TestPadeExpm:
+    @pytest.mark.parametrize("norm", PADE_NORMS)
+    @pytest.mark.parametrize("ratio", [0.1, 0.25, 2.0, 8.0])
+    def test_driven_emitter_matches_scipy(self, ratio, norm):
+        # ratio 0.25 is the exceptional point, where L is defective
+        sup = liouvillian_matrix(driven_atom_model(ratio * GAMMA, GAMMA))
+        assert_matches_scipy_expm(scaled_to_norm(sup, norm))
+
+    @pytest.mark.parametrize("norm", PADE_NORMS)
+    def test_two_site_matches_scipy(self, norm):
+        assert_matches_scipy_expm(scaled_to_norm(liouvillian_matrix(two_site_model()), norm))
+
+    def test_zero_matrix_gives_identity(self):
+        assert np.array_equal(_expm(np.zeros((4, 4), dtype=complex)), np.eye(4))
+
+    @pytest.mark.parametrize("norm", PADE_NORMS)
+    def test_degree_and_scaling_follow_theta(self, monkeypatch, norm):
+        # the lowest degree whose theta bounds the 1-norm; above theta_13,
+        # degree 13 on a / 2^s with s the fewest halvings that reach theta_13
+        calls = []
+        pade = dynamics._pade
+
+        def spy(a, m):
+            calls.append((m, np.abs(a).sum(axis=0).max()))
+            return pade(a, m)
+
+        monkeypatch.setattr(dynamics, "_pade", spy)
+        _expm(scaled_to_norm(liouvillian_matrix(driven_atom_model(2 * GAMMA, GAMMA)), norm))
+        ((degree, scaled),) = calls
+        assert degree == min((m for m, theta in THETAS.items() if norm <= theta), default=13)
+        assert scaled <= THETAS[degree] * (1 + 1e-15)
+        if norm > THETAS[13]:
+            assert 2 * scaled > THETAS[13]
+        else:
+            assert scaled == pytest.approx(norm, rel=1e-15)
 
 
 class TestSteadyState:

@@ -11,6 +11,7 @@ from qndsim.core import (
     expectation,
     pauli,
 )
+from qndsim.core.operators import _kron
 
 
 def op(dims, mat):
@@ -55,6 +56,20 @@ class TestTensor:
         np.testing.assert_array_equal(rhs.matrix, right)
         comm_ops = (lhs @ rhs - rhs @ lhs).matrix
         assert np.max(np.abs(comm_ops)) < 1e-12
+
+
+class TestKron:
+    @pytest.mark.parametrize(
+        "shape_a, shape_b",
+        [((1, 1), (3, 2)), ((2, 3), (4, 1)), ((3, 2), (2, 5)), ((4, 4), (4, 4))],
+    )
+    def test_bit_identical_to_np_kron(self, rng, shape_a, shape_b):
+        a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+        b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
+        for left, right in [(a, b), (a, b.real), (a.real, b)]:
+            got, want = _kron(left, right), np.kron(left, right)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestOperator:
