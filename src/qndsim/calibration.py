@@ -17,7 +17,7 @@ from scipy.optimize import least_squares
 
 from .core.dynamics import LindbladModel, liouvillian_matrix, steady_state
 from .core.correlations import psd, two_time_correlation
-from .core.operators import HilbertSpace, Operator, destroy, expectation, pauli
+from .core.operators import destroy, pauli
 from .core.traces import Trace
 from .device import DeviceParams, dispersive_shift
 from .errors import FitError
@@ -79,10 +79,7 @@ def driven_atom_model(omega_ang: float, gamma_ang: float) -> LindbladModel:
 
     H = (Omega/2) sigma_x with radiative decay at Gamma; rates in rad/us.
     """
-    space = HilbertSpace((2,))
-    h = Operator(space, omega_ang / 2 * pauli("x"))
-    decay = Operator(space, math.sqrt(gamma_ang) * destroy(2))
-    return LindbladModel(h, [decay])
+    return LindbladModel(omega_ang / 2 * pauli("x"), [math.sqrt(gamma_ang) * destroy(2)])
 
 
 def steady_population(omega: float, gamma: float) -> float:
@@ -125,10 +122,10 @@ def mollow_spectrum(
     gamma_ang = TWO_PI * gamma
     model = driven_atom_model(omega_ratio * gamma_ang, gamma_ang)
     rho_ss = steady_state(model)
-    sm = Operator(model.space, destroy(2))
-    sp = sm.dag()
+    sm = destroy(2)
+    sp = sm.conj().T
     corr = two_time_correlation(model, rho_ss, sp, sm, _tau_grid(omega_ratio, gamma))
-    elastic = expectation(sp, rho_ss) * expectation(sm, rho_ss)
+    elastic = np.trace(sp @ rho_ss) * np.trace(sm @ rho_ss)
     corr.values = corr.values - elastic
     spec = psd(corr)
     if grid.min() < spec.axis[0] or grid.max() > spec.axis[-1]:
@@ -169,7 +166,6 @@ class MollowFit:
     gain: float
     gamma: float
     omegas: list[float]
-    gain_err: float
     rss: float
 
 
@@ -205,19 +201,11 @@ def fit_mollow(data: MollowDataset, gamma_init: float) -> MollowFit:
     result = _fluorescence_fit(residuals, base, targets, gamma_init, omegas0)
     if not result.success:
         raise FitError(f"joint fluorescence fit failed (final cost {result.cost:.3e})")
-    rss = float(2 * result.cost)
-    dof = max(targets.size - result.x.size, 1)
-    try:
-        cov = np.linalg.inv(result.jac.T @ result.jac) * rss / dof
-        gain_err = float(np.sqrt(max(cov[0, 0], 0.0)))
-    except np.linalg.LinAlgError:
-        gain_err = float("nan")
     return MollowFit(
         gain=float(result.x[0]),
         gamma=float(result.x[1]),
         omegas=[float(v) for v in result.x[2:]],
-        gain_err=gain_err,
-        rss=rss,
+        rss=float(2 * result.cost),
     )
 
 

@@ -143,6 +143,15 @@ class MollowRunConfig:
     points: int = 801
     display_offset: float = 0.5
 
+    def __post_init__(self):
+        if not self.gain_truth > 0:
+            raise ConfigError("mollow.gain_truth must be positive")
+        # calibration.mollow_spectrum needs the grid to reach +-2 Omega
+        if not self.span >= 2:
+            raise ConfigError("mollow.span must be at least 2")
+        if self.points < 2:
+            raise ConfigError("mollow.points must be at least 2")
+
 
 @dataclass
 class StarkRunConfig:
@@ -150,6 +159,16 @@ class StarkRunConfig:
     p_max: float = 4.0
     photons_per_unit: float = 1.0
     noise_frac: float = 0.01
+
+    def __post_init__(self):
+        # calibration.stark_fit needs three distinct, non-negative powers
+        if self.n_points < 3:
+            raise ConfigError("stark.n_points must be at least 3")
+        if not self.p_max > 0:
+            raise ConfigError("stark.p_max must be positive")
+        # a zero photon scale makes the detector-chain gain vanish in loss
+        if not self.photons_per_unit > 0:
+            raise ConfigError("stark.photons_per_unit must be positive")
 
 
 @dataclass
@@ -164,6 +183,10 @@ class LossRunConfig:
     )
     detector_gain: float = 1.6
     noise_frac: float = 0.01
+
+    def __post_init__(self):
+        if not self.detector_gain > 0:
+            raise ConfigError("loss.detector_gain must be positive")
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Open-quantum-system engine: operators, Lindblad evolution, correlators."""
+"""Open-quantum-system engine on plain arrays: operators, Lindblad evolution, correlators."""
 
 from .correlations import psd, two_time_correlation
 from .dynamics import (
@@ -8,33 +8,18 @@ from .dynamics import (
     liouvillian_matrix,
     steady_state,
 )
-from .operators import (
-    DensityMatrix,
-    HilbertSpace,
-    Operator,
-    basis_ket,
-    destroy,
-    embed,
-    expectation,
-    number,
-    pauli,
-)
+from .operators import check_states, destroy, embed, pauli
 from .traces import Trace
 
 __all__ = [
-    "DensityMatrix",
-    "HilbertSpace",
     "LindbladModel",
-    "Operator",
     "Trace",
-    "basis_ket",
+    "check_states",
     "destroy",
     "embed",
     "evolve",
-    "expectation",
     "lindblad_rhs",
     "liouvillian_matrix",
-    "number",
     "pauli",
     "psd",
     "steady_state",

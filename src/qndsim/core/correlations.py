@@ -6,7 +6,7 @@ import numpy as np
 
 from ..errors import TruncationError
 from .dynamics import LindbladModel, _evolve_matrix, lindblad_rhs
-from .operators import DensityMatrix, Operator
+from .operators import check_states
 from .traces import Trace
 
 STATIONARITY_TOL = 1e-8
@@ -15,9 +15,9 @@ DECAY_FRACTION = 1e-4
 
 def two_time_correlation(
     model: LindbladModel,
-    rho_ss: DensityMatrix,
-    a_op: Operator,
-    b_op: Operator,
+    rho_ss: np.ndarray,
+    a_op: np.ndarray,
+    b_op: np.ndarray,
     tau_grid: np.ndarray,
     require_stationary: bool = True,
 ) -> Trace:
@@ -27,11 +27,10 @@ def two_time_correlation(
     each lag. With require_stationary=False the initial state may be any
     valid density matrix, giving the transient correlator seeded by it.
     """
-    for op in (a_op, b_op):
-        if op.space != model.space:
-            raise ValueError("operator acts on a different space")
-    if rho_ss.space != model.space:
-        raise ValueError("state lives on a different space")
+    d = model.dim
+    if np.shape(a_op) != (d, d) or np.shape(b_op) != (d, d):
+        raise ValueError("operator shape does not match the model")
+    rho_ss = check_states(rho_ss, d)
     if require_stationary:
         residual = np.max(np.abs(lindblad_rhs(model, rho_ss)))
         if residual > STATIONARITY_TOL:
@@ -39,8 +38,8 @@ def two_time_correlation(
                 f"state is not stationary (rhs max {residual:.3e} > {STATIONARITY_TOL})"
             )
     tau_grid = np.asarray(tau_grid, dtype=float)
-    seeded = _evolve_matrix(model, b_op.matrix @ rho_ss.matrix, tau_grid)
-    values = np.einsum("ij,tji->t", a_op.matrix, seeded)
+    seeded = _evolve_matrix(model, b_op @ rho_ss, tau_grid)
+    values = np.einsum("ij,tji->t", a_op, seeded)
     return Trace(tau_grid, values, label="two-time correlation")
 
 

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import NonUniqueSteadyStateError, NumericsError
-from .operators import DensityMatrix, HilbertSpace, Operator, _kron
+from .operators import _kron, check_states
 from .traces import _validate_axis
 
 DEGENERACY_RATIO = 1e-10
+HERMITICITY_TOL = 1e-12
 
 # Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005): the largest 1-norm at
 # which the diagonal Pade approximant of each degree meets double-precision
@@ -45,33 +46,35 @@ _PADE_COEFFS = {
 
 @dataclass
 class LindbladModel:
-    """Hamiltonian plus collapse operators on one shared Hilbert space."""
+    """Hamiltonian plus collapse operators, d x d complex arrays."""
 
-    hamiltonian: Operator
-    collapse_ops: list[Operator] = field(default_factory=list)
+    hamiltonian: np.ndarray
+    collapse_ops: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.hamiltonian.is_hermitian():
+        h = self.hamiltonian = np.asarray(self.hamiltonian, dtype=complex)
+        self.collapse_ops = [np.asarray(op, dtype=complex) for op in self.collapse_ops]
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ValueError(f"Hamiltonian shape {h.shape} is not square")
+        if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
             raise ValueError("Hamiltonian must be Hermitian within 1e-12")
-        for op in self.collapse_ops:
-            if op.space != self.hamiltonian.space:
-                raise ValueError("collapse operator acts on a different space")
+        if any(op.shape != h.shape for op in self.collapse_ops):
+            raise ValueError("collapse operator shape differs from the Hamiltonian's")
 
     @property
-    def space(self) -> HilbertSpace:
-        return self.hamiltonian.space
+    def dim(self) -> int:
+        return self.hamiltonian.shape[0]
 
 
-def lindblad_rhs(model: LindbladModel, rho: DensityMatrix | np.ndarray) -> np.ndarray:
+def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     """Time derivative of rho under the model, in 1/us."""
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    d = model.space.dim
+    mat = np.asarray(rho, dtype=complex)
+    d = model.dim
     if mat.shape != (d, d):
         raise ValueError("state dimension does not match the model")
-    h = model.hamiltonian.matrix
+    h = model.hamiltonian
     out = -1j * (h @ mat - mat @ h)
-    for op in model.collapse_ops:
-        l = op.matrix
+    for l in model.collapse_ops:
         ldl = l.conj().T @ l
         out += l @ mat @ l.conj().T - 0.5 * (ldl @ mat + mat @ ldl)
     return out
@@ -79,12 +82,11 @@ def lindblad_rhs(model: LindbladModel, rho: DensityMatrix | np.ndarray) -> np.nd
 
 def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     """Superoperator matrix acting on row-major vec(rho)."""
-    d = model.space.dim
+    d = model.dim
     eye = np.eye(d, dtype=complex)
-    h = model.hamiltonian.matrix
+    h = model.hamiltonian
     sup = -1j * (_kron(h, eye) - _kron(eye, h.T))
-    for op in model.collapse_ops:
-        l = op.matrix
+    for l in model.collapse_ops:
         ldl = l.conj().T @ l
         sup += _kron(l, l.conj()) - 0.5 * (_kron(ldl, eye) + _kron(eye, ldl.T))
     return sup
@@ -140,7 +142,7 @@ def _evolve_matrix(model: LindbladModel, m0: np.ndarray, times: np.ndarray) -> n
     """
     times = np.asarray(times, dtype=float)
     _validate_axis(times)
-    n, d = times.size, model.space.dim
+    n, d = times.size, model.dim
     prop = _expm(liouvillian_matrix(model) * ((times[-1] - times[0]) / (n - 1)))
     out = np.empty((n, d * d), dtype=complex)
     out[0] = np.asarray(m0, dtype=complex).reshape(-1)
@@ -153,15 +155,15 @@ def _evolve_matrix(model: LindbladModel, m0: np.ndarray, times: np.ndarray) -> n
     return out.reshape(n, d, d)
 
 
-def evolve(model: LindbladModel, rho0: DensityMatrix, times: np.ndarray) -> list[DensityMatrix]:
-    """Density matrices at each grid time, starting from rho0 at times[0]."""
-    if rho0.space != model.space:
-        raise ValueError("initial state lives on a different space")
-    mats = _evolve_matrix(model, rho0.matrix, times)
-    return [DensityMatrix(model.space, m) for m in mats]
+def evolve(model: LindbladModel, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Density matrices at each grid time, shape (len(times), d, d), starting
+    from rho0 at times[0]; the input and the whole output stack are checked
+    as valid states."""
+    rho0 = check_states(rho0, model.dim)
+    return check_states(_evolve_matrix(model, rho0, times), model.dim)
 
 
-def steady_state(model: LindbladModel) -> DensityMatrix:
+def steady_state(model: LindbladModel) -> np.ndarray:
     """Unique stationary state of the Liouvillian, from its null vector."""
     sup = liouvillian_matrix(model)
     _, s, vh = np.linalg.svd(sup)
@@ -169,7 +171,7 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
         raise NonUniqueSteadyStateError(
             f"degenerate Liouvillian null space (second singular value {s[-2]:.3e})"
         )
-    d = model.space.dim
+    d = model.dim
     rho = vh[-1].conj().reshape(d, d)
     tr = np.trace(rho)
     if abs(tr) < 1e-12 * np.linalg.norm(rho):
@@ -179,4 +181,4 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
     residual = np.max(np.abs(lindblad_rhs(model, rho)))
     if residual > 1e-10:
         raise NumericsError(f"steady-state residual {residual:.3e} exceeds 1e-10")
-    return DensityMatrix(model.space, rho)
+    return check_states(rho, d)

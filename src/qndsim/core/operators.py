@@ -1,117 +1,38 @@
-"""Dense operators and density matrices on truncated tensor-product spaces.
+"""Dense operators and density matrices as plain complex arrays on truncated
+tensor-product spaces.
 
 Conventions: subsystem basis states are indexed from the ground state up
 (qubit: 0=g, 1=e), Hamiltonian matrix elements are angular rates in rad/us,
-collapse operators carry us^(-1/2).
+collapse operators carry us^(-1/2). A composite space is a tuple of
+subsystem dimensions, the first subsystem being the most significant index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import prod
-from typing import Iterable
-
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
+STATE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class HilbertSpace:
-    """Ordered composite of finite-dimensional subsystems."""
+def check_states(rho: np.ndarray, dim: int) -> np.ndarray:
+    """One d x d density matrix, or a stack (n, d, d) of them, checked for
+    unit trace, Hermiticity and positive semidefiniteness, each to 1e-9.
 
-    subsystem_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.subsystem_dims)
-        object.__setattr__(self, "subsystem_dims", dims)
-        if not dims:
-            raise ValueError("need at least one subsystem")
-        if any(d < 1 for d in dims):
-            raise ValueError("subsystem dimensions must be positive")
-
-    @property
-    def dim(self) -> int:
-        return prod(self.subsystem_dims)
-
-
-@dataclass
-class Operator:
-    """Dense complex matrix acting on a HilbertSpace."""
-
-    space: HilbertSpace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        d = self.space.dim
-        if self.matrix.shape != (d, d):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match space dim {d}"
-            )
-
-    def dag(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(self.space, self.matrix - other.matrix)
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.space, -self.matrix)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.space, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(self.space, self.matrix @ other.matrix)
-
-    def _check_space(self, other: "Operator") -> None:
-        if other.space != self.space:
-            raise ValueError("operators act on different spaces")
-
-
-@dataclass
-class DensityMatrix:
-    """Valid quantum state: unit trace, Hermitian, positive semidefinite."""
-
-    space: HilbertSpace
-    matrix: np.ndarray
-    trace_tol: float = 1e-9
-    herm_tol: float = 1e-9
-    psd_tol: float = 1e-9
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        d = self.space.dim
-        if self.matrix.shape != (d, d):
-            raise ValueError("matrix shape does not match space dim")
-        tr = np.trace(self.matrix)
-        if abs(tr - 1.0) > self.trace_tol:
-            raise ValueError(f"trace {tr} deviates from 1 beyond {self.trace_tol}")
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > self.herm_tol:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        if np.min(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)) < -self.psd_tol:
-            raise ValueError("matrix has a negative eigenvalue beyond tolerance")
-
-    @classmethod
-    def from_ket(cls, space: HilbertSpace, ket: np.ndarray) -> "DensityMatrix":
-        v = np.asarray(ket, dtype=complex).reshape(-1)
-        v = v / np.linalg.norm(v)
-        return cls(space, np.outer(v, v.conj()))
-
-    def population(self, index: int) -> float:
-        return float(self.matrix[index, index].real)
+    Returns rho as a complex array; raises ValueError naming the first
+    violated property.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (dim, dim):
+        raise ValueError(f"state shape {rho.shape} does not match dim {dim}")
+    trace_err = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0))
+    if trace_err > STATE_TOL:
+        raise ValueError(f"trace deviates from 1 by {trace_err:.3e} beyond {STATE_TOL}")
+    rho_dag = rho.conj().swapaxes(-2, -1)
+    if np.max(np.abs(rho - rho_dag)) > STATE_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    if np.min(np.linalg.eigvalsh((rho + rho_dag) / 2)) < -STATE_TOL:
+        raise ValueError("matrix has a negative eigenvalue beyond tolerance")
+    return rho
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -124,26 +45,25 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
-def embed(space: HilbertSpace, site: int, local: np.ndarray) -> Operator:
-    """Lift a single-subsystem matrix into the full space (identity elsewhere)."""
-    if not 0 <= site < len(space.subsystem_dims):
+def embed(dims: tuple[int, ...], site: int, local: np.ndarray) -> np.ndarray:
+    """Lift a single-subsystem matrix into the space of subsystem dimensions
+    dims (identity elsewhere)."""
+    if any(d < 1 for d in dims):
+        raise ValueError("subsystem dimensions must be positive")
+    if not 0 <= site < len(dims):
         raise ValueError("site index out of range")
     local = np.asarray(local, dtype=complex)
-    if local.shape != (space.subsystem_dims[site],) * 2:
+    if local.shape != (dims[site],) * 2:
         raise ValueError("local matrix does not match the subsystem dimension")
     mat = np.eye(1, dtype=complex)
-    for k, d in enumerate(space.subsystem_dims):
+    for k, d in enumerate(dims):
         mat = _kron(mat, local if k == site else np.eye(d))
-    return Operator(space, mat)
+    return mat
 
 
 def destroy(dim: int) -> np.ndarray:
     """Truncated bosonic annihilation matrix; sigma_minus for dim=2."""
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-
-
-def number(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
 def pauli(axis: str) -> np.ndarray:
@@ -153,22 +73,3 @@ def pauli(axis: str) -> np.ndarray:
         "z": np.array([[1, 0], [0, -1]], dtype=complex),
     }
     return mats[axis]
-
-
-def basis_ket(space: HilbertSpace, indices: Iterable[int]) -> np.ndarray:
-    """Product basis state |i0, i1, ...> as a flat vector."""
-    idx = tuple(indices)
-    if len(idx) != len(space.subsystem_dims):
-        raise ValueError("one index per subsystem required")
-    flat = 0
-    for i, d in zip(idx, space.subsystem_dims):
-        if not 0 <= i < d:
-            raise ValueError("basis index out of range")
-        flat = flat * d + i
-    ket = np.zeros(space.dim, dtype=complex)
-    ket[flat] = 1.0
-    return ket
-
-
-def expectation(op: Operator, rho: DensityMatrix) -> complex:
-    return complex(np.trace(op.matrix @ rho.matrix))

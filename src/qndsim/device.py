@@ -12,9 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core.operators import HilbertSpace, destroy, embed
-from .core.dynamics import LindbladModel
-
 TWO_PI = 2.0 * np.pi
 
 # Finite e-f linewidth regularizing the dressed-resonance phase; the
@@ -157,42 +154,3 @@ def count_pi_crossings(r_g: np.ndarray, r_e: np.ndarray) -> int:
     flips = im_neg[:-1] != im_neg[1:]
     on_negative_axis = (ratio.real[:-1] < 0) & (ratio.real[1:] < 0)
     return int(np.sum(flips & on_negative_axis))
-
-
-def jc_ladder_model(g_eff: float, n_fock: int = 5) -> LindbladModel:
-    """Resonant Jaynes-Cummings model of the coupled e-f transition.
-
-    Two atomic levels exchange excitations with the cavity at angular rate
-    2*pi*g_eff (MHz); in the rotating frame at the shared resonance the
-    Hamiltonian is purely the exchange term, and the n-excitation manifold
-    splits by -/+ sqrt(n) * g_eff.
-    """
-    space = HilbertSpace((2, n_fock))
-    sm = embed(space, 0, destroy(2))
-    a = embed(space, 1, destroy(n_fock))
-    h = TWO_PI * g_eff * (a.dag() @ sm + sm.dag() @ a)
-    return LindbladModel(h, [])
-
-
-def jc_manifold_splitting(g_eff: float, n: int, n_fock: int = 5) -> float:
-    """Numerically diagonalized splitting of the n-excitation JC manifold, MHz.
-
-    Eigenvectors of the full Hamiltonian are classified by the conserved
-    total excitation number; the two dressed states with <N> = n give the
-    splitting.
-    """
-    if not 1 <= n < n_fock:
-        raise ValueError("manifold must satisfy 1 <= n < n_fock")
-    model = jc_ladder_model(g_eff, n_fock)
-    space = model.space
-    n_op = (
-        embed(space, 0, np.diag([0.0, 1.0])).matrix
-        + embed(space, 1, np.diag(np.arange(n_fock, dtype=float))).matrix
-    )
-    vals, vecs = np.linalg.eigh(model.hamiltonian.matrix)
-    excitation = np.einsum("in,ij,jn->n", vecs.conj(), n_op, vecs).real
-    in_manifold = np.abs(excitation - n) < 1e-6
-    manifold_vals = np.sort(vals[in_manifold])
-    if manifold_vals.size != 2:
-        raise ValueError(f"expected a two-state manifold, found {manifold_vals.size}")
-    return float((manifold_vals[-1] - manifold_vals[0]) / TWO_PI)

@@ -117,6 +117,32 @@ class TestConfig:
             from_dict({"qnd": section})
         from_dict({"qnd": {"mc_seeds": 1, "n_shots": 1, "n_theta": 2, "scale": 1.0}})
 
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ({"stark": {"n_points": 2}}, "stark.n_points"),
+            ({"stark": {"p_max": 0.0}}, "stark.p_max"),
+            ({"stark": {"p_max": -1.0}}, "stark.p_max"),
+            ({"stark": {"photons_per_unit": 0.0}}, "stark.photons_per_unit"),
+            ({"mollow": {"span": 1.5}}, "mollow.span"),
+            ({"mollow": {"points": 1}}, "mollow.points"),
+            ({"mollow": {"gain_truth": 0.0}}, "mollow.gain_truth"),
+            ({"mollow": {"gain_truth": math.nan}}, "mollow.gain_truth"),
+            ({"loss": {"detector_gain": 0.0}}, "loss.detector_gain"),
+            ({"loss": {"detector_gain": -1.6}}, "loss.detector_gain"),
+        ],
+    )
+    def test_calibration_limits(self, data, match):
+        with pytest.raises(ConfigError, match=match):
+            from_dict(data)
+        from_dict(
+            {
+                "stark": {"n_points": 3, "p_max": 1e-3, "photons_per_unit": 1e-3},
+                "mollow": {"span": 2.0, "points": 2, "gain_truth": 1e-3},
+                "loss": {"detector_gain": 1e-3},
+            }
+        )
+
     @pytest.mark.parametrize("ratios", [[], [3.0], [2.0, 4.0], [2.0, -4.0, 6.0]])
     def test_drive_ratios_limits(self, ratios):
         with pytest.raises(ConfigError, match="sweeps.drive_ratios"):
@@ -277,6 +303,14 @@ class TestExitCodes:
             "qnd: {scale: 1.5}",
             "qnd: {n_theta: 0}",
             "qnd: {coherence_offset: .inf}",
+            "stark: {n_points: 2}",
+            "stark: {p_max: 0.0}",
+            "stark: {p_max: -1.0}",
+            "stark: {photons_per_unit: 0.0}",
+            "mollow: {span: 1.5}",
+            "mollow: {points: 1}",
+            "mollow: {gain_truth: 0.0}",
+            "loss: {detector_gain: 0.0}",
             "seed: 1.5",
             "qnd: {noise_var: x}",
             "output_dir: 5",

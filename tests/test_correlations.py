@@ -5,13 +5,8 @@ import pytest
 
 from qndsim.calibration import driven_atom_model, fit_lorentzian
 from qndsim.core import (
-    DensityMatrix,
-    HilbertSpace,
     LindbladModel,
-    Operator,
-    basis_ket,
     destroy,
-    expectation,
     pauli,
     psd,
     steady_state,
@@ -21,15 +16,13 @@ from qndsim.core.traces import Trace
 from qndsim.errors import TruncationError
 
 GAMMA = 2 * math.pi * 1.77
-SPACE = HilbertSpace((2,))
-SM = Operator(SPACE, destroy(2))
-SP = SM.dag()
-EXCITED = DensityMatrix.from_ket(SPACE, basis_ket(SPACE, (1,)))
+SM = destroy(2)
+SP = SM.conj().T
+EXCITED = np.diag([0.0, 1.0]).astype(complex)
 
 
 def decay_model(gamma=GAMMA, delta=0.0):
-    h = Operator(SPACE, delta / 2 * pauli("z"))
-    return LindbladModel(h, [math.sqrt(gamma) * SM])
+    return LindbladModel(delta / 2 * pauli("z"), [math.sqrt(gamma) * SM])
 
 
 class TestTwoTimeCorrelation:
@@ -38,13 +31,13 @@ class TestTwoTimeCorrelation:
         rho_ss = steady_state(model)
         taus = np.linspace(0.0, 24.0 / GAMMA, 512)
         corr = two_time_correlation(model, rho_ss, SP, SM, taus)
-        static = np.trace(SP.matrix @ SM.matrix @ rho_ss.matrix)
+        static = np.trace(SP @ SM @ rho_ss)
         assert abs(corr.values[0] - static) < 1e-9
 
     def test_identity_operators_give_unit_trace(self):
         model = driven_atom_model(2 * GAMMA, GAMMA)
         rho_ss = steady_state(model)
-        eye = Operator(SPACE, np.eye(2))
+        eye = np.eye(2)
         taus = np.linspace(0.0, 1.0, 64)
         corr = two_time_correlation(model, rho_ss, eye, eye, taus)
         np.testing.assert_allclose(corr.values, 1.0, atol=1e-9)
@@ -68,13 +61,37 @@ class TestTwoTimeCorrelation:
                 decay_model(), EXCITED, SP, SM, np.linspace(0, 1, 16)
             )
 
+    @pytest.mark.parametrize(
+        "seed, match",
+        [
+            (np.diag([0.5, 0.4]), "trace"),
+            (np.array([[0.5, 0.1], [0.3, 0.5]]), "Hermitian"),
+            (np.diag([1.2, -0.2]), "negative eigenvalue"),
+            (np.eye(3) / 3, "shape"),
+        ],
+    )
+    def test_invalid_transient_seed_rejected(self, seed, match):
+        with pytest.raises(ValueError, match=match):
+            two_time_correlation(
+                decay_model(), seed, SP, SM, np.linspace(0, 1, 16), require_stationary=False
+            )
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_operator_shape_mismatch_rejected(self, which):
+        ops = [SP, SM]
+        ops[which] = destroy(3)
+        with pytest.raises(ValueError, match="operator shape"):
+            two_time_correlation(
+                decay_model(), EXCITED, *ops, np.linspace(0, 1, 16), require_stationary=False
+            )
+
     def test_strong_drive_oscillates_at_rabi_rate(self):
         omega = 5 * GAMMA
         model = driven_atom_model(omega, GAMMA)
         rho_ss = steady_state(model)
         taus = np.linspace(0.0, 24.0 / GAMMA, 4096)
         corr = two_time_correlation(model, rho_ss, SP, SM, taus)
-        inelastic = corr.values - expectation(SP, rho_ss) * expectation(SM, rho_ss)
+        inelastic = corr.values - np.trace(SP @ rho_ss) * np.trace(SM @ rho_ss)
         spec = np.abs(np.fft.fft(inelastic))
         freqs = 2 * math.pi * np.fft.fftfreq(len(taus), taus[1] - taus[0])
         # look above the radiative linewidth to skip the non-oscillating line

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from qndsim.config import config_digest, default_config, from_dict
+from qndsim.core import destroy, embed
 from qndsim.device import (
     DeviceParams,
     count_pi_crossings,
     dispersive_shift,
     dressed_frequencies,
-    jc_manifold_splitting,
     phase_difference_spectrum,
     reflection_coefficient,
     wrap_phase,
@@ -17,6 +17,25 @@ from qndsim.device import (
 
 PARAMS = DeviceParams()
 SQRT2_G0 = math.sqrt(2) * PARAMS.g0
+
+
+def jc_manifold_splitting(g_eff, n, n_fock):
+    """Splitting (MHz) of the n-excitation manifold of the resonant
+    Jaynes-Cummings ladder, by full diagonalization.
+
+    In the frame of the shared e-f/cavity resonance the Hamiltonian is the
+    exchange term alone, 2 pi g_eff (a^dag sigma_- + sigma_+ a); eigenvectors
+    are sorted into manifolds by the conserved excitation number.
+    """
+    dims = (2, n_fock)
+    sm, a = embed(dims, 0, destroy(2)), embed(dims, 1, destroy(n_fock))
+    h = 2 * math.pi * g_eff * (a.conj().T @ sm + sm.conj().T @ a)
+    n_op = embed(dims, 0, np.diag([0.0, 1.0])) + embed(dims, 1, np.diag(np.arange(n_fock)))
+    vals, vecs = np.linalg.eigh(h)
+    excitation = np.einsum("in,ij,jn->n", vecs.conj(), n_op, vecs).real
+    manifold = np.sort(vals[np.abs(excitation - n) < 1e-6])
+    assert manifold.size == 2
+    return (manifold[-1] - manifold[0]) / (2 * math.pi)
 
 
 class TestDeviceParams:

@@ -1,46 +1,33 @@
 import numpy as np
 import pytest
 
-from qndsim.core import (
-    DensityMatrix,
-    HilbertSpace,
-    Operator,
-    basis_ket,
-    destroy,
-    embed,
-    expectation,
-    pauli,
-)
+from qndsim.core import check_states, destroy, embed, pauli
 from qndsim.core.operators import _kron
 
 
-def op(dims, mat):
-    return Operator(HilbertSpace(tuple(dims)), mat)
-
-
 class TestHilbertSpace:
+    """A composite space is the tuple of its subsystem dimensions."""
+
     def test_dim_is_product(self):
-        assert HilbertSpace((3, 5)).dim == 15
+        assert embed((3, 5), 0, np.eye(3)).shape == (15, 15)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            HilbertSpace(())
+            embed((), 0, np.eye(1))
 
     def test_rejects_nonpositive_dims(self):
-        with pytest.raises(ValueError):
-            HilbertSpace((2, 0))
+        with pytest.raises(ValueError, match="positive"):
+            embed((2, 0), 0, np.eye(2))
 
 
 class TestTensor:
     def test_identity_case(self):
-        result = embed(HilbertSpace((2, 2)), 0, np.eye(2))
-        assert result.space.subsystem_dims == (2, 2)
-        np.testing.assert_array_equal(result.matrix, np.eye(4))
+        np.testing.assert_array_equal(embed((2, 2), 0, np.eye(2)), np.eye(4))
 
     def test_sigma_z_with_identity(self):
         # the first subsystem is the most significant index of the product
-        result = embed(HilbertSpace((2, 2)), 0, pauli("z"))
-        np.testing.assert_allclose(np.diag(result.matrix), [1, 1, -1, -1])
+        result = embed((2, 2), 0, pauli("z"))
+        np.testing.assert_allclose(np.diag(result), [1, 1, -1, -1])
 
     def test_disjoint_mode_operators_commute(self):
         # brute-force commutator of a x I and I x a^dag on 4 x 4 modes
@@ -49,13 +36,11 @@ class TestTensor:
         right = np.kron(np.eye(4), a.conj().T)
         comm = left @ right - right @ left
         assert np.max(np.abs(comm)) < 1e-12
-        space = HilbertSpace((4, 4))
-        lhs = embed(space, 0, a)
-        rhs = embed(space, 1, a.conj().T)
-        np.testing.assert_array_equal(lhs.matrix, left)
-        np.testing.assert_array_equal(rhs.matrix, right)
-        comm_ops = (lhs @ rhs - rhs @ lhs).matrix
-        assert np.max(np.abs(comm_ops)) < 1e-12
+        lhs = embed((4, 4), 0, a)
+        rhs = embed((4, 4), 1, a.conj().T)
+        np.testing.assert_array_equal(lhs, left)
+        np.testing.assert_array_equal(rhs, right)
+        assert np.max(np.abs(lhs @ rhs - rhs @ lhs)) < 1e-12
 
 
 class TestKron:
@@ -72,69 +57,79 @@ class TestKron:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-class TestOperator:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            op([2], np.eye(3))
-
-    def test_dag(self):
-        sm = op([2], destroy(2))
-        np.testing.assert_array_equal(sm.dag().matrix, destroy(2).conj().T)
-
-    def test_hermiticity_probe(self):
-        assert op([2], pauli("y")).is_hermitian()
-        assert not op([2], destroy(2)).is_hermitian()
-
-    def test_space_mismatch(self):
-        with pytest.raises(ValueError):
-            op([2], np.eye(2)) @ op([3], np.eye(3))
-
-
 class TestEmbed:
     def test_matches_manual_kron(self):
-        space = HilbertSpace((2, 3))
-        lifted = embed(space, 1, destroy(3))
-        np.testing.assert_array_equal(lifted.matrix, np.kron(np.eye(2), destroy(3)))
+        lifted = embed((2, 3), 1, destroy(3))
+        np.testing.assert_array_equal(lifted, np.kron(np.eye(2), destroy(3)))
+
+    def test_three_sites(self):
+        lifted = embed((2, 3, 2), 1, destroy(3))
+        np.testing.assert_array_equal(lifted, np.kron(np.kron(np.eye(2), destroy(3)), np.eye(2)))
+        assert lifted.dtype == complex
 
     def test_site_out_of_range(self):
         with pytest.raises(ValueError):
-            embed(HilbertSpace((2,)), 1, np.eye(2))
+            embed((2,), 1, np.eye(2))
 
     def test_wrong_local_dim(self):
         with pytest.raises(ValueError):
-            embed(HilbertSpace((2, 3)), 0, np.eye(3))
+            embed((2, 3), 0, np.eye(3))
+
+
+# one violation of each property a density matrix must have
+BAD_STATES = [
+    (np.diag([0.5, 0.4]), "trace"),
+    (np.array([[0.5, 0.1], [0.3, 0.5]]), "Hermitian"),
+    (np.diag([1.2, -0.2]), "negative eigenvalue"),
+]
 
 
 class TestDensityMatrix:
+    """check_states: unit trace, Hermitian and positive semidefinite to 1e-9,
+    on one matrix or on a stack."""
+
     def test_valid_state(self):
-        space = HilbertSpace((2,))
-        rho = DensityMatrix(space, np.diag([0.25, 0.75]))
-        assert rho.population(1) == 0.75
+        rho = check_states(np.diag([0.25, 0.75]), 2)
+        assert rho.dtype == complex
+        assert rho[1, 1] == 0.75
 
     def test_trace_enforced(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(HilbertSpace((2,)), np.diag([0.5, 0.4]))
+            check_states(np.diag([0.5, 0.4]), 2)
 
     def test_hermiticity_enforced(self):
         mat = np.array([[0.5, 0.1], [0.3, 0.5]])
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(HilbertSpace((2,)), mat)
+            check_states(mat, 2)
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            DensityMatrix(HilbertSpace((2,)), np.diag([1.2, -0.2]))
+            check_states(np.diag([1.2, -0.2]), 2)
 
-    def test_from_ket_normalizes(self):
-        space = HilbertSpace((2,))
-        rho = DensityMatrix.from_ket(space, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(rho.matrix, np.full((2, 2), 0.5))
+    def test_tolerances_are_1e_9(self):
+        check_states(np.diag([0.5, 0.5 + 0.9e-9]), 2)
+        with pytest.raises(ValueError, match="trace"):
+            check_states(np.diag([0.5, 0.5 + 1.1e-9]), 2)
+        check_states(np.array([[0.5, 0.9e-9], [0.0, 0.5]]), 2)
+        with pytest.raises(ValueError, match="Hermitian"):
+            check_states(np.array([[0.5, 1.1e-9], [0.0, 0.5]]), 2)
+        check_states(np.diag([1.0 + 0.9e-9, -0.9e-9]), 2)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            check_states(np.diag([1.0 + 1.1e-9, -1.1e-9]), 2)
 
+    def test_valid_stack(self):
+        stack = np.array([np.diag([1.0, 0.0]), np.full((2, 2), 0.5), np.eye(2) / 2])
+        np.testing.assert_array_equal(check_states(stack, 2), stack)
 
-def test_basis_ket_and_expectation():
-    space = HilbertSpace((2, 3))
-    ket = basis_ket(space, (1, 2))
-    assert ket[1 * 3 + 2] == 1.0
-    rho = DensityMatrix.from_ket(HilbertSpace((2,)), basis_ket(HilbertSpace((2,)), (1,)))
-    sz = Operator(HilbertSpace((2,)), pauli("z"))
-    assert expectation(sz, rho) == pytest.approx(-1.0)
-    assert expectation(Operator(HilbertSpace((2,)), np.eye(2)), rho) == pytest.approx(1.0)
+    @pytest.mark.parametrize("bad, match", BAD_STATES)
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_one_bad_member_of_a_stack_rejected(self, bad, match, position):
+        stack = np.repeat(np.eye(2)[None] / 2, 5, axis=0)
+        stack[position] = bad
+        with pytest.raises(ValueError, match=match):
+            check_states(stack, 2)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2,), (2, 2, 2, 2), (4, 2, 3)])
+    def test_shape_must_match_dim(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            check_states(np.zeros(shape), 2)
