@@ -203,7 +203,7 @@ def criterion_9(cfg: RunConfig, loss_headline: dict) -> CriterionResult:
     clean = calibration.synthetic_stark_dataset(
         chi, dev.nu_ge, cfg.stark.photons_per_unit, cfg.stark.p_max, cfg.stark.n_points, 0.0, 0
     )
-    fit = calibration.stark_fit(clean)
+    fit = calibration.stark_fit(*clean)
     noiseless_err = abs(fit.slope - slope_true) / abs(slope_true)
     checks = [
         (noiseless_err < 0.01, f"noiseless slope error {noiseless_err * 100:.3g}% < 1%")
@@ -220,7 +220,7 @@ def criterion_9(cfg: RunConfig, loss_headline: dict) -> CriterionResult:
             noise,
             seed,
         )
-        noisy_fit = calibration.stark_fit(data)
+        noisy_fit = calibration.stark_fit(*data)
         if abs(noisy_fit.slope - slope_true) > 3 * noisy_fit.slope_err:
             bad += 1
     # one 3-sigma outlier in 20 draws is within the stated coverage
@@ -263,7 +263,7 @@ def criterion_10(cfg: RunConfig) -> CriterionResult:
         corr = two_time_correlation(
             model, excited, sm.conj().T, sm, taus, require_stationary=False
         )
-        _, fwhm, _ = calibration.fit_lorentzian(psd(corr))
+        _, fwhm, _ = calibration.fit_lorentzian(*psd(corr, taus[1] - taus[0]))
         width_errs.append(abs(fwhm - gamma_mhz) / gamma_mhz)
     width_err = max(width_errs)
     checks = [
@@ -281,7 +281,7 @@ def criterion_11(cfg: RunConfig) -> CriterionResult:
     bad = 0
     for seed in range(20):
         shots = readout.sample_shots(truth, truth.w_e, n, seed)
-        fit = readout.fit_double_gaussian(readout.histogram_shots(shots, cfg.readout.n_bins))
+        fit = readout.fit_double_gaussian(*readout.histogram_shots(shots, cfg.readout.n_bins))
         recovered = {
             "mu_g": truth.mu_g,
             "mu_e": truth.mu_e,

@@ -18,7 +18,6 @@ from scipy.optimize import least_squares
 from .core.dynamics import LindbladModel, liouvillian_matrix, steady_state
 from .core.correlations import psd, two_time_correlation
 from .core.operators import destroy, pauli
-from .core.traces import Trace
 from .device import DeviceParams, dispersive_shift
 from .errors import FitError
 
@@ -31,40 +30,6 @@ TAU_POINTS = 8192
 DECAY_SPAN = 24.0
 RESOLUTION_SPAN = 60.0
 RESOLUTION_CAP = 40.0
-
-
-@dataclass
-class MollowDataset:
-    """Fluorescence spectra measured at several drive strengths."""
-
-    drive_ratios: list[float]
-    spectra: list[Trace]
-    gain_truth: float = 1.0
-
-    def __post_init__(self):
-        if len(self.drive_ratios) != len(self.spectra):
-            raise ValueError("one spectrum per drive ratio required")
-        for tr in self.spectra:
-            if tr.values.min() < -1e-6 * max(tr.values.max(), 1e-300):
-                raise ValueError("spectra must be non-negative")
-
-
-@dataclass
-class StarkDataset:
-    """Qubit frequency vs applied power, for the photon-number calibration."""
-
-    p_in: np.ndarray
-    nu_q: np.ndarray
-
-    def __post_init__(self):
-        self.p_in = np.asarray(self.p_in, dtype=float)
-        self.nu_q = np.asarray(self.nu_q, dtype=float)
-        if self.p_in.size < 3:
-            raise ValueError("need at least three calibration points")
-        if self.p_in.shape != self.nu_q.shape:
-            raise ValueError("power and frequency arrays must align")
-        if np.any(self.p_in < 0):
-            raise ValueError("input powers must be non-negative")
 
 
 @dataclass
@@ -101,9 +66,7 @@ def _tau_grid(omega_ratio: float, gamma_mhz: float) -> np.ndarray:
     return np.linspace(0.0, span, TAU_POINTS)
 
 
-def mollow_spectrum(
-    omega_ratio: float, gamma: float, grid: np.ndarray
-) -> Trace:
+def mollow_spectrum(omega_ratio: float, gamma: float, grid: np.ndarray) -> np.ndarray:
     """Inelastic fluorescence flux density vs detuning (MHz) at drive
     Omega = omega_ratio * Gamma.
 
@@ -124,14 +87,13 @@ def mollow_spectrum(
     rho_ss = steady_state(model)
     sm = destroy(2)
     sp = sm.conj().T
-    corr = two_time_correlation(model, rho_ss, sp, sm, _tau_grid(omega_ratio, gamma))
+    taus = _tau_grid(omega_ratio, gamma)
+    corr = two_time_correlation(model, rho_ss, sp, sm, taus)
     elastic = np.trace(sp @ rho_ss) * np.trace(sm @ rho_ss)
-    corr.values = corr.values - elastic
-    spec = psd(corr)
-    if grid.min() < spec.axis[0] or grid.max() > spec.axis[-1]:
+    freqs, spec = psd(corr - elastic, taus[1] - taus[0])
+    if grid.min() < freqs[0] or grid.max() > freqs[-1]:
         raise ValueError("requested grid exceeds the resolvable frequency range")
-    values = gamma_ang * np.interp(grid, spec.axis, spec.values)
-    return Trace(grid, values, label=f"inelastic psd, Omega/Gamma={omega_ratio:g}")
+    return gamma_ang * np.interp(grid, freqs, spec)
 
 
 def inelastic_spectrum_model(
@@ -180,13 +142,18 @@ def _fluorescence_fit(residuals, base, targets, gamma_init, omegas0):
     return least_squares(residuals, x0, bounds=(lower, upper), x_scale=np.abs(x0))
 
 
-def fit_mollow(data: MollowDataset, gamma_init: float) -> MollowFit:
-    """Joint fit of all spectra sharing (gain, Gamma) with one Omega each."""
-    if len(data.spectra) < 3:
+def fit_mollow(
+    drive_ratios: list[float], spectra: list[tuple[np.ndarray, np.ndarray]], gamma_init: float
+) -> MollowFit:
+    """Joint fit of (grid, spectrum) pairs, one per drive ratio, sharing
+    (gain, Gamma) with one Omega each."""
+    if len(spectra) < 3:
         raise ValueError("need at least three spectra for the joint fit")
-    grids = [tr.axis for tr in data.spectra]
-    targets = np.concatenate([tr.values for tr in data.spectra])
-    omegas0 = [r * gamma_init for r in data.drive_ratios]
+    if len(drive_ratios) != len(spectra):
+        raise ValueError("one spectrum per drive ratio required")
+    grids = [grid for grid, _ in spectra]
+    targets = np.concatenate([values for _, values in spectra])
+    omegas0 = [r * gamma_init for r in drive_ratios]
 
     def model_stack(gamma, omegas):
         return np.concatenate(
@@ -211,34 +178,29 @@ def fit_mollow(data: MollowDataset, gamma_init: float) -> MollowFit:
 
 def true_mollow_spectrum(
     ratio: float, gamma: float, span: float = 2.5, points: int = 801
-) -> Trace:
-    """Inelastic spectrum on the standard symmetric grid of +-span*Omega."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, spectrum): the inelastic spectrum on the standard symmetric
+    grid of +-span*Omega."""
     half = span * ratio * gamma
-    return mollow_spectrum(ratio, gamma, np.linspace(-half, half, points))
+    grid = np.linspace(-half, half, points)
+    return grid, mollow_spectrum(ratio, gamma, grid)
 
 
 def synthetic_mollow_dataset(
-    drive_ratios: list[float],
-    gamma: float,
-    gain: float,
-    noise_frac: float,
-    seed: int,
-    span: float = 2.5,
-    points: int = 801,
-) -> MollowDataset:
-    """Measured-looking dataset: true spectra scaled by a chain gain with
-    multiplicative Gaussian noise."""
+    spectra: list[tuple[np.ndarray, np.ndarray]], gain: float, noise_frac: float, seed: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Measured-looking (grid, spectrum) pairs: the true spectra scaled by a
+    chain gain with multiplicative Gaussian noise, clipped at zero."""
     rng = np.random.default_rng(seed)
-    spectra = []
-    for ratio in drive_ratios:
-        true = true_mollow_spectrum(ratio, gamma, span, points)
-        noisy = gain * true.values * (1.0 + noise_frac * rng.standard_normal(points))
-        spectra.append(Trace(true.axis, np.maximum(noisy, 0.0), label=true.label))
-    return MollowDataset(list(drive_ratios), spectra, gain_truth=gain)
+    noisy = []
+    for grid, true in spectra:
+        measured = gain * true * (1.0 + noise_frac * rng.standard_normal(len(true)))
+        noisy.append((grid, np.maximum(measured, 0.0)))
+    return noisy
 
 
 def fit_satellite_drive(
-    spectrum: Trace, gamma_init: float, omega_init: float
+    grid: np.ndarray, spectrum: np.ndarray, gamma_init: float, omega_init: float
 ) -> float:
     """Drive rate (MHz) setting the satellite detunings, by a resonance fit.
 
@@ -250,18 +212,17 @@ def fit_satellite_drive(
 
     def residuals(p):
         gain, gamma, omega = p
-        return gain * inelastic_spectrum_model(omega, gamma, spectrum.axis) - spectrum.values
+        return gain * inelastic_spectrum_model(omega, gamma, grid) - spectrum
 
-    base = inelastic_spectrum_model(omega_init, gamma_init, spectrum.axis)
-    result = _fluorescence_fit(residuals, base, spectrum.values, gamma_init, [omega_init])
+    base = inelastic_spectrum_model(omega_init, gamma_init, grid)
+    result = _fluorescence_fit(residuals, base, spectrum, gamma_init, [omega_init])
     if not result.success:
         raise FitError("single-spectrum resonance fit failed")
     return float(result.x[2])
 
 
-def fit_lorentzian(spectrum: Trace) -> tuple[float, float, float]:
+def fit_lorentzian(axis: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
     """(center, fwhm, height) of a single-peak spectrum by least squares."""
-    axis, values = spectrum.axis, spectrum.values
     i0 = int(np.argmax(values))
     height0 = values[i0]
     above = values > height0 / 2
@@ -285,28 +246,25 @@ class StarkFit:
     slope: float  # MHz per power unit
     intercept: float  # zero-power qubit frequency, MHz
     slope_err: float
-    intercept_err: float
 
     def photons_at(self, p_in: float, chi: float) -> float:
         """Photon number inferred from the fitted shift: (nu_q - nu_q0)/(2 chi)."""
         return self.slope * p_in / (2.0 * chi)
 
 
-def stark_fit(data: StarkDataset) -> StarkFit:
+def stark_fit(p_in: np.ndarray, nu_q: np.ndarray) -> StarkFit:
     """Ordinary least-squares line through the power-shift data."""
-    if np.ptp(data.p_in) == 0:
+    if len(p_in) < 3:
+        raise ValueError("need at least three calibration points")
+    if np.ptp(p_in) == 0:
         raise ValueError("all input powers equal; the line is undetermined")
-    x = np.column_stack([data.p_in, np.ones_like(data.p_in)])
-    coef, res, *_ = np.linalg.lstsq(x, data.nu_q, rcond=None)
-    n, k = data.p_in.size, 2
-    resid = data.nu_q - x @ coef
-    sigma2 = float(resid @ resid) / max(n - k, 1)
+    x = np.column_stack([p_in, np.ones_like(p_in)])
+    coef, *_ = np.linalg.lstsq(x, nu_q, rcond=None)
+    resid = nu_q - x @ coef
+    sigma2 = float(resid @ resid) / (len(p_in) - 2)
     cov = sigma2 * np.linalg.inv(x.T @ x)
     return StarkFit(
-        slope=float(coef[0]),
-        intercept=float(coef[1]),
-        slope_err=float(np.sqrt(cov[0, 0])),
-        intercept_err=float(np.sqrt(cov[1, 1])),
+        slope=float(coef[0]), intercept=float(coef[1]), slope_err=float(np.sqrt(cov[0, 0]))
     )
 
 
@@ -318,13 +276,13 @@ def synthetic_stark_dataset(
     n_points: int,
     noise_mhz: float,
     seed: int,
-) -> StarkDataset:
-    """Linear Stark data nu_q = nu_q0 + 2 chi n_p with n_p = c * P_in."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(p_in, nu_q): linear Stark data nu_q = nu_q0 + 2 chi n_p with
+    n_p = c * P_in."""
     rng = np.random.default_rng(seed)
     p_in = np.linspace(0.0, p_max, n_points)
     nu_q = nu_q0 + 2.0 * chi * photons_per_unit * p_in
-    nu_q = nu_q + noise_mhz * rng.standard_normal(n_points)
-    return StarkDataset(p_in, nu_q)
+    return p_in, nu_q + noise_mhz * rng.standard_normal(n_points)
 
 
 def extract_loss(g_s: float, g_d: float) -> float:
@@ -368,14 +326,14 @@ def loss_calibration_roundtrip(
     """
     g_d_true = detector_gain
     g_s_true = (1.0 - true_loss) * g_d_true
-    dataset = synthetic_mollow_dataset(
-        drive_ratios, params.gamma_source, g_s_true, noise_frac, seed
-    )
-    g_s_est = fit_mollow(dataset, params.gamma_source).gain
+    gamma = params.gamma_source
+    true = [true_mollow_spectrum(r, gamma) for r in drive_ratios]
+    dataset = synthetic_mollow_dataset(true, g_s_true, noise_frac, seed)
+    g_s_est = fit_mollow(drive_ratios, dataset, gamma).gain
 
     chi = dispersive_shift(params.alpha, params.g0, params.delta_qc)
     rng = np.random.default_rng(seed + 1)
-    stark = synthetic_stark_dataset(
+    p_in, nu_q = synthetic_stark_dataset(
         chi,
         params.nu_ge,
         photons_per_unit,
@@ -384,8 +342,8 @@ def loss_calibration_roundtrip(
         noise_mhz=noise_frac * abs(2 * chi * photons_per_unit * p_max),
         seed=seed + 2,
     )
-    fit = stark_fit(stark)
-    p_in = stark.p_in[1:]  # zero-power point carries no gain information
+    fit = stark_fit(p_in, nu_q)
+    p_in = p_in[1:]  # zero-power point carries no gain information
     n_p_true = photons_per_unit * p_in
     n_p_est = np.array([fit.photons_at(p, chi) for p in p_in])
     measured = g_d_true * TWO_PI * params.kappa * n_p_true

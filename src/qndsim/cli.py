@@ -170,32 +170,25 @@ def run_mollow(cfg: RunConfig, out_dir: Path) -> RunReport:
     mc = cfg.mollow
     gamma = cfg.device.gamma_source
     ratios = cfg.sweeps.drive_ratios
+    spectra = [calibration.true_mollow_spectrum(r, gamma, mc.span, mc.points) for r in ratios]
     rows = []
     sideband_errs = {}
-    for k, ratio in enumerate(ratios):
-        spec = calibration.true_mollow_spectrum(ratio, gamma, mc.span, mc.points)
+    for k, (ratio, (grid, values)) in enumerate(zip(ratios, spectra)):
         offset = k * mc.display_offset
         rows.extend(
-            (ratio, float(nu), float(v), float(v + offset))
-            for nu, v in zip(spec.axis, spec.values)
+            (ratio, float(nu), float(v), float(v + offset)) for nu, v in zip(grid, values)
         )
         nominal = ratio * gamma
-        fitted = calibration.fit_satellite_drive(spec, gamma, nominal)
+        fitted = calibration.fit_satellite_drive(grid, values, gamma, nominal)
         sideband_errs[f"sideband_rel_err_ratio_{ratio:g}"] = float(
             abs(fitted - nominal) / nominal
         )
     path = out_dir / "mollow_spectra.csv"
     write_csv(path, ["drive_ratio", "delta_MHz", "psd", "psd_display"], rows)
     dataset = calibration.synthetic_mollow_dataset(
-        ratios,
-        gamma,
-        mc.gain_truth,
-        mc.noise_frac,
-        _runner_seed(cfg.seed, "mollow"),
-        mc.span,
-        mc.points,
+        spectra, mc.gain_truth, mc.noise_frac, _runner_seed(cfg.seed, "mollow")
     )
-    fit = calibration.fit_mollow(dataset, gamma)
+    fit = calibration.fit_mollow(ratios, dataset, gamma)
     path_fit = out_dir / "mollow_fit.csv"
     write_csv(
         path_fit,
@@ -225,7 +218,7 @@ def run_stark(cfg: RunConfig, out_dir: Path) -> RunReport:
     dev = cfg.device
     chi = dispersive_shift(dev.alpha, dev.g0, dev.delta_qc)
     slope_true = 2.0 * chi * cfg.stark.photons_per_unit
-    data = calibration.synthetic_stark_dataset(
+    p_in, nu_q = calibration.synthetic_stark_dataset(
         chi,
         dev.nu_ge,
         cfg.stark.photons_per_unit,
@@ -234,15 +227,12 @@ def run_stark(cfg: RunConfig, out_dir: Path) -> RunReport:
         noise_mhz=cfg.stark.noise_frac * abs(slope_true) * cfg.stark.p_max,
         seed=_runner_seed(cfg.seed, "stark"),
     )
-    fit = calibration.stark_fit(data)
+    fit = calibration.stark_fit(p_in, nu_q)
     path = out_dir / "stark.csv"
     write_csv(
         path,
         ["P_in", "nu_q_MHz", "n_p"],
-        [
-            (p, nu, fit.photons_at(p, chi))
-            for p, nu in zip(data.p_in, data.nu_q)
-        ],
+        [(p, nu, fit.photons_at(p, chi)) for p, nu in zip(p_in, nu_q)],
     )
     headline = {
         "chi_MHz": chi,
@@ -278,9 +268,9 @@ def run_readout(cfg: RunConfig, out_dir: Path) -> RunReport:
         write_csv(path_shots, ["index", "q"], enumerate(shots.tolist()))
         hist = readout.histogram_shots(shots, ro.n_bins)
         path_hist = out_dir / f"hist_{name}.csv"
-        write_csv(path_hist, ["bin_center", "count"], zip(hist.bin_centers, hist.counts))
+        write_csv(path_hist, ["bin_center", "count"], zip(*hist))
         files.extend([path_shots, path_hist])
-        fit = readout.fit_double_gaussian(hist)
+        fit = readout.fit_double_gaussian(*hist)
         fit_rows.append(
             (
                 name,
@@ -304,7 +294,7 @@ def run_readout(cfg: RunConfig, out_dir: Path) -> RunReport:
     discard = readout.preselect(pre_shots, pre_thr)
     pre_hist = readout.histogram_shots(pre_shots, ro.n_bins)
     path_pre = out_dir / "hist_preselect.csv"
-    write_csv(path_pre, ["bin_center", "count"], zip(pre_hist.bin_centers, pre_hist.counts))
+    write_csv(path_pre, ["bin_center", "count"], zip(*pre_hist))
     files.append(path_pre)
 
     composed_f = probs.fidelity * readout.assignment_fidelity(dev.eps_ge, dev.eps_eg)

@@ -135,6 +135,11 @@ class QndRunConfig:
             raise ConfigError("qnd.coherence_offset must be finite")
 
 
+def _check_noise_frac(value: float, section: str) -> None:
+    if not 0 <= value < math.inf:
+        raise ConfigError(f"{section}.noise_frac must be non-negative and finite")
+
+
 @dataclass
 class MollowRunConfig:
     gain_truth: float = 0.8
@@ -144,13 +149,16 @@ class MollowRunConfig:
     display_offset: float = 0.5
 
     def __post_init__(self):
-        if not self.gain_truth > 0:
-            raise ConfigError("mollow.gain_truth must be positive")
+        if not 0 < self.gain_truth < math.inf:
+            raise ConfigError("mollow.gain_truth must be positive and finite")
+        _check_noise_frac(self.noise_frac, "mollow")
         # calibration.mollow_spectrum needs the grid to reach +-2 Omega
-        if not self.span >= 2:
-            raise ConfigError("mollow.span must be at least 2")
+        if not 2 <= self.span < math.inf:
+            raise ConfigError("mollow.span must be at least 2 and finite")
         if self.points < 2:
             raise ConfigError("mollow.points must be at least 2")
+        if not math.isfinite(self.display_offset):
+            raise ConfigError("mollow.display_offset must be finite")
 
 
 @dataclass
@@ -164,11 +172,12 @@ class StarkRunConfig:
         # calibration.stark_fit needs three distinct, non-negative powers
         if self.n_points < 3:
             raise ConfigError("stark.n_points must be at least 3")
-        if not self.p_max > 0:
-            raise ConfigError("stark.p_max must be positive")
+        if not 0 < self.p_max < math.inf:
+            raise ConfigError("stark.p_max must be positive and finite")
         # a zero photon scale makes the detector-chain gain vanish in loss
-        if not self.photons_per_unit > 0:
-            raise ConfigError("stark.photons_per_unit must be positive")
+        if not 0 < self.photons_per_unit < math.inf:
+            raise ConfigError("stark.photons_per_unit must be positive and finite")
+        _check_noise_frac(self.noise_frac, "stark")
 
 
 @dataclass
@@ -185,8 +194,13 @@ class LossRunConfig:
     noise_frac: float = 0.01
 
     def __post_init__(self):
-        if not self.detector_gain > 0:
-            raise ConfigError("loss.detector_gain must be positive")
+        # calibration.loss_budget takes each fraction in [0, 1)
+        for name, frac in self.components:
+            if not 0 <= frac < 1:
+                raise ConfigError(f"loss.components.{name} must lie in [0, 1)")
+        if not 0 < self.detector_gain < math.inf:
+            raise ConfigError("loss.detector_gain must be positive and finite")
+        _check_noise_frac(self.noise_frac, "loss")
 
 
 @dataclass

@@ -9,11 +9,9 @@ from .dynamics import (
     steady_state,
 )
 from .operators import check_states, destroy, embed, pauli
-from .traces import Trace
 
 __all__ = [
     "LindbladModel",
-    "Trace",
     "check_states",
     "destroy",
     "embed",

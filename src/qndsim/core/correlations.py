@@ -7,7 +7,6 @@ import numpy as np
 from ..errors import TruncationError
 from .dynamics import LindbladModel, _evolve_matrix, lindblad_rhs
 from .operators import check_states
-from .traces import Trace
 
 STATIONARITY_TOL = 1e-8
 DECAY_FRACTION = 1e-4
@@ -20,8 +19,8 @@ def two_time_correlation(
     b_op: np.ndarray,
     tau_grid: np.ndarray,
     require_stationary: bool = True,
-) -> Trace:
-    """Stationary correlator <A(tau) B(0)> on tau_grid.
+) -> np.ndarray:
+    """Stationary correlator <A(tau) B(0)> on tau_grid, one value per lag.
 
     Regression: propagate B rho under the Liouvillian and trace against A at
     each lag. With require_stationary=False the initial state may be any
@@ -39,19 +38,19 @@ def two_time_correlation(
             )
     tau_grid = np.asarray(tau_grid, dtype=float)
     seeded = _evolve_matrix(model, b_op @ rho_ss, tau_grid)
-    values = np.einsum("ij,tji->t", a_op, seeded)
-    return Trace(tau_grid, values, label="two-time correlation")
+    return np.einsum("ij,tji->t", a_op, seeded)
 
 
-def psd(corr: Trace) -> Trace:
-    """One-sided symmetrized power spectral density of a decayed correlator.
+def psd(corr: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(freqs, spectrum): one-sided symmetrized power spectral density of a
+    decayed correlator sampled at lags 0, dt, 2 dt, ...
 
     S(delta) = 2 Re integral_0^inf corr(tau) exp(-i 2 pi delta tau) dtau
     with delta in MHz, so a correlator rotating as exp(+i 2 pi f tau) peaks
     at +f and the integral of S over delta equals the tau=0 value of the
     correlator (discrete Parseval holds exactly).
     """
-    values = np.asarray(corr.values, dtype=complex)
+    values = np.asarray(corr, dtype=complex)
     peak = np.abs(values[0])
     if peak > 0 and np.abs(values[-1]) > DECAY_FRACTION * peak:
         raise TruncationError(
@@ -59,10 +58,9 @@ def psd(corr: Trace) -> Trace:
             "grid end; extend the tau grid"
         )
     n = len(values)
-    dt = corr.step
     # Trapezoid endpoint correction: the half-weight at tau=0 keeps the
     # transform of a sampled decaying exponential non-negative.
     transform = np.fft.fft(values) - values[0] / 2
     spectrum = np.fft.fftshift(2.0 * dt * transform.real)
     freqs = np.fft.fftshift(np.fft.fftfreq(n, d=dt))
-    return Trace(freqs, spectrum, label="psd")
+    return freqs, spectrum

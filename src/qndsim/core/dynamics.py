@@ -16,10 +16,12 @@ import numpy as np
 
 from ..errors import NonUniqueSteadyStateError, NumericsError
 from .operators import _kron, check_states
-from .traces import _validate_axis
 
 DEGENERACY_RATIO = 1e-10
 HERMITICITY_TOL = 1e-12
+# Uniformity is judged relative to the axis scale: grids built with linspace
+# on large carriers carry ~ulp jitter in the diffs.
+AXIS_UNIFORMITY_RTOL = 1e-12
 
 # Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005): the largest 1-norm at
 # which the diagonal Pade approximant of each degree meets double-precision
@@ -124,6 +126,18 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for _ in range(s):
         out = _mm(out, out)
     return out
+
+
+def _validate_axis(axis: np.ndarray) -> None:
+    if axis.ndim != 1 or axis.size < 2:
+        raise ValueError("axis must be a 1-d grid with at least two points")
+    steps = np.diff(axis)
+    if np.any(steps <= 0):
+        raise ValueError("axis must be strictly increasing")
+    step = steps.mean()
+    scale = max(np.abs(axis[0]), np.abs(axis[-1]), step)
+    if np.max(np.abs(steps - step)) > AXIS_UNIFORMITY_RTOL * scale:
+        raise ValueError("axis must be uniform")
 
 
 def _evolve_matrix(model: LindbladModel, m0: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -42,28 +42,6 @@ class GaussianMixture:
 
 
 @dataclass
-class Histogram:
-    """Binned counts on a uniform quadrature grid."""
-
-    bin_centers: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.bin_centers = np.asarray(self.bin_centers, dtype=float)
-        self.counts = np.asarray(self.counts, dtype=float)
-        if self.bin_centers.shape != self.counts.shape:
-            raise ValueError("bin centers and counts must align")
-
-    @property
-    def bin_width(self) -> float:
-        return float(self.bin_centers[1] - self.bin_centers[0])
-
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
-
-@dataclass
 class DoubleGaussianFit:
     mixture: GaussianMixture
     stderr: dict[str, float]
@@ -106,13 +84,14 @@ def histogram_shots(
     shots: np.ndarray,
     n_bins: int = DEFAULT_BINS,
     span_sigmas: float = DEFAULT_SPAN_SIGMAS,
-) -> Histogram:
-    """Uniform binning over mean +- span_sigmas standard deviations."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(bin_centers, counts): uniform binning over mean +- span_sigmas
+    standard deviations."""
     center = shots.mean()
     half = span_sigmas * shots.std()
     edges = np.linspace(center - half, center + half, n_bins + 1)
     counts, _ = np.histogram(shots, bins=edges)
-    return Histogram((edges[:-1] + edges[1:]) / 2, counts.astype(float))
+    return (edges[:-1] + edges[1:]) / 2, counts.astype(float)
 
 
 def _mixture_counts(q, total, bin_width, mu_g, mu_e, sigma, w_e):
@@ -122,7 +101,7 @@ def _mixture_counts(q, total, bin_width, mu_g, mu_e, sigma, w_e):
     return norm * ((1 - w_e) * g + w_e * e)
 
 
-def _initial_guess(hist: Histogram, std: float) -> np.ndarray:
+def _initial_guess(q: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Peak-seeking start values (mu_g, mu_e, sigma, w_e).
 
     The main peak's half-maximum width estimates the component sigma; a
@@ -130,7 +109,6 @@ def _initial_guess(hist: Histogram, std: float) -> np.ndarray:
     evidence for one, the start weight is ~0 so single-component data
     converges to a vanishing excited fraction instead of a split weight.
     """
-    q, counts = hist.bin_centers, hist.counts
     i1 = int(np.argmax(counts))
     half = counts[i1] / 2
     left = i1
@@ -139,50 +117,51 @@ def _initial_guess(hist: Histogram, std: float) -> np.ndarray:
     right = i1
     while right < len(q) - 1 and counts[right] > half:
         right += 1
-    fwhm = max(q[right] - q[left], 2 * hist.bin_width)
+    fwhm = max(q[right] - q[left], 2 * (q[1] - q[0]))
     sigma0 = fwhm / 2.355
     outside = np.abs(q - q[i1]) > 3 * sigma0
     if np.any(outside) and counts[outside].max() > 0.05 * counts[i1]:
         i2 = np.flatnonzero(outside)[np.argmax(counts[outside])]
         mu_a, mu_b = q[i1], q[i2]
         near_b = np.abs(q - mu_b) <= 3 * sigma0
-        w_b = min(max(counts[near_b].sum() / hist.total, 0.01), 0.99)
+        w_b = min(max(counts[near_b].sum() / counts.sum(), 0.01), 0.99)
         if mu_a <= mu_b:
             return np.array([mu_a, mu_b, sigma0, w_b])
         return np.array([mu_b, mu_a, sigma0, 1.0 - w_b])
     return np.array([q[i1], q[i1] + 6 * sigma0, sigma0, 1e-3])
 
 
-def fit_double_gaussian(hist: Histogram) -> DoubleGaussianFit:
-    """Common-width double-Gaussian least-squares fit to binned counts.
+def fit_double_gaussian(q: np.ndarray, counts: np.ndarray) -> DoubleGaussianFit:
+    """Common-width double-Gaussian least-squares fit to counts binned on the
+    uniform bin centers q.
 
     Residuals are scaled by the Poisson noise of each bin so the parameter
     standard errors are calibrated.
     """
-    if len(hist.bin_centers) < 20:
+    if len(q) < 20:
         raise ValueError("need at least 20 bins")
-    if hist.total < 100:
+    total = float(counts.sum())
+    if total < 100:
         raise ValueError("need at least 100 counts")
-    q = hist.bin_centers
-    weights = hist.counts / hist.total
+    width = float(q[1] - q[0])
+    weights = counts / total
     mean = float(np.sum(weights * q))
     std = float(np.sqrt(np.sum(weights * (q - mean) ** 2)))
-    noise = np.sqrt(hist.counts + 1.0)
+    noise = np.sqrt(counts + 1.0)
 
     def residuals(p):
         mu_g, mu_e, sigma, w_e = p
-        model = _mixture_counts(q, hist.total, hist.bin_width, mu_g, mu_e, abs(sigma), w_e)
-        return (model - hist.counts) / noise
+        return (_mixture_counts(q, total, width, mu_g, mu_e, abs(sigma), w_e) - counts) / noise
 
-    x0 = _initial_guess(hist, std)
+    x0 = _initial_guess(q, counts)
     lower = [q[0] - std, q[0] - std, 1e-6 * std, 0.0]
     upper = [q[-1] + std, q[-1] + std, 2 * std + 1e-9, 1.0]
     result = least_squares(residuals, x0, bounds=(lower, upper), max_nfev=2000)
     if not result.success:
         raise FitError(f"double-Gaussian fit failed (final cost {result.cost:.3e})")
     mu_g, mu_e, sigma, w_e = result.x
-    model = _mixture_counts(q, hist.total, hist.bin_width, mu_g, mu_e, abs(sigma), w_e)
-    rss = float(np.sum((model - hist.counts) ** 2))
+    model = _mixture_counts(q, total, width, mu_g, mu_e, abs(sigma), w_e)
+    rss = float(np.sum((model - counts) ** 2))
     try:
         cov = np.linalg.inv(result.jac.T @ result.jac)
         err = np.sqrt(np.maximum(np.diag(cov), 0.0))

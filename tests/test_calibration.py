@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from qndsim.calibration import (
-    MollowDataset,
-    StarkDataset,
     driven_atom_model,
     extract_loss,
     fit_mollow,
@@ -21,13 +19,13 @@ from qndsim.calibration import (
     true_mollow_spectrum,
 )
 from qndsim.core import destroy, steady_state
-from qndsim.core.traces import Trace
 from qndsim.device import DeviceParams, dispersive_shift
 
 GAMMA_MHZ = 1.77
 GAMMA = 2 * math.pi * GAMMA_MHZ
 PARAMS = DeviceParams()
 RATIOS = [2.0, 4.0, 6.0]
+TRUE_SPECTRA = [true_mollow_spectrum(r, GAMMA_MHZ) for r in RATIOS]
 
 
 class TestMollowSpectrum:
@@ -36,28 +34,26 @@ class TestMollowSpectrum:
         # satellites resolved from the carrier peak at -+Omega; at moderate
         # drive the carrier's tails pull them in, see the resonance fit
         nominal = ratio * GAMMA_MHZ
-        spec = true_mollow_spectrum(ratio, GAMMA_MHZ)
-        v = spec.values
+        grid, v = true_mollow_spectrum(ratio, GAMMA_MHZ)
         interior = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
         peaks = np.flatnonzero(interior) + 1
         for sign in (-1.0, 1.0):
-            offset = sign * spec.axis[peaks] / nominal
+            offset = sign * grid[peaks] / nominal
             side = peaks[(offset >= 0.3) & (offset <= 1.8)]
             assert side.size > 0, "no resolved satellite in the search window"
-            satellite = sign * spec.axis[side[np.argmax(v[side])]]
+            satellite = sign * grid[side[np.argmax(v[side])]]
             assert abs(satellite - nominal) / nominal < 0.05
 
     @pytest.mark.parametrize("ratio", RATIOS)
     def test_satellites_by_resonance_fit(self, ratio):
-        spec = true_mollow_spectrum(ratio, GAMMA_MHZ)
+        grid, spec = true_mollow_spectrum(ratio, GAMMA_MHZ)
         nominal = ratio * GAMMA_MHZ
-        fitted = fit_satellite_drive(spec, GAMMA_MHZ, nominal)
+        fitted = fit_satellite_drive(grid, spec, GAMMA_MHZ, nominal)
         assert abs(fitted - nominal) / nominal < 0.05
 
     def test_weak_drive_single_peak(self):
         grid = np.linspace(-8.0, 8.0, 1601)
-        spec = mollow_spectrum(0.1, GAMMA_MHZ, grid)
-        v = spec.values
+        v = mollow_spectrum(0.1, GAMMA_MHZ, grid)
         interior = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
         peaks = np.flatnonzero(interior) + 1
         heights = sorted(v[peaks], reverse=True)
@@ -67,23 +63,21 @@ class TestMollowSpectrum:
 
     def test_strong_drive_height_ratio(self):
         # three-peak structure: the carrier is three times the satellites
-        spec = true_mollow_spectrum(5.0, GAMMA_MHZ)
-        v = spec.values
+        grid, v = true_mollow_spectrum(5.0, GAMMA_MHZ)
         interior = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
         peaks = np.flatnonzero(interior) + 1
-        central = v[np.argmin(np.abs(spec.axis))]
-        satellite = v[peaks[spec.axis[peaks] >= 0.3 * 5.0 * GAMMA_MHZ]].max()
+        central = v[np.argmin(np.abs(grid))]
+        satellite = v[peaks[grid[peaks] >= 0.3 * 5.0 * GAMMA_MHZ]].max()
         assert central / satellite == pytest.approx(3.0, rel=0.15)
 
     def test_symmetric_in_detuning(self):
-        spec = true_mollow_spectrum(4.0, GAMMA_MHZ)
-        flipped = spec.values[::-1]
-        assert np.max(np.abs(spec.values - flipped)) < 0.02 * spec.values.max()
+        _, spec = true_mollow_spectrum(4.0, GAMMA_MHZ)
+        assert np.max(np.abs(spec - spec[::-1])) < 0.02 * spec.max()
 
     def test_inelastic_flux_integral(self):
         ratio = 6.0
-        spec = true_mollow_spectrum(ratio, GAMMA_MHZ, span=4.0, points=2001)
-        integral = np.trapezoid(spec.values, spec.axis)
+        grid, spec = true_mollow_spectrum(ratio, GAMMA_MHZ, span=4.0, points=2001)
+        integral = np.trapezoid(spec, grid)
         model = driven_atom_model(ratio * GAMMA, GAMMA)
         rho = steady_state(model)
         n_q = rho[1, 1].real
@@ -98,9 +92,9 @@ class TestMollowSpectrum:
 
     def test_routes_agree(self):
         # time-domain regression + FFT vs eigendecomposition resolvent
-        spec = true_mollow_spectrum(4.0, GAMMA_MHZ)
-        resolvent = inelastic_spectrum_model(4.0 * GAMMA_MHZ, GAMMA_MHZ, spec.axis)
-        assert np.max(np.abs(resolvent - spec.values)) < 0.02 * spec.values.max()
+        grid, spec = true_mollow_spectrum(4.0, GAMMA_MHZ)
+        resolvent = inelastic_spectrum_model(4.0 * GAMMA_MHZ, GAMMA_MHZ, grid)
+        assert np.max(np.abs(resolvent - spec)) < 0.02 * spec.max()
 
 
 class TestSteadyPopulation:
@@ -127,51 +121,55 @@ class TestFitMollow:
         for ratio in RATIOS:
             half = 2.5 * ratio * gamma
             grid = np.linspace(-half, half, 401)
-            spectra.append(
-                Trace(grid, 0.8 * inelastic_spectrum_model(ratio * gamma, gamma, grid))
-            )
-        data = MollowDataset(RATIOS, spectra, gain_truth=0.8)
-        fit = fit_mollow(data, gamma)
-        peak = max(tr.values.max() for tr in spectra)
-        rms = math.sqrt(fit.rss / sum(len(tr) for tr in spectra))
+            spectra.append((grid, 0.8 * inelastic_spectrum_model(ratio * gamma, gamma, grid)))
+        fit = fit_mollow(RATIOS, spectra, gamma)
+        peak = max(values.max() for _, values in spectra)
+        rms = math.sqrt(fit.rss / sum(len(values) for _, values in spectra))
         assert rms < 1e-6 * peak
         assert fit.gain == pytest.approx(0.8, rel=1e-6)
 
     def test_gain_recovery_with_noise(self):
-        data = synthetic_mollow_dataset(RATIOS, GAMMA_MHZ, 0.8, 0.01, seed=5)
-        fit = fit_mollow(data, GAMMA_MHZ)
+        data = synthetic_mollow_dataset(TRUE_SPECTRA, 0.8, 0.01, seed=5)
+        fit = fit_mollow(RATIOS, data, GAMMA_MHZ)
         assert abs(fit.gain - 0.8) / 0.8 < 0.02
 
     def test_gain_recovery_twenty_seeds(self):
         for seed in range(20):
-            data = synthetic_mollow_dataset(RATIOS, GAMMA_MHZ, 0.8, 0.01, seed=seed)
-            fit = fit_mollow(data, GAMMA_MHZ)
+            data = synthetic_mollow_dataset(TRUE_SPECTRA, 0.8, 0.01, seed=seed)
+            fit = fit_mollow(RATIOS, data, GAMMA_MHZ)
             assert abs(fit.gain - 0.8) / 0.8 < 0.02
             assert abs(fit.gamma - GAMMA_MHZ) / GAMMA_MHZ < 0.02
 
     def test_needs_three_spectra(self):
-        data = synthetic_mollow_dataset(RATIOS, GAMMA_MHZ, 0.8, 0.01, seed=5)
-        short = MollowDataset(RATIOS[:2], data.spectra[:2], 0.8)
+        data = synthetic_mollow_dataset(TRUE_SPECTRA, 0.8, 0.01, seed=5)
         with pytest.raises(ValueError, match="three spectra"):
-            fit_mollow(short, GAMMA_MHZ)
+            fit_mollow(RATIOS[:2], data[:2], GAMMA_MHZ)
+        with pytest.raises(ValueError, match="one spectrum per drive ratio"):
+            fit_mollow(RATIOS[:2], data, GAMMA_MHZ)
+
+    def test_noise_is_multiplicative_and_clipped(self):
+        data = synthetic_mollow_dataset(TRUE_SPECTRA, 0.8, 0.01, seed=5)
+        for (grid, true), (noisy_grid, noisy) in zip(TRUE_SPECTRA, data):
+            assert noisy_grid is grid
+            assert noisy.min() >= 0.0
+            assert np.max(np.abs(noisy / 0.8 - true)) < 0.06 * true.max()
 
 
 class TestStark:
     def test_noiseless_recovery(self):
         chi = dispersive_shift(PARAMS.alpha, PARAMS.g0, PARAMS.delta_qc)
-        data = synthetic_stark_dataset(chi, PARAMS.nu_ge, 1.0, 4.0, 9, 0.0, seed=0)
-        fit = stark_fit(data)
+        fit = stark_fit(*synthetic_stark_dataset(chi, PARAMS.nu_ge, 1.0, 4.0, 9, 0.0, seed=0))
         assert fit.slope == pytest.approx(2 * chi, rel=1e-9)
         assert fit.slope == pytest.approx(-4.8, abs=0.02)
         assert fit.intercept == pytest.approx(PARAMS.nu_ge, rel=1e-12)
 
     def test_zero_power_point_is_intercept(self):
         chi = -2.4
-        data = synthetic_stark_dataset(chi, 6475.0, 1.0, 4.0, 9, 0.0, seed=0)
-        assert data.nu_q[data.p_in == 0.0][0] == pytest.approx(6475.0)
+        p_in, nu_q = synthetic_stark_dataset(chi, 6475.0, 1.0, 4.0, 9, 0.0, seed=0)
+        assert nu_q[p_in == 0.0][0] == pytest.approx(6475.0)
 
     def test_photon_number_inverse_in_chi(self):
-        fit = stark_fit(synthetic_stark_dataset(-2.4, 6475.0, 1.0, 4.0, 9, 0.0, 0))
+        fit = stark_fit(*synthetic_stark_dataset(-2.4, 6475.0, 1.0, 4.0, 9, 0.0, 0))
         assert fit.photons_at(2.0, -4.8) == pytest.approx(fit.photons_at(2.0, -2.4) / 2)
 
     def test_noisy_recovery_within_errors(self):
@@ -180,22 +178,18 @@ class TestStark:
         noise = 0.01 * abs(slope_true) * 4.0
         bad = 0
         for seed in range(20):
-            fit = stark_fit(
-                synthetic_stark_dataset(chi, PARAMS.nu_ge, 1.0, 4.0, 9, noise, seed)
-            )
+            fit = stark_fit(*synthetic_stark_dataset(chi, PARAMS.nu_ge, 1.0, 4.0, 9, noise, seed))
             if abs(fit.slope - slope_true) > 3 * fit.slope_err:
                 bad += 1
         assert bad <= 1
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError, match="undetermined"):
-            stark_fit(StarkDataset(np.full(5, 2.0), np.linspace(0, 1, 5)))
+            stark_fit(np.full(5, 2.0), np.linspace(0, 1, 5))
 
-    def test_dataset_validation(self):
-        with pytest.raises(ValueError):
-            StarkDataset(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            StarkDataset(np.array([-1.0, 2.0, 3.0]), np.zeros(3))
+    def test_needs_three_points(self):
+        with pytest.raises(ValueError, match="three calibration points"):
+            stark_fit(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
 
 class TestLoss:
@@ -242,12 +236,3 @@ class TestLoss:
             PARAMS, RATIOS, true_loss=0.25, detector_gain=1.6, noise_frac=0.01, seed=seed
         )
         assert abs(result["loss_est"] - 0.25) <= 0.02
-
-
-def test_mollow_dataset_validation():
-    spec = true_mollow_spectrum(2.0, GAMMA_MHZ)
-    with pytest.raises(ValueError, match="one spectrum"):
-        MollowDataset([2.0, 4.0], [spec])
-    bad = Trace(spec.axis, spec.values - 0.5 * spec.values.max())
-    with pytest.raises(ValueError, match="non-negative"):
-        MollowDataset([2.0], [bad])

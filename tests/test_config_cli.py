@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from qndsim import cli
+from qndsim import calibration, cli
 from qndsim.config import (
     ConfigError,
     GridSpec,
@@ -130,6 +130,17 @@ class TestConfig:
             ({"mollow": {"gain_truth": math.nan}}, "mollow.gain_truth"),
             ({"loss": {"detector_gain": 0.0}}, "loss.detector_gain"),
             ({"loss": {"detector_gain": -1.6}}, "loss.detector_gain"),
+            ({"loss": {"components": {"a": 1.0}}}, "loss.components.a"),
+            ({"loss": {"components": {"a": -0.1}}}, "loss.components.a"),
+            ({"mollow": {"span": math.inf}}, "mollow.span"),
+            ({"stark": {"p_max": math.inf}}, "stark.p_max"),
+            ({"mollow": {"gain_truth": math.inf}}, "mollow.gain_truth"),
+            ({"loss": {"detector_gain": math.inf}}, "loss.detector_gain"),
+            ({"mollow": {"noise_frac": math.inf}}, "mollow.noise_frac"),
+            ({"stark": {"photons_per_unit": math.inf}}, "stark.photons_per_unit"),
+            ({"stark": {"noise_frac": math.nan}}, "stark.noise_frac"),
+            ({"loss": {"noise_frac": -0.01}}, "loss.noise_frac"),
+            ({"mollow": {"display_offset": math.nan}}, "mollow.display_offset"),
         ],
     )
     def test_calibration_limits(self, data, match):
@@ -137,9 +148,24 @@ class TestConfig:
             from_dict(data)
         from_dict(
             {
-                "stark": {"n_points": 3, "p_max": 1e-3, "photons_per_unit": 1e-3},
-                "mollow": {"span": 2.0, "points": 2, "gain_truth": 1e-3},
-                "loss": {"detector_gain": 1e-3},
+                "stark": {
+                    "n_points": 3,
+                    "p_max": 1e-3,
+                    "photons_per_unit": 1e-3,
+                    "noise_frac": 0.0,
+                },
+                "mollow": {
+                    "span": 2.0,
+                    "points": 2,
+                    "gain_truth": 1e-3,
+                    "noise_frac": 0.0,
+                    "display_offset": -1.0,
+                },
+                "loss": {
+                    "components": {"a": 0.0, "b": 0.99},
+                    "detector_gain": 1e-3,
+                    "noise_frac": 0.0,
+                },
             }
         )
 
@@ -262,6 +288,20 @@ class TestRunners:
         cells = [truth["gain"], truth["gamma_MHz"], truth["omega_MHz_ratio_3"]]
         assert cells == ["1", "1.77", "5.31"]
 
+    def test_mollow_computes_each_spectrum_once(self, tmp_path, monkeypatch):
+        # the noisy fit data reuse the spectra written to mollow_spectra.csv
+        calls = []
+        spectrum = calibration.mollow_spectrum
+
+        def counted(*args):
+            calls.append(args[0])
+            return spectrum(*args)
+
+        monkeypatch.setattr(calibration, "mollow_spectrum", counted)
+        cfg = default_config()
+        cli.run_mollow(cfg, tmp_path)
+        assert calls == cfg.sweeps.drive_ratios
+
     def test_custom_config_file(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump({"device": {"loss_L": 0.4}, "seed": 3}))
@@ -311,6 +351,17 @@ class TestExitCodes:
             "mollow: {points: 1}",
             "mollow: {gain_truth: 0.0}",
             "loss: {detector_gain: 0.0}",
+            "loss: {components: {a: 1.0}}",
+            "loss: {components: {a: -0.1}}",
+            "mollow: {span: .inf}",
+            "stark: {p_max: .inf}",
+            "mollow: {gain_truth: .inf}",
+            "loss: {detector_gain: .inf}",
+            "mollow: {noise_frac: .inf}",
+            "stark: {photons_per_unit: .inf}",
+            "stark: {noise_frac: .nan}",
+            "loss: {noise_frac: -0.01}",
+            "mollow: {display_offset: .nan}",
             "seed: 1.5",
             "qnd: {noise_var: x}",
             "output_dir: 5",

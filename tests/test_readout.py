@@ -6,7 +6,6 @@ from scipy.stats import norm
 
 from qndsim.readout import (
     GaussianMixture,
-    Histogram,
     assigned_fraction,
     assignment_fidelity,
     fit_double_gaussian,
@@ -95,7 +94,7 @@ class TestPreselect:
 class TestDoubleGaussianFit:
     def test_roundtrip_single_seed(self):
         shots = sample_shots(GaussianMixture(0.0, 6.0, 1.0, 0.5), 0.5, N, seed=31)
-        fit = fit_double_gaussian(histogram_shots(shots))
+        fit = fit_double_gaussian(*histogram_shots(shots))
         truth = {"mu_g": 0.0, "mu_e": 6.0, "sigma": 1.0, "w_e": 0.5}
         for key, val in truth.items():
             assert abs(getattr(fit.mixture, key) - val) <= 3 * fit.stderr[key]
@@ -105,7 +104,7 @@ class TestDoubleGaussianFit:
         bad = 0
         for seed in range(20):
             shots = sample_shots(truth, truth.w_e, N, seed=seed)
-            fit = fit_double_gaussian(histogram_shots(shots))
+            fit = fit_double_gaussian(*histogram_shots(shots))
             for key in ("mu_g", "mu_e", "sigma", "w_e"):
                 if abs(getattr(fit.mixture, key) - getattr(truth, key)) > 3 * fit.stderr[key]:
                     bad += 1
@@ -114,21 +113,21 @@ class TestDoubleGaussianFit:
 
     def test_single_component_data(self):
         shots = sample_shots(GaussianMixture(0.0, 6.0, 1.0, 0.0), 0.0, N, seed=32)
-        fit = fit_double_gaussian(histogram_shots(shots))
+        fit = fit_double_gaussian(*histogram_shots(shots))
         assert fit.mixture.w_e < 0.01
 
     def test_protocol_weight_recovered(self):
         # excited weight of the photon-detection histogram after readout errors
         w_e = 0.624
         shots = sample_shots(GaussianMixture(0.0, 6.0, 1.0, w_e), w_e, N, seed=33)
-        fit = fit_double_gaussian(histogram_shots(shots))
+        fit = fit_double_gaussian(*histogram_shots(shots))
         assert abs(fit.mixture.w_e - w_e) <= 3 * math.sqrt(w_e * (1 - w_e) / N)
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="bins"):
-            fit_double_gaussian(Histogram(np.linspace(0, 1, 10), np.full(10, 100.0)))
+            fit_double_gaussian(np.linspace(0, 1, 10), np.full(10, 100.0))
         with pytest.raises(ValueError, match="counts"):
-            fit_double_gaussian(Histogram(np.linspace(0, 1, 30), np.full(30, 1.0)))
+            fit_double_gaussian(np.linspace(0, 1, 30), np.full(30, 1.0))
 
 
 class TestOverlapError:
