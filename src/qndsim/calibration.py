@@ -12,10 +12,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig
 from scipy.optimize import least_squares
 
-from .core.dynamics import LindbladModel, liouvillian_matrix, steady_state
+from .core.dynamics import LindbladModel, steady_state
 from .core.correlations import psd, two_time_correlation
 from .core.operators import destroy, pauli
 from .device import DeviceParams, dispersive_shift
@@ -99,28 +98,22 @@ def mollow_spectrum(omega_ratio: float, gamma: float, grid: np.ndarray) -> np.nd
 def inelastic_spectrum_model(
     omega_mhz: float, gamma_mhz: float, grid: np.ndarray
 ) -> np.ndarray:
-    """Resolvent form of the inelastic spectrum, used as the fit model.
+    """Closed-form inelastic spectrum of the resonantly driven emitter, used
+    as the fit model (Mollow, Phys. Rev. 188, 1969 (1969)).
 
-    The Liouvillian eigendecomposition turns the correlator into a sum of
-    complex exponentials; the stationary mode carries exactly the elastic
-    line and is dropped. Independent of the time-domain route above.
+    2 Gamma Re Tr[sigma+ (iw - L)^-1 (sigma- rho_ss - <sigma-> rho_ss)] at
+    w = 2 pi f reduces, with y = Omega^2/Gamma^2, x = w^2/Gamma^2 and
+    s = 1 + 2y, to S = 8 y^2 (2 + y + 2x) / [s (1 + 4x) (4x^2 + (5 - 8y) x + s^2)].
+    Its poles are the non-zero Liouvillian eigenvalues, -Gamma/2 and
+    -3Gamma/4 +- sqrt(Gamma^2/16 - Omega^2), and it is regular at
+    Omega = Gamma/4. Independent of the time-domain route above.
     """
-    gamma_ang = TWO_PI * gamma_mhz
-    model = driven_atom_model(TWO_PI * omega_mhz, gamma_ang)
-    sup = liouvillian_matrix(model)
-    vals, vecs = eig(sup)
-    order = np.argsort(vals.real)[::-1]
-    vals, vecs = vals[order], vecs[:, order]
-    rho = vecs[:, 0].reshape(2, 2)
-    rho = rho / np.trace(rho)
-    sm = destroy(2)
-    seed = (sm @ rho).reshape(-1)
-    weight = np.conj(sm).reshape(-1)  # row-major vec of (sigma+)^T
-    coeffs = (weight @ vecs) * np.linalg.solve(vecs, seed)
-    u = 1j * TWO_PI * np.asarray(grid, dtype=float)
-    # drop the k=0 stationary (elastic) mode
-    terms = coeffs[1:, None] * (-1.0) / (vals[1:, None] - u[None, :])
-    return gamma_ang * 2.0 * np.sum(terms.real, axis=0)
+    y = (omega_mhz / gamma_mhz) ** 2
+    x = (np.asarray(grid, dtype=float) / gamma_mhz) ** 2
+    s = 1.0 + 2.0 * y
+    return 8.0 * y * y * (2.0 + y + 2.0 * x) / (
+        s * (1.0 + 4.0 * x) * (4.0 * x * x + (5.0 - 8.0 * y) * x + s * s)
+    )
 
 
 @dataclass
@@ -134,10 +127,13 @@ class MollowFit:
 def _fluorescence_fit(residuals, base, targets, gamma_init, omegas0):
     """least_squares over (gain, Gamma, Omega_1..n), started from the gain
     projecting the start-value model base onto the targets, with each rate
-    bounded to [0.2, 5] times its start value."""
+    bounded to [0.2, 5] times its start value and the gain to at least 1e-6
+    times its start value."""
     gain0 = float(base @ targets / (base @ base))
+    if not gain0 > 0:
+        raise FitError(f"fluorescence data project onto a non-positive gain ({gain0:.3e})")
     x0 = np.array([gain0, gamma_init, *omegas0])
-    lower = np.array([1e-6, 0.2 * gamma_init, *(0.2 * om for om in omegas0)])
+    lower = np.array([1e-6 * gain0, 0.2 * gamma_init, *(0.2 * om for om in omegas0)])
     upper = np.array([np.inf, 5.0 * gamma_init, *(5.0 * om for om in omegas0)])
     return least_squares(residuals, x0, bounds=(lower, upper), x_scale=np.abs(x0))
 

@@ -83,6 +83,11 @@ class SweepConfig:
 class SpectroscopyConfig:
     gamma_atom_mhz: float = DEFAULT_GAMMA_ATOM_MHZ
 
+    def __post_init__(self):
+        # device.phase_difference_spectrum takes a non-negative atomic linewidth
+        if not 0 <= self.gamma_atom_mhz < math.inf:
+            raise ConfigError("spectroscopy.gamma_atom_mhz must be non-negative and finite")
+
 
 @dataclass
 class ReadoutRunConfig:

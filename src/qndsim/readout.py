@@ -8,11 +8,11 @@ out of every figure of merit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.special import erfc
 
 from .errors import FitError
 
@@ -181,7 +181,7 @@ def overlap_error(mix: GaussianMixture) -> float:
     erfc(d / (2 sqrt(2) sigma)) / 2 with d the separation of the means.
     """
     d = mix.mu_e - mix.mu_g
-    return float(0.5 * erfc(d / (2 * np.sqrt(2) * mix.sigma)))
+    return 0.5 * math.erfc(d / (2 * math.sqrt(2) * mix.sigma))
 
 
 def assignment_fidelity(eps_ge: float, eps_eg: float) -> float:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from qndsim.calibration import (
     driven_atom_model,
@@ -18,8 +19,9 @@ from qndsim.calibration import (
     synthetic_stark_dataset,
     true_mollow_spectrum,
 )
-from qndsim.core import destroy, steady_state
+from qndsim.core import destroy, liouvillian_matrix, steady_state
 from qndsim.device import DeviceParams, dispersive_shift
+from qndsim.errors import FitError
 
 GAMMA_MHZ = 1.77
 GAMMA = 2 * math.pi * GAMMA_MHZ
@@ -91,10 +93,80 @@ class TestMollowSpectrum:
             mollow_spectrum(4.0, GAMMA_MHZ, np.linspace(-5.0, 5.0, 101))
 
     def test_routes_agree(self):
-        # time-domain regression + FFT vs eigendecomposition resolvent
+        # time-domain regression + FFT vs the closed-form resolvent
         grid, spec = true_mollow_spectrum(4.0, GAMMA_MHZ)
         resolvent = inelastic_spectrum_model(4.0 * GAMMA_MHZ, GAMMA_MHZ, grid)
         assert np.max(np.abs(resolvent - spec)) < 0.02 * spec.max()
+
+
+def _resolvent_terms(omega_mhz, gamma_mhz):
+    """Liouvillian, steady state, sigma+ weight and the elastic-free seed
+    sigma- rho_ss - <sigma-> rho_ss, all on row-major vec(rho)."""
+    model = driven_atom_model(2 * math.pi * omega_mhz, 2 * math.pi * gamma_mhz)
+    sup = liouvillian_matrix(model)
+    rho = steady_state(model)
+    sm = destroy(2)
+    seed = sm @ rho - np.trace(sm @ rho) * rho
+    return sup, rho.reshape(-1), np.conj(sm).reshape(-1), seed.reshape(-1)
+
+
+def _eig_resolvent(omega_mhz, gamma_mhz, grid):
+    """2 Gamma Re w (iw - L)^-1 q from the eigendecomposition of L."""
+    sup, _, weight, seed = _resolvent_terms(omega_mhz, gamma_mhz)
+    vals, vecs = np.linalg.eig(sup)
+    coeffs = (weight @ vecs) * np.linalg.solve(vecs, seed)
+    keep = np.abs(vals) > 1e-9 * np.abs(vals).max()  # stationary mode: no weight
+    u = 2j * math.pi * np.asarray(grid)
+    terms = coeffs[keep, None] / (u[None, :] - vals[keep, None])
+    return 4 * math.pi * gamma_mhz * np.sum(terms, axis=0).real
+
+
+def _solve_resolvent(omega_mhz, gamma_mhz, grid):
+    """The same by one batched solve of (iw - L + |rho_ss><vec 1|) z = q; the
+    rank-one term keeps w = 0 regular and is inert on the traceless seed."""
+    sup, rho, weight, seed = _resolvent_terms(omega_mhz, gamma_mhz)
+    u = 2j * math.pi * np.asarray(grid)
+    mats = u[:, None, None] * np.eye(4) - sup + np.outer(rho, np.eye(2).reshape(-1))
+    z = np.linalg.solve(mats, np.broadcast_to(seed, (u.size, 4))[..., None])[..., 0]
+    return 4 * math.pi * gamma_mhz * (z @ weight).real
+
+
+class TestInelasticSpectrumModel:
+    @pytest.mark.parametrize("ratio", [0.05, 0.25, 1.0, 2.0, 4.0, 8.0, 10.0])
+    def test_matches_reference_resolvent(self, ratio):
+        omega = ratio * GAMMA_MHZ
+        grid = np.linspace(-5.0 * omega - 5.0 * GAMMA_MHZ, 5.0 * omega + 5.0 * GAMMA_MHZ, 801)
+        model = inelastic_spectrum_model(omega, GAMMA_MHZ, grid)
+        references = [_solve_resolvent(omega, GAMMA_MHZ, grid)]
+        if ratio != 0.25:
+            # at the exceptional point Omega = Gamma/4 the eigenvectors
+            # coalesce and the eig route loses about 1e-9 of the peak
+            references.append(_eig_resolvent(omega, GAMMA_MHZ, grid))
+        for reference in references:
+            assert np.max(np.abs(model - reference)) <= 1e-12 * reference.max()
+
+    @pytest.mark.parametrize("ratio", [0.05, 0.25, 1.0, 4.0, 10.0])
+    def test_sum_rule(self, ratio):
+        # total inelastic flux 2 Gamma Omega^4 / (Gamma^2 + 2 Omega^2)^2
+        gamma, omega = GAMMA, ratio * GAMMA
+        integral, _ = quad(
+            lambda f: inelastic_spectrum_model(ratio * GAMMA_MHZ, GAMMA_MHZ, f),
+            -np.inf,
+            np.inf,
+            epsabs=0.0,
+            epsrel=1e-12,
+            limit=200,
+        )
+        expected = 2 * gamma * omega**4 / (gamma**2 + 2 * omega**2) ** 2
+        assert integral == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("ratio", [0.05, 0.25, 4.0])
+    def test_even_finite_and_positive(self, ratio):
+        grid = np.linspace(0.0, 30.0, 301)
+        values = inelastic_spectrum_model(ratio * GAMMA_MHZ, GAMMA_MHZ, grid)
+        mirrored = inelastic_spectrum_model(ratio * GAMMA_MHZ, GAMMA_MHZ, -grid)
+        assert np.array_equal(mirrored, values)
+        assert np.all(np.isfinite(values)) and np.all(values > 0)
 
 
 class TestSteadyPopulation:
@@ -146,6 +218,15 @@ class TestFitMollow:
             fit_mollow(RATIOS[:2], data[:2], GAMMA_MHZ)
         with pytest.raises(ValueError, match="one spectrum per drive ratio"):
             fit_mollow(RATIOS[:2], data, GAMMA_MHZ)
+
+    def test_non_positive_start_gain_rejected(self):
+        # all-zero data project onto gain 0, which no gain bound can contain
+        zeros = [(grid, np.zeros_like(values)) for grid, values in TRUE_SPECTRA]
+        with pytest.raises(FitError, match="non-positive gain"):
+            fit_mollow(RATIOS, zeros, GAMMA_MHZ)
+        grid, _ = TRUE_SPECTRA[0]
+        with pytest.raises(FitError, match="non-positive gain"):
+            fit_satellite_drive(grid, np.zeros_like(grid), GAMMA_MHZ, RATIOS[0] * GAMMA_MHZ)
 
     def test_noise_is_multiplicative_and_clipped(self):
         data = synthetic_mollow_dataset(TRUE_SPECTRA, 0.8, 0.01, seed=5)

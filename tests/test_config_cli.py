@@ -141,6 +141,7 @@ class TestConfig:
             ({"stark": {"noise_frac": math.nan}}, "stark.noise_frac"),
             ({"loss": {"noise_frac": -0.01}}, "loss.noise_frac"),
             ({"mollow": {"display_offset": math.nan}}, "mollow.display_offset"),
+            ({"spectroscopy": {"gamma_atom_mhz": math.nan}}, "spectroscopy.gamma_atom_mhz"),
         ],
     )
     def test_calibration_limits(self, data, match):
@@ -166,6 +167,7 @@ class TestConfig:
                     "detector_gain": 1e-3,
                     "noise_frac": 0.0,
                 },
+                "spectroscopy": {"gamma_atom_mhz": 0.0},
             }
         )
 
@@ -302,6 +304,24 @@ class TestRunners:
         cli.run_mollow(cfg, tmp_path)
         assert calls == cfg.sweeps.drive_ratios
 
+    def test_mollow_fit_small_gain(self, tmp_path):
+        # the fluorescence fit's gain bound scales with its start value
+        path = tmp_path / "run.yaml"
+        path.write_text("mollow: {gain_truth: 1.0e-7}\n")
+        assert cli.main(["mollow", "--config", str(path), "--out", str(tmp_path)]) == 0
+        headline = json.loads((tmp_path / "mollow_report.json").read_text())["headline"]
+        assert headline["gain_est"] == pytest.approx(1.0e-7, rel=0.02)
+
+    def test_loss_small_detector_gain(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("loss: {detector_gain: 1.0e-6}\n")
+        assert cli.main(["loss", "--config", str(path), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "loss_pipeline.csv").read_text().splitlines()[1:]
+        pipeline = {name: float(value) for name, value in (row.split(",") for row in rows)}
+        assert pipeline["g_d_true"] == 1.0e-6
+        assert pipeline["g_d_est"] == pytest.approx(1.0e-6, rel=0.02)
+        assert pipeline["g_s_est"] == pytest.approx(pipeline["g_s_true"], rel=0.02)
+
     def test_custom_config_file(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump({"device": {"loss_L": 0.4}, "seed": 3}))
@@ -362,6 +382,8 @@ class TestExitCodes:
             "stark: {noise_frac: .nan}",
             "loss: {noise_frac: -0.01}",
             "mollow: {display_offset: .nan}",
+            "spectroscopy: {gamma_atom_mhz: .inf}",
+            "spectroscopy: {gamma_atom_mhz: -1.0}",
             "seed: 1.5",
             "qnd: {noise_var: x}",
             "output_dir: 5",
