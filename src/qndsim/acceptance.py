@@ -116,7 +116,7 @@ def criterion_4(cfg: RunConfig) -> CriterionResult:
     peak = protocol.optimal_window(cfg.protocol, cfg.device, "fidelity")
     eff_peak = protocol.optimal_window(cfg.protocol, cfg.device, "efficiency")
     windows = cfg.sweeps.window_us.to_array()
-    darks = protocol.dark_count(windows, cfg.device)
+    darks = protocol.window_sweep(cfg.protocol, cfg.device, windows).p_e_given_0
     monotone = bool(np.all(np.diff(darks) >= 0))
     ratio = protocol.fidelity_metrics(cfg.protocol.with_window(0.1), cfg.device).ratio
     checks = [
@@ -280,7 +280,7 @@ def criterion_11(cfg: RunConfig) -> CriterionResult:
     n = cfg.readout.n_shots
     bad = 0
     for seed in range(20):
-        shots = readout.sample_shots(truth, truth.w_e, n, seed)
+        shots = readout.sample_shots(truth, n, seed)
         fit = readout.fit_double_gaussian(*readout.histogram_shots(shots, cfg.readout.n_bins))
         recovered = {
             "mu_g": truth.mu_g,
@@ -304,7 +304,7 @@ def criterion_11(cfg: RunConfig) -> CriterionResult:
         )
     )
     mix = readout.GaussianMixture(0.0, cfg.readout.snr, 1.0, cfg.device.p_thermal)
-    shots = readout.sample_shots(mix, cfg.device.p_thermal, n, 314159)
+    shots = readout.sample_shots(mix, n, 314159)
     discard = readout.preselect(shots, readout.preselect_threshold(mix))
     sigma_bin = math.sqrt(0.06 * 0.94 / n)
     checks.append(

@@ -124,11 +124,25 @@ class MollowFit:
     rss: float
 
 
-def _fluorescence_fit(residuals, base, targets, gamma_init, omegas0):
-    """least_squares over (gain, Gamma, Omega_1..n), started from the gain
-    projecting the start-value model base onto the targets, with each rate
-    bounded to [0.2, 5] times its start value and the gain to at least 1e-6
-    times its start value."""
+def _fluorescence_fit(spectra, gamma_init, omegas0):
+    """least_squares of gain * inelastic_spectrum_model over the (grid,
+    spectrum) pairs, with (gain, Gamma) shared and one Omega per spectrum.
+
+    The fit starts from the gain projecting the start-value model onto the
+    data, with each rate bounded to [0.2, 5] times its start value and the
+    gain to at least 1e-6 times its start value."""
+    grids = [grid for grid, _ in spectra]
+    targets = np.concatenate([values for _, values in spectra])
+
+    def model_stack(gamma, omegas):
+        return np.concatenate(
+            [inelastic_spectrum_model(om, gamma, g) for om, g in zip(omegas, grids)]
+        )
+
+    def residuals(p):
+        return p[0] * model_stack(p[1], p[2:]) - targets
+
+    base = model_stack(gamma_init, omegas0)
     gain0 = float(base @ targets / (base @ base))
     if not gain0 > 0:
         raise FitError(f"fluorescence data project onto a non-positive gain ({gain0:.3e})")
@@ -147,21 +161,7 @@ def fit_mollow(
         raise ValueError("need at least three spectra for the joint fit")
     if len(drive_ratios) != len(spectra):
         raise ValueError("one spectrum per drive ratio required")
-    grids = [grid for grid, _ in spectra]
-    targets = np.concatenate([values for _, values in spectra])
-    omegas0 = [r * gamma_init for r in drive_ratios]
-
-    def model_stack(gamma, omegas):
-        return np.concatenate(
-            [inelastic_spectrum_model(om, gamma, g) for om, g in zip(omegas, grids)]
-        )
-
-    def residuals(p):
-        gain, gamma = p[0], p[1]
-        return gain * model_stack(gamma, p[2:]) - targets
-
-    base = model_stack(gamma_init, omegas0)
-    result = _fluorescence_fit(residuals, base, targets, gamma_init, omegas0)
+    result = _fluorescence_fit(spectra, gamma_init, [r * gamma_init for r in drive_ratios])
     if not result.success:
         raise FitError(f"joint fluorescence fit failed (final cost {result.cost:.3e})")
     return MollowFit(
@@ -205,13 +205,7 @@ def fit_satellite_drive(
     is extracted the way spectroscopy does it: fitting the full inelastic
     lineshape with (gain, Gamma, Omega) free.
     """
-
-    def residuals(p):
-        gain, gamma, omega = p
-        return gain * inelastic_spectrum_model(omega, gamma, grid) - spectrum
-
-    base = inelastic_spectrum_model(omega_init, gamma_init, grid)
-    result = _fluorescence_fit(residuals, base, spectrum, gamma_init, [omega_init])
+    result = _fluorescence_fit([(grid, spectrum)], gamma_init, [omega_init])
     if not result.success:
         raise FitError("single-spectrum resonance fit failed")
     return float(result.x[2])
@@ -243,7 +237,7 @@ class StarkFit:
     intercept: float  # zero-power qubit frequency, MHz
     slope_err: float
 
-    def photons_at(self, p_in: float, chi: float) -> float:
+    def photons_at(self, p_in: float | np.ndarray, chi: float) -> float | np.ndarray:
         """Photon number inferred from the fitted shift: (nu_q - nu_q0)/(2 chi)."""
         return self.slope * p_in / (2.0 * chi)
 
@@ -305,6 +299,7 @@ def loss_budget(components: list[tuple[str, float]]) -> LossBudget:
 def loss_calibration_roundtrip(
     params: DeviceParams,
     drive_ratios: list[float],
+    spectra: list[tuple[np.ndarray, np.ndarray]],
     true_loss: float,
     detector_gain: float,
     noise_frac: float,
@@ -313,7 +308,8 @@ def loss_calibration_roundtrip(
     p_max: float = 4.0,
     n_stark_points: int = 9,
 ) -> dict[str, float]:
-    """End-to-end synthetic loss extraction.
+    """End-to-end synthetic loss extraction from the true (grid, spectrum)
+    pairs of the source, one per drive ratio.
 
     The source side is calibrated by the joint fluorescence fit (recovering
     G_s = (1-L) G_d); the detector side by the Stark photon-number meter
@@ -322,10 +318,8 @@ def loss_calibration_roundtrip(
     """
     g_d_true = detector_gain
     g_s_true = (1.0 - true_loss) * g_d_true
-    gamma = params.gamma_source
-    true = [true_mollow_spectrum(r, gamma) for r in drive_ratios]
-    dataset = synthetic_mollow_dataset(true, g_s_true, noise_frac, seed)
-    g_s_est = fit_mollow(drive_ratios, dataset, gamma).gain
+    dataset = synthetic_mollow_dataset(spectra, g_s_true, noise_frac, seed)
+    g_s_est = fit_mollow(drive_ratios, dataset, params.gamma_source).gain
 
     chi = dispersive_shift(params.alpha, params.g0, params.delta_qc)
     rng = np.random.default_rng(seed + 1)
@@ -341,7 +335,7 @@ def loss_calibration_roundtrip(
     fit = stark_fit(p_in, nu_q)
     p_in = p_in[1:]  # zero-power point carries no gain information
     n_p_true = photons_per_unit * p_in
-    n_p_est = np.array([fit.photons_at(p, chi) for p in p_in])
+    n_p_est = fit.photons_at(p_in, chi)
     measured = g_d_true * TWO_PI * params.kappa * n_p_true
     measured = measured * (1.0 + noise_frac * rng.standard_normal(measured.size))
     expected = TWO_PI * params.kappa * n_p_est

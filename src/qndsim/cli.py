@@ -59,11 +59,10 @@ def run_spectrum(cfg: RunConfig, out_dir: Path) -> RunReport:
     nus = cfg.sweeps.nu_mhz.to_array()
     r_g, r_e, dphi = phase_difference_spectrum(dev, nus, cfg.spectroscopy.gamma_atom_mhz)
     path = out_dir / "spectrum.csv"
-    columns = (nus, r_g.real, r_g.imag, r_e.real, r_e.imag, dphi)
     write_csv(
         path,
         ["nu_MHz", "re_rg", "im_rg", "re_re", "im_re", "delta_phi_rad"],
-        zip(*(c.tolist() for c in columns)),
+        [nus, r_g.real, r_g.imag, r_e.real, r_e.imag, dphi],
     )
     center = dphi[np.argmin(np.abs(nus - dev.nu_ef))]
     lo, hi = dressed_frequencies(dev, 1)
@@ -86,7 +85,7 @@ def run_theta_sweep(cfg: RunConfig, out_dir: Path) -> RunReport:
     thetas = cfg.sweeps.theta_rad.to_array()
     p_e = protocol.theta_sweep(cfg.protocol, cfg.device, thetas)
     path = out_dir / "theta_sweep.csv"
-    write_csv(path, ["theta_rad", "p_e"], zip(thetas.tolist(), p_e.tolist()))
+    write_csv(path, ["theta_rad", "p_e"], [thetas, p_e])
     probs = protocol.fidelity_metrics(cfg.protocol, cfg.device)
     headline = {
         "p_e_given_1": probs.p_e_given_1,
@@ -102,11 +101,10 @@ def run_window_sweep(cfg: RunConfig, out_dir: Path) -> RunReport:
     windows = cfg.sweeps.window_us.to_array()
     probs = protocol.window_sweep(cfg.protocol, cfg.device, windows)
     path = out_dir / "window_sweep.csv"
-    columns = (windows, probs.p_e_given_1, probs.p_e_given_0, probs.fidelity, probs.ratio)
     write_csv(
         path,
         ["Tw_us", "p_e1", "p_e0", "fidelity", "ratio"],
-        zip(*(c.tolist() for c in columns)),
+        [windows, probs.p_e_given_1, probs.p_e_given_0, probs.fidelity, probs.ratio],
     )
     headline = {
         "peak_efficiency_window_us": protocol.optimal_window(
@@ -129,40 +127,48 @@ def run_qnd(cfg: RunConfig, out_dir: Path) -> RunReport:
     on = moments.expected_moments(thetas, "on", cfg.qnd.scale)
     off = moments.expected_moments(thetas, "off", cfg.qnd.scale)
     path_exp = out_dir / "qnd_expected.csv"
-    columns = (thetas, on[0], off[0], on[1], off[1])
     write_csv(
         path_exp,
         ["theta_rad", "n_on", "n_off", "re_a_on", "re_a_off"],
-        zip(*(c.tolist() for c in columns)),
+        [thetas, on[0], off[0], on[1], off[1]],
     )
-    expected_dev = moments.qnd_check(on, off, cfg.qnd.gate, cfg.qnd.floor)
     base = _runner_seed(cfg.seed, "qnd")
     seeds = [
         int(s)
         for s in np.random.SeedSequence(base).generate_state(cfg.qnd.mc_seeds, np.uint64)
     ]
-    results = moments.qnd_monte_carlo(
+    deviations = moments.qnd_monte_carlo(
         thetas,
         seeds,
         cfg.qnd.scale,
         cfg.qnd.n_shots,
         cfg.qnd.noise_var,
-        cfg.qnd.gate,
         cfg.qnd.floor,
         cfg.qnd.coherence_offset,
     )
+    passed = deviations <= cfg.qnd.gate
     path_mc = out_dir / "qnd_mc.csv"
     write_csv(
         path_mc,
         ["seed_index", "max_power_deviation", "passed"],
-        [(i, r.max_deviation, r.passed) for i, r in enumerate(results)],
+        [range(len(seeds)), deviations, passed],
     )
     headline = {
-        "expected_max_deviation": expected_dev.max_deviation,
-        "mc_pass_count": sum(r.passed for r in results),
-        "mc_seeds": len(results),
+        "expected_max_deviation": moments.max_power_deviation(on, off, cfg.qnd.floor),
+        "mc_pass_count": int(passed.sum()),
+        "mc_seeds": len(seeds),
     }
     return _report(cfg, "qnd", out_dir, [path_exp, path_mc], headline)
+
+
+def _true_spectra(cfg: RunConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The source's true (grid, spectrum) pairs on the mollow grid, one per
+    drive ratio."""
+    mc = cfg.mollow
+    return [
+        calibration.true_mollow_spectrum(r, cfg.device.gamma_source, mc.span, mc.points)
+        for r in cfg.sweeps.drive_ratios
+    ]
 
 
 def run_mollow(cfg: RunConfig, out_dir: Path) -> RunReport:
@@ -170,21 +176,27 @@ def run_mollow(cfg: RunConfig, out_dir: Path) -> RunReport:
     mc = cfg.mollow
     gamma = cfg.device.gamma_source
     ratios = cfg.sweeps.drive_ratios
-    spectra = [calibration.true_mollow_spectrum(r, gamma, mc.span, mc.points) for r in ratios]
-    rows = []
+    spectra = _true_spectra(cfg)
     sideband_errs = {}
-    for k, (ratio, (grid, values)) in enumerate(zip(ratios, spectra)):
-        offset = k * mc.display_offset
-        rows.extend(
-            (ratio, float(nu), float(v), float(v + offset)) for nu, v in zip(grid, values)
-        )
+    for ratio, (grid, values) in zip(ratios, spectra):
         nominal = ratio * gamma
         fitted = calibration.fit_satellite_drive(grid, values, gamma, nominal)
         sideband_errs[f"sideband_rel_err_ratio_{ratio:g}"] = float(
             abs(fitted - nominal) / nominal
         )
     path = out_dir / "mollow_spectra.csv"
-    write_csv(path, ["drive_ratio", "delta_MHz", "psd", "psd_display"], rows)
+    write_csv(
+        path,
+        ["drive_ratio", "delta_MHz", "psd", "psd_display"],
+        [
+            np.repeat(ratios, mc.points),
+            np.concatenate([grid for grid, _ in spectra]),
+            np.concatenate([values for _, values in spectra]),
+            np.concatenate(
+                [values + k * mc.display_offset for k, (_, values) in enumerate(spectra)]
+            ),
+        ],
+    )
     dataset = calibration.synthetic_mollow_dataset(
         spectra, mc.gain_truth, mc.noise_frac, _runner_seed(cfg.seed, "mollow")
     )
@@ -194,12 +206,9 @@ def run_mollow(cfg: RunConfig, out_dir: Path) -> RunReport:
         path_fit,
         ["parameter", "estimate", "truth"],
         [
-            ("gain", fit.gain, mc.gain_truth),
-            ("gamma_MHz", fit.gamma, gamma),
-            *(
-                (f"omega_MHz_ratio_{r:g}", om, r * gamma)
-                for r, om in zip(ratios, fit.omegas)
-            ),
+            ["gain", "gamma_MHz", *(f"omega_MHz_ratio_{r:g}" for r in ratios)],
+            [fit.gain, fit.gamma, *fit.omegas],
+            [mc.gain_truth, gamma, *(r * gamma for r in ratios)],
         ],
     )
     headline = {
@@ -232,7 +241,7 @@ def run_stark(cfg: RunConfig, out_dir: Path) -> RunReport:
     write_csv(
         path,
         ["P_in", "nu_q_MHz", "n_p"],
-        [(p, nu, fit.photons_at(p, chi)) for p, nu in zip(p_in, nu_q)],
+        [p_in, nu_q, fit.photons_at(p_in, chi)],
     )
     headline = {
         "chi_MHz": chi,
@@ -258,43 +267,44 @@ def run_readout(cfg: RunConfig, out_dir: Path) -> RunReport:
         "photon_1": protocol.readout_composition(probs.p_e_given_1, dev.eps_ge, dev.eps_eg),
     }
     files = []
-    fit_rows = []
+    fits = {}
     assigned = {}
     for name, p_e in populations.items():
         seed = _runner_seed(cfg.seed, f"readout:{name}")
         gen = readout.GaussianMixture(mix.mu_g, mix.mu_e, mix.sigma, p_e)
-        shots = readout.sample_shots(gen, p_e, ro.n_shots, seed)
+        shots = readout.sample_shots(gen, ro.n_shots, seed)
         path_shots = out_dir / f"shots_{name}.csv"
-        write_csv(path_shots, ["index", "q"], enumerate(shots.tolist()))
+        write_csv(path_shots, ["index", "q"], [range(ro.n_shots), shots])
         hist = readout.histogram_shots(shots, ro.n_bins)
         path_hist = out_dir / f"hist_{name}.csv"
-        write_csv(path_hist, ["bin_center", "count"], zip(*hist))
+        write_csv(path_hist, ["bin_center", "count"], hist)
         files.extend([path_shots, path_hist])
-        fit = readout.fit_double_gaussian(*hist)
-        fit_rows.append(
-            (
-                name,
-                fit.mixture.mu_g,
-                fit.mixture.mu_e,
-                fit.mixture.sigma,
-                fit.mixture.w_e,
-                fit.rss,
-            )
-        )
+        fits[name] = readout.fit_double_gaussian(*hist)
         assigned[name] = readout.assigned_fraction(shots, thr)
+    mixtures = [fit.mixture for fit in fits.values()]
     path_fits = out_dir / "readout_fits.csv"
-    write_csv(path_fits, ["dataset", "mu_g", "mu_e", "sigma", "w_e", "rss"], fit_rows)
+    write_csv(
+        path_fits,
+        ["dataset", "mu_g", "mu_e", "sigma", "w_e", "rss"],
+        [
+            list(fits),
+            [m.mu_g for m in mixtures],
+            [m.mu_e for m in mixtures],
+            [m.sigma for m in mixtures],
+            [m.w_e for m in mixtures],
+            [fit.rss for fit in fits.values()],
+        ],
+    )
     files.append(path_fits)
 
     pre_mix = readout.GaussianMixture(mix.mu_g, mix.mu_e, mix.sigma, dev.p_thermal)
-    pre_shots = readout.sample_shots(
-        pre_mix, dev.p_thermal, ro.n_shots, _runner_seed(cfg.seed, "readout:preselect")
-    )
+    pre_seed = _runner_seed(cfg.seed, "readout:preselect")
+    pre_shots = readout.sample_shots(pre_mix, ro.n_shots, pre_seed)
     pre_thr = readout.preselect_threshold(mix, ro.preselect_sigmas)
     discard = readout.preselect(pre_shots, pre_thr)
     pre_hist = readout.histogram_shots(pre_shots, ro.n_bins)
     path_pre = out_dir / "hist_preselect.csv"
-    write_csv(path_pre, ["bin_center", "count"], zip(*pre_hist))
+    write_csv(path_pre, ["bin_center", "count"], pre_hist)
     files.append(path_pre)
 
     composed_f = probs.fidelity * readout.assignment_fidelity(dev.eps_ge, dev.eps_eg)
@@ -318,15 +328,15 @@ def run_loss(cfg: RunConfig, out_dir: Path) -> RunReport:
     """Itemized loss budget and the end-to-end loss extraction."""
     budget = calibration.loss_budget(cfg.loss.components)
     path_budget = out_dir / "loss_budget.csv"
-    cumulative = 0.0
-    rows = []
-    for name, frac in budget.components:
-        cumulative += frac
-        rows.append((name, frac, cumulative))
-    write_csv(path_budget, ["name", "fraction", "cumulative"], rows)
+    names = [name for name, _ in budget.components]
+    fractions = [frac for _, frac in budget.components]
+    write_csv(
+        path_budget, ["name", "fraction", "cumulative"], [names, fractions, np.cumsum(fractions)]
+    )
     pipeline = calibration.loss_calibration_roundtrip(
         cfg.device,
         cfg.sweeps.drive_ratios,
+        _true_spectra(cfg),
         cfg.device.loss_L,
         cfg.loss.detector_gain,
         cfg.loss.noise_frac,
@@ -336,7 +346,8 @@ def run_loss(cfg: RunConfig, out_dir: Path) -> RunReport:
         cfg.stark.n_points,
     )
     path_pipe = out_dir / "loss_pipeline.csv"
-    write_csv(path_pipe, ["quantity", "value"], sorted(pipeline.items()))
+    quantities = sorted(pipeline)
+    write_csv(path_pipe, ["quantity", "value"], [quantities, [pipeline[q] for q in quantities]])
     headline = {
         "total_additive": budget.total_additive,
         "total_multiplicative": budget.total_multiplicative,

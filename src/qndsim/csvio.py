@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import os
 import secrets
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 # 12 significant digits keep round-trips bit-stable for golden files.
 FLOAT_FORMAT = ".12g"
@@ -40,13 +42,6 @@ def write_text_atomic(path: Path, text: str) -> None:
         raise
 
 
-class _RowEnd:
-    """Type of the marker write_csv places after each row's cells."""
-
-
-_ROW_END = (_RowEnd(),)
-
-
 def _conversion(kinds: set[type]) -> str | None:
     """The one %-conversion that prints cells of all these types as
     format_value does, or None if there is none."""
@@ -57,34 +52,39 @@ def _conversion(kinds: set[type]) -> str | None:
     return specs.pop() if len(specs) == 1 else None
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Header plus one line per row, each cell as format_value prints it.
+def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """Header plus one line per row from one column per header name, each
+    cell as format_value prints it.
 
-    The rows go through one %-template per table, built from the cell types
-    seen in each column: %.12g for floats (numpy float64 included), %s for
-    ints and strings. A bool column, or a column whose types need different
-    conversions, makes the table format each cell with format_value instead:
-    under %s the floats below an int would print their repr digits, and
-    under %.12g an int of 1e12 or more would print as 1e+12.
+    ndarray columns go through tolist(), so numpy scalars print as Python's.
+    The table goes through one %-template, with the conversion picked from
+    the cell types of each column: %.12g for floats, %s for ints and strings.
+    A bool column, or a column whose types need different conversions, is
+    formatted cell by cell with format_value instead: under %s the floats
+    below an int would print their repr digits, and under %.12g an int of
+    1e12 or more would print as 1e+12.
 
-    Raises ValueError unless every row has one cell per header column.
+    Raises ValueError unless there is one column per header name and all
+    columns have the same length.
     """
-    width = len(header)
-    # One flat list: each row's cells, then a marker. No row outlives this
-    # line, so a large table leaves the garbage collector nothing to scan.
-    cells = list(chain.from_iterable(chain.from_iterable(zip(rows, repeat(_ROW_END)))))
-    n_rows = len(cells) // (width + 1)
-    ends = set(map(type, cells[width :: width + 1]))
-    del cells[width :: width + 1]
-    columns = [set(map(type, cells[j::width])) for j in range(width)]
-    if ends - {_RowEnd} or any(_RowEnd in kinds for kinds in columns):
-        raise ValueError(f"{path.name}: every row needs {width} cells, one per header column")
-    specs = [_conversion(kinds) for kinds in columns]
-    if None in specs:
-        cells = list(map(format_value, cells))
-        specs = ["%s"] * width
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    n_rows = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(len(c) != n_rows for c in columns):
+        raise ValueError(
+            f"{path.name}: needs {len(header)} columns of equal length, one per header name"
+        )
+    specs = []
+    for j, column in enumerate(columns):
+        spec = _conversion(set(map(type, column)))
+        if spec is None:
+            columns[j] = list(map(format_value, column))
+            spec = "%s"
+        specs.append(spec)
     line = ",".join(specs) + "\n"
-    write_text_atomic(path, ",".join(header) + "\n" + (line * n_rows) % tuple(cells))
+    # Rows exist only as zip's transient tuples, so a large table leaves the
+    # garbage collector nothing to scan.
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    write_text_atomic(path, ",".join(header) + "\n" + (line * n_rows) % cells)
 
 
 def write_json(path: Path, payload: dict) -> None:

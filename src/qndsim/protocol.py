@@ -78,21 +78,14 @@ def photon_envelope(t: float | np.ndarray, cfg: ProtocolConfig) -> float | np.nd
     return float(amp) if amp.ndim == 0 else amp
 
 
-def capture_fraction(
-    cfg: ProtocolConfig, window_us: float | np.ndarray | None = None
-) -> float | np.ndarray:
-    """Fraction of the photon envelope inside the detection window."""
-    tw = np.asarray(cfg.Tw if window_us is None else window_us, dtype=float)
-    early = tw < cfg.t0
-    if np.any(early):
-        warnings.warn("window ends before the photon emission; nothing captured")
+def capture_fraction(cfg: ProtocolConfig) -> float | np.ndarray:
+    """Fraction of the photon envelope inside the detection window, which
+    ProtocolConfig keeps past the emission delay t0."""
     rate = TWO_PI * cfg.gamma_photon
-    return np.where(early, 0.0, 1.0 - np.exp(-rate * (tw - cfg.t0)))[()]
+    return 1.0 - np.exp(-rate * (np.asarray(cfg.Tw, dtype=float) - cfg.t0))
 
 
-def ramsey_coherence(
-    Tw: float | np.ndarray, T2_star: float, law: str = "exponential"
-) -> float | np.ndarray:
+def ramsey_coherence(Tw: float | np.ndarray, T2_star: float, law: str) -> float | np.ndarray:
     """Remaining Ramsey fringe contrast after a free evolution of Tw."""
     Tw = np.asarray(Tw, dtype=float)
     if np.any(Tw < 0):
@@ -104,9 +97,7 @@ def ramsey_coherence(
     raise ValueError(f"unknown ramsey law {law!r}")
 
 
-def dark_count(
-    Tw: float | np.ndarray, params: DeviceParams, law: str = "exponential"
-) -> float | np.ndarray:
+def dark_count(Tw: float | np.ndarray, params: DeviceParams, law: str) -> float | np.ndarray:
     """Click probability without a photon: P(e|0) = (1 - C(Tw)) / 2."""
     return (1.0 - ramsey_coherence(Tw, params.T2_star, law)) / 2.0
 

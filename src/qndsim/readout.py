@@ -48,14 +48,12 @@ class DoubleGaussianFit:
     rss: float
 
 
-def sample_shots(mix: GaussianMixture, p_e: float, n: int, seed: int) -> np.ndarray:
-    """Draw n shots, each from the e component with probability p_e."""
+def sample_shots(mix: GaussianMixture, n: int, seed: int) -> np.ndarray:
+    """Draw n shots, each from the e component with probability mix.w_e."""
     if n < 1:
         raise ValueError("need at least one shot")
-    if not 0 <= p_e <= 1:
-        raise ValueError("p_e must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    excited = rng.random(n) < p_e
+    excited = rng.random(n) < mix.w_e
     means = np.where(excited, mix.mu_e, mix.mu_g)
     return means + mix.sigma * rng.standard_normal(n)
 

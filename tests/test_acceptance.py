@@ -10,8 +10,8 @@ error model) is reported ungated (see README, "Window-sweep optimum
 
 import pytest
 
-from qndsim import acceptance
-from qndsim.config import default_config
+from qndsim import acceptance, protocol
+from qndsim.config import default_config, from_dict
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +81,17 @@ def test_report_files_written(report):
     assert (out / "acceptance_report.json").exists()
     text = (out / "acceptance_report.txt").read_text()
     assert text.count("criterion") == 12
+
+
+def test_criterion_04_evaluates_the_configured_ramsey_law(monkeypatch):
+    # the dark-count monotonicity check reads P(e|0) under protocol.ramsey_law
+    laws = []
+    coherence = protocol.ramsey_coherence
+
+    def spy(Tw, T2_star, law):
+        laws.append(law)
+        return coherence(Tw, T2_star, law)
+
+    monkeypatch.setattr(protocol, "ramsey_coherence", spy)
+    acceptance.criterion_4(from_dict({"protocol": {"ramsey_law": "gaussian"}}))
+    assert laws and set(laws) == {"gaussian"}

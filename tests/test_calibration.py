@@ -314,6 +314,12 @@ class TestLoss:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_pipeline_roundtrip(self, seed):
         result = loss_calibration_roundtrip(
-            PARAMS, RATIOS, true_loss=0.25, detector_gain=1.6, noise_frac=0.01, seed=seed
+            PARAMS,
+            RATIOS,
+            TRUE_SPECTRA,
+            true_loss=0.25,
+            detector_gain=1.6,
+            noise_frac=0.01,
+            seed=seed,
         )
         assert abs(result["loss_est"] - 0.25) <= 0.02

@@ -304,6 +304,41 @@ class TestRunners:
         cli.run_mollow(cfg, tmp_path)
         assert calls == cfg.sweeps.drive_ratios
 
+    def test_qnd_mc_passed_column(self, tmp_path):
+        # the gate is applied to the array of deviations; the CSV spells the
+        # numpy bools true/false and the headline counts them
+        cfg = default_config()
+        cfg.qnd.gate = 0.005
+        report = cli.run_qnd(cfg, tmp_path)
+        rows = [row.split(",") for row in (tmp_path / "qnd_mc.csv").read_text().splitlines()[1:]]
+        assert [int(index) for index, _, _ in rows] == list(range(cfg.qnd.mc_seeds))
+        passed = [flag for _, _, flag in rows]
+        assert {"true", "false"} == set(passed)
+        assert passed == ["true" if float(dev) <= 0.005 else "false" for _, dev, _ in rows]
+        assert report.headline["mc_pass_count"] == passed.count("true")
+        assert report.headline["mc_seeds"] == cfg.qnd.mc_seeds
+
+    def test_loss_uses_the_mollow_grid(self, tmp_path, monkeypatch):
+        # the source side of the loss round trip is fitted on the grid of
+        # the mollow section, as the mollow runner's fit is
+        grids = []
+        fit_mollow = calibration.fit_mollow
+
+        def spy(ratios, spectra, gamma):
+            grids.extend(grid for grid, _ in spectra)
+            return fit_mollow(ratios, spectra, gamma)
+
+        monkeypatch.setattr(calibration, "fit_mollow", spy)
+        path = tmp_path / "run.yaml"
+        path.write_text("mollow: {span: 3.0, points: 401}\n")
+        assert cli.main(["loss", "--config", str(path), "--out", str(tmp_path)]) == 0
+        cfg = load_config(path)
+        gamma = cfg.device.gamma_source
+        assert len(grids) == len(cfg.sweeps.drive_ratios)
+        for ratio, grid in zip(cfg.sweeps.drive_ratios, grids):
+            half = 3.0 * ratio * gamma
+            np.testing.assert_array_equal(grid, np.linspace(-half, half, 401))
+
     def test_mollow_fit_small_gain(self, tmp_path):
         # the fluorescence fit's gain bound scales with its start value
         path = tmp_path / "run.yaml"

@@ -72,29 +72,31 @@ class TestCaptureFraction:
         assert capture_fraction(CFG) == pytest.approx(0.9226, abs=1e-4)
 
     def test_long_window_saturates(self):
-        assert capture_fraction(CFG, window_us=1e6) == pytest.approx(1.0)
+        assert capture_fraction(CFG.with_window(1e6)) == pytest.approx(1.0)
 
-    def test_zero_length_window(self):
-        assert capture_fraction(CFG, window_us=CFG.t0) == 0.0
-
-    def test_window_before_emission_warns(self):
-        with pytest.warns(UserWarning, match="nothing captured"):
-            assert capture_fraction(CFG, window_us=0.01) == 0.0
+    def test_window_must_extend_past_emission(self):
+        # the window comes only from the ProtocolConfig, which rejects a
+        # window that closes at or before the emission delay
+        for window in (CFG.t0, 0.01, np.array([0.01, 0.25])):
+            with pytest.raises(ValueError, match="emission delay"):
+                CFG.with_window(window)
 
     def test_array_of_windows(self):
-        windows = np.array([0.01, CFG.t0, 0.25])
-        with pytest.warns(UserWarning, match="nothing captured"):
-            values = capture_fraction(CFG, window_us=windows)
-        expected = [0.0, 0.0, 1 - math.exp(-RATE * 0.23)]
+        values = capture_fraction(CFG.with_window(np.array([CFG.t0 + 1e-3, 0.25])))
+        expected = [1 - math.exp(-RATE * 1e-3), 1 - math.exp(-RATE * 0.23)]
         np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0)
 
 
 class TestRamseyCoherence:
     def test_values(self):
-        assert ramsey_coherence(0.0, 1.8) == 1.0
-        assert ramsey_coherence(0.25, 1.8) == pytest.approx(math.exp(-0.25 / 1.8), rel=1e-12)
-        assert ramsey_coherence(0.25, 1.8) == pytest.approx(0.8703, abs=1e-4)
-        assert ramsey_coherence(1.8, 1.8) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert ramsey_coherence(0.0, 1.8, "exponential") == 1.0
+        assert ramsey_coherence(0.25, 1.8, "exponential") == pytest.approx(
+            math.exp(-0.25 / 1.8), rel=1e-12
+        )
+        assert ramsey_coherence(0.25, 1.8, "exponential") == pytest.approx(0.8703, abs=1e-4)
+        assert ramsey_coherence(1.8, 1.8, "exponential") == pytest.approx(
+            math.exp(-1.0), rel=1e-12
+        )
 
     def test_gaussian_law(self):
         assert ramsey_coherence(0.9, 1.8, "gaussian") == pytest.approx(
@@ -109,15 +111,15 @@ class TestRamseyCoherence:
 class TestDarkCount:
     def test_quarter_microsecond(self):
         expected = (1 - math.exp(-0.25 / 1.8)) / 2
-        assert dark_count(0.25, PARAMS) == pytest.approx(expected, rel=1e-12)
-        assert dark_count(0.25, PARAMS) == pytest.approx(0.0649, abs=1e-4)
+        assert dark_count(0.25, PARAMS, "exponential") == pytest.approx(expected, rel=1e-12)
+        assert dark_count(0.25, PARAMS, "exponential") == pytest.approx(0.0649, abs=1e-4)
 
     def test_limits(self):
-        assert dark_count(0.0, PARAMS) == 0.0
-        assert dark_count(10 * 1.8, PARAMS) == pytest.approx(0.49998, abs=1e-5)
+        assert dark_count(0.0, PARAMS, "exponential") == 0.0
+        assert dark_count(10 * 1.8, PARAMS, "exponential") == pytest.approx(0.49998, abs=1e-5)
 
     def test_monotone(self):
-        darks = dark_count(np.linspace(0.0, 3.0, 301), PARAMS)
+        darks = dark_count(np.linspace(0.0, 3.0, 301), PARAMS, "exponential")
         assert np.all(np.diff(darks) >= 0)
 
 
@@ -134,14 +136,14 @@ class TestDetectionEfficiency:
     def test_total_loss_reduces_to_dark_count(self):
         lossy = DeviceParams(loss_L=0.99999999)
         assert detection_efficiency(CFG, lossy) == pytest.approx(
-            dark_count(CFG.Tw, lossy), abs=1e-7
+            dark_count(CFG.Tw, lossy, CFG.ramsey_law), abs=1e-7
         )
 
     def test_ideal_detector_limit(self):
         ideal = DeviceParams(loss_L=0.0, T1=1e6, T2_star=1e6)
         cfg = ProtocolConfig(Tw=2.0)
         assert detection_efficiency(cfg, ideal) > 0.999
-        assert dark_count(cfg.Tw, ideal) < 1e-6
+        assert dark_count(cfg.Tw, ideal, cfg.ramsey_law) < 1e-6
 
 
 class TestFidelityMetrics:
@@ -164,7 +166,7 @@ class TestFidelityMetrics:
 class TestThetaSweep:
     def test_endpoints(self):
         p_e = theta_sweep(CFG, PARAMS, np.array([0.0, math.pi]))
-        assert p_e[0] == pytest.approx(dark_count(CFG.Tw, PARAMS), rel=1e-12)
+        assert p_e[0] == pytest.approx(dark_count(CFG.Tw, PARAMS, CFG.ramsey_law), rel=1e-12)
         assert p_e[1] == pytest.approx(detection_efficiency(CFG, PARAMS), rel=1e-12)
 
     def test_midpoint(self):

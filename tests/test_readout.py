@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,30 +24,30 @@ N = 12_500
 
 class TestSampling:
     def test_pure_ground_component(self):
-        shots = sample_shots(MIX, 0.0, 100_000, seed=7)
+        shots = sample_shots(replace(MIX, w_e=0.0), 100_000, seed=7)
         assert abs(shots.mean() - MIX.mu_g) < 4 * MIX.sigma / math.sqrt(100_000)
 
     def test_pure_excited_component(self):
-        shots = sample_shots(MIX, 1.0, 100_000, seed=8)
+        shots = sample_shots(replace(MIX, w_e=1.0), 100_000, seed=8)
         assert abs(shots.mean() - MIX.mu_e) < 4 * MIX.sigma / math.sqrt(100_000)
 
     def test_balanced_mixture_splits_at_midpoint(self):
-        shots = sample_shots(MIX, 0.5, N, seed=9)
+        shots = sample_shots(MIX, N, seed=9)
         frac = assigned_fraction(shots, midpoint_threshold(MIX))
         assert abs(frac - 0.5) <= 3 * math.sqrt(0.25 / N)
 
     def test_reproducible_bitwise(self):
-        a = sample_shots(MIX, 0.3, 5000, seed=42)
-        b = sample_shots(MIX, 0.3, 5000, seed=42)
+        a = sample_shots(replace(MIX, w_e=0.3), 5000, seed=42)
+        b = sample_shots(replace(MIX, w_e=0.3), 5000, seed=42)
         np.testing.assert_array_equal(a, b)
-        c = sample_shots(MIX, 0.3, 5000, seed=43)
+        c = sample_shots(replace(MIX, w_e=0.3), 5000, seed=43)
         assert not np.array_equal(a, c)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            sample_shots(MIX, 0.5, 0, seed=1)
+            sample_shots(MIX, 0, seed=1)
         with pytest.raises(ValueError):
-            sample_shots(MIX, 1.5, 10, seed=1)
+            sample_shots(replace(MIX, w_e=1.5), 10, seed=1)
 
 
 class TestAssignment:
@@ -55,15 +56,15 @@ class TestAssignment:
 
     def test_misassignment_at_device_snr(self):
         # sample the two components separately so the truth is known
-        g = sample_shots(GaussianMixture(0.0, 5.75, 1.0, 0.0), 0.0, N, seed=11)
-        e = sample_shots(GaussianMixture(0.0, 5.75, 1.0, 1.0), 1.0, N, seed=12)
+        g = sample_shots(GaussianMixture(0.0, 5.75, 1.0, 0.0), N, seed=11)
+        e = sample_shots(GaussianMixture(0.0, 5.75, 1.0, 1.0), N, seed=12)
         thr = midpoint_threshold(MIX)
         wrong = assigned_fraction(g, thr) + (1.0 - assigned_fraction(e, thr))
         misassignment = wrong / 2
         assert misassignment <= 0.002 + 3 * math.sqrt(0.002 / N)
 
     def test_monotone_in_threshold(self):
-        shots = sample_shots(MIX, 0.5, N, seed=13)
+        shots = sample_shots(MIX, N, seed=13)
         qs = np.linspace(-3.0, 9.0, 25)
         fracs = [assigned_fraction(shots, q) for q in qs]
         assert np.all(np.diff(fracs) <= 0)
@@ -72,19 +73,19 @@ class TestAssignment:
 class TestPreselect:
     def test_thermal_discard_fraction(self):
         mix = GaussianMixture(0.0, 5.75, 1.0, 0.06)
-        shots = sample_shots(mix, 0.06, N, seed=21)
+        shots = sample_shots(mix, N, seed=21)
         discard = preselect(shots, preselect_threshold(mix))
         assert abs(discard - 0.06) <= 3 * math.sqrt(0.06 * 0.94 / N)
 
     def test_ground_only_population(self):
         mix = GaussianMixture(0.0, 5.75, 1.0, 0.0)
-        shots = sample_shots(mix, 0.0, N, seed=22)
+        shots = sample_shots(mix, N, seed=22)
         discard = preselect(shots, preselect_threshold(mix))
         # only the 3-sigma tail of the ground Gaussian is lost
         assert discard <= 0.00135 + 3 * math.sqrt(0.00135 / N)
 
     def test_retained_all_ground_assigned(self):
-        shots = sample_shots(MIX, 0.5, 2000, seed=23)
+        shots = sample_shots(MIX, 2000, seed=23)
         thr = preselect_threshold(MIX)
         # the kept shots are exactly those at or below the threshold
         discard = preselect(shots, thr)
@@ -93,7 +94,7 @@ class TestPreselect:
 
 class TestDoubleGaussianFit:
     def test_roundtrip_single_seed(self):
-        shots = sample_shots(GaussianMixture(0.0, 6.0, 1.0, 0.5), 0.5, N, seed=31)
+        shots = sample_shots(GaussianMixture(0.0, 6.0, 1.0, 0.5), N, seed=31)
         fit = fit_double_gaussian(*histogram_shots(shots))
         truth = {"mu_g": 0.0, "mu_e": 6.0, "sigma": 1.0, "w_e": 0.5}
         for key, val in truth.items():
@@ -103,7 +104,7 @@ class TestDoubleGaussianFit:
         truth = GaussianMixture(0.0, 6.0, 1.0, 0.5)
         bad = 0
         for seed in range(20):
-            shots = sample_shots(truth, truth.w_e, N, seed=seed)
+            shots = sample_shots(truth, N, seed=seed)
             fit = fit_double_gaussian(*histogram_shots(shots))
             for key in ("mu_g", "mu_e", "sigma", "w_e"):
                 if abs(getattr(fit.mixture, key) - getattr(truth, key)) > 3 * fit.stderr[key]:
@@ -112,14 +113,14 @@ class TestDoubleGaussianFit:
         assert bad <= 1  # one 3-sigma outlier in 20 draws is expected coverage
 
     def test_single_component_data(self):
-        shots = sample_shots(GaussianMixture(0.0, 6.0, 1.0, 0.0), 0.0, N, seed=32)
+        shots = sample_shots(GaussianMixture(0.0, 6.0, 1.0, 0.0), N, seed=32)
         fit = fit_double_gaussian(*histogram_shots(shots))
         assert fit.mixture.w_e < 0.01
 
     def test_protocol_weight_recovered(self):
         # excited weight of the photon-detection histogram after readout errors
         w_e = 0.624
-        shots = sample_shots(GaussianMixture(0.0, 6.0, 1.0, w_e), w_e, N, seed=33)
+        shots = sample_shots(GaussianMixture(0.0, 6.0, 1.0, w_e), N, seed=33)
         fit = fit_double_gaussian(*histogram_shots(shots))
         assert abs(fit.mixture.w_e - w_e) <= 3 * math.sqrt(w_e * (1 - w_e) / N)
 
