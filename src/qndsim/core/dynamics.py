@@ -95,7 +95,9 @@ def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # einsum, not @: the matmul path wakes BLAS worker threads
+    # einsum, not @: the matmul path wakes BLAS worker threads. Importing
+    # qndsim first pins OpenBLAS to one thread, but not for a caller that
+    # loaded numpy before qndsim, so the products stay off BLAS
     return np.einsum("ij,jk->ik", a, b)
 
 
@@ -153,6 +155,9 @@ def _evolve_matrix(model: LindbladModel, m0: np.ndarray, times: np.ndarray) -> n
     Omega = Gamma/4). It replaces scipy.linalg.expm, whose LAPACK solve wakes
     OpenBLAS worker threads that keep spinning after it returns; the Pade
     uses einsum products and np.linalg.solve, which stay on one core.
+    The package's one-thread OpenBLAS default (qndsim/__init__.py) acts only
+    when qndsim loads numpy; einsum keeps callers that imported numpy first
+    off the BLAS threads too.
     """
     times = np.asarray(times, dtype=float)
     _validate_axis(times)

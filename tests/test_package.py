@@ -1,6 +1,61 @@
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import qndsim
+
+SRC = str(Path(qndsim.__file__).resolve().parents[1])
+
+# Imports qndsim.cli in a fresh interpreter and prints its thread count and
+# whether the import changed os.environ.
+PROBE = """
+import json, os
+{prelude}
+before = dict(os.environ)
+import qndsim.cli
+status = open("/proc/self/status").read().splitlines()
+threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+print(json.dumps({{"threads": threads, "environ_unchanged": dict(os.environ) == before,
+                   "openblas": os.environ.get("OPENBLAS_NUM_THREADS")}}))
+"""
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                                reason="thread count is read from /proc/self/status")
+
+
+# (extra environment, code run before importing qndsim) of each probe
+CASES = {
+    "default": ({}, ""),
+    "preset_two": ({"OPENBLAS_NUM_THREADS": "2"}, ""),
+    "numpy_first": ({}, "import numpy"),
+    "scipy_first": ({}, "import numpy, scipy.linalg"),
+}
+
+
+@pytest.fixture(scope="module")
+def probes():
+    """Every probe's result; the interpreters run side by side."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    procs = {name: subprocess.Popen([sys.executable, "-c", PROBE.format(prelude=prelude)],
+                                    env={**env, **extra}, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, text=True)
+             for name, (extra, prelude) in CASES.items()}
+    results = {}
+    try:
+        for name, proc in procs.items():
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            results[name] = json.loads(out.splitlines()[-1])
+    finally:
+        for proc in procs.values():
+            proc.kill()
+    return results
 
 
 @pytest.mark.parametrize("module", ["qndsim", "qndsim.core"])
@@ -9,3 +64,30 @@ def test_public_names_resolve(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+@needs_proc
+def test_import_pins_one_blas_thread_and_restores_environ(probes):
+    result = probes["default"]
+    assert result["threads"] == 1
+    assert result["openblas"] is None
+    assert result["environ_unchanged"]
+
+
+@needs_proc
+def test_user_blas_thread_count_wins(probes):
+    result = probes["preset_two"]
+    assert result["openblas"] == "2"
+    assert result["environ_unchanged"]
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert result["threads"] > 1
+
+
+@needs_proc
+def test_numpy_imported_first_leaves_environ_untouched(probes):
+    result = probes["numpy_first"]
+    assert result["openblas"] is None
+    assert result["environ_unchanged"]
+    # scipy's OpenBLAS, loaded by qndsim here, starts as many threads as
+    # when it is loaded before qndsim
+    assert result["threads"] == probes["scipy_first"]["threads"]
