@@ -6,10 +6,10 @@ import sys as _sys
 
 # Every matrix qndsim hands to BLAS or LAPACK is tiny (4x4 Liouvillians,
 # fit Jacobians, 8192x3 at most), so OpenBLAS worker threads never help and
-# their start-up spin costs CPU. The first submodule import loads numpy's and
-# scipy's OpenBLAS, which read OPENBLAS_NUM_THREADS once, as they load. Pin it
-# to 1 for that import only, unless numpy is already loaded (too late to act)
-# or the caller set it.
+# their start-up spin costs CPU. The first submodule import loads numpy's
+# OpenBLAS, which reads OPENBLAS_NUM_THREADS once, as it loads. Pin it to 1
+# for that import only, unless numpy is already loaded (too late to act) or
+# the caller set it.
 _pin_blas = "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ
 if _pin_blas:
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -12,13 +12,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core.dynamics import LindbladModel, steady_state
 from .core.correlations import psd, two_time_correlation
 from .core.operators import destroy, pauli
 from .device import DeviceParams, dispersive_shift
 from .errors import FitError
+from .fitting import _lsq
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,6 +116,20 @@ def inelastic_spectrum_model(
     )
 
 
+def _inelastic_spectrum_derivs(omega_mhz, gamma_mhz, grid):
+    """(S, dS/dOmega, dS/dGamma) of inelastic_spectrum_model, from the
+    log-derivatives y dlnS/dy and x dlnS/dx of its closed form."""
+    y = (omega_mhz / gamma_mhz) ** 2
+    x = (np.asarray(grid, dtype=float) / gamma_mhz) ** 2
+    s = 1.0 + 2.0 * y
+    p = 2.0 + y + 2.0 * x
+    q = 4.0 * x * x + (5.0 - 8.0 * y) * x + s * s
+    spec = 8.0 * y * y * p / (s * (1.0 + 4.0 * x) * q)
+    ly = 2.0 + y / p - 2.0 * y / s - y * (4.0 * s - 8.0 * x) / q
+    lx = 2.0 * x / p - 4.0 * x / (1.0 + 4.0 * x) - x * (8.0 * x + 5.0 - 8.0 * y) / q
+    return spec, 2.0 * ly * spec / omega_mhz, -2.0 * (ly + lx) * spec / gamma_mhz
+
+
 @dataclass
 class MollowFit:
     gain: float
@@ -125,7 +139,7 @@ class MollowFit:
 
 
 def _fluorescence_fit(spectra, gamma_init, omegas0):
-    """least_squares of gain * inelastic_spectrum_model over the (grid,
+    """Least squares of gain * inelastic_spectrum_model over the (grid,
     spectrum) pairs, with (gain, Gamma) shared and one Omega per spectrum.
 
     The fit starts from the gain projecting the start-value model onto the
@@ -142,6 +156,18 @@ def _fluorescence_fit(spectra, gamma_init, omegas0):
     def residuals(p):
         return p[0] * model_stack(p[1], p[2:]) - targets
 
+    def jac(p):
+        out = np.zeros((targets.size, p.size))
+        start = 0
+        for k, (om, grid) in enumerate(zip(p[2:], grids)):
+            block = slice(start, start + grid.size)
+            spec, d_omega, d_gamma = _inelastic_spectrum_derivs(om, p[1], grid)
+            out[block, 0] = spec
+            out[block, 1] = p[0] * d_gamma
+            out[block, 2 + k] = p[0] * d_omega
+            start += grid.size
+        return out
+
     base = model_stack(gamma_init, omegas0)
     gain0 = float(base @ targets / (base @ base))
     if not gain0 > 0:
@@ -149,7 +175,7 @@ def _fluorescence_fit(spectra, gamma_init, omegas0):
     x0 = np.array([gain0, gamma_init, *omegas0])
     lower = np.array([1e-6 * gain0, 0.2 * gamma_init, *(0.2 * om for om in omegas0)])
     upper = np.array([np.inf, 5.0 * gamma_init, *(5.0 * om for om in omegas0)])
-    return least_squares(residuals, x0, bounds=(lower, upper), x_scale=np.abs(x0))
+    return _lsq(residuals, x0, jac, bounds=(lower, upper), x_scale=np.abs(x0))
 
 
 def fit_mollow(
@@ -224,7 +250,16 @@ def fit_lorentzian(axis: np.ndarray, values: np.ndarray) -> tuple[float, float, 
         center, fwhm, height = p
         return height * (fwhm / 2) ** 2 / ((axis - center) ** 2 + (fwhm / 2) ** 2) - values
 
-    result = least_squares(residuals, [axis[i0], fwhm0, height0])
+    def jac(p):
+        center, fwhm, height = p
+        offset = axis - center
+        den = offset**2 + (fwhm / 2) ** 2
+        shape = (fwhm / 2) ** 2 / den
+        return np.column_stack(
+            [2 * height * shape * offset / den, height * (fwhm / 2) * offset**2 / den**2, shape]
+        )
+
+    result = _lsq(residuals, np.array([axis[i0], fwhm0, height0]), jac)
     if not result.success:
         raise FitError("Lorentzian fit failed")
     center, fwhm, height = result.x

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitError
+from .fitting import _lsq
 
 DEFAULT_SNR = 5.75  # (mu_e - mu_g) / sigma placing the overlap error at 0.2%
 DEFAULT_BINS = 101
@@ -99,6 +99,21 @@ def _mixture_counts(q, total, bin_width, mu_g, mu_e, sigma, w_e):
     return norm * ((1 - w_e) * g + w_e * e)
 
 
+def _mixture_jac(q, total, bin_width, mu_g, mu_e, sigma, w_e):
+    """Derivatives of _mixture_counts in (mu_g, mu_e, sigma, w_e), one
+    column each, for sigma > 0."""
+    norm = total * bin_width / (sigma * np.sqrt(2 * np.pi))
+    zg = (q - mu_g) / sigma
+    ze = (q - mu_e) / sigma
+    g = norm * np.exp(-(zg**2) / 2)
+    e = norm * np.exp(-(ze**2) / 2)
+    gw = (1 - w_e) * g
+    ew = w_e * e
+    return np.column_stack(
+        [gw * zg / sigma, ew * ze / sigma, (gw * (zg**2 - 1) + ew * (ze**2 - 1)) / sigma, e - g]
+    )
+
+
 def _initial_guess(q: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Peak-seeking start values (mu_g, mu_e, sigma, w_e).
 
@@ -151,10 +166,13 @@ def fit_double_gaussian(q: np.ndarray, counts: np.ndarray) -> DoubleGaussianFit:
         mu_g, mu_e, sigma, w_e = p
         return (_mixture_counts(q, total, width, mu_g, mu_e, abs(sigma), w_e) - counts) / noise
 
+    def jac(p):
+        return _mixture_jac(q, total, width, *p) / noise[:, None]
+
     x0 = _initial_guess(q, counts)
     lower = [q[0] - std, q[0] - std, 1e-6 * std, 0.0]
     upper = [q[-1] + std, q[-1] + std, 2 * std + 1e-9, 1.0]
-    result = least_squares(residuals, x0, bounds=(lower, upper), max_nfev=2000)
+    result = _lsq(residuals, x0, jac, bounds=(lower, upper), max_nfev=2000)
     if not result.success:
         raise FitError(f"double-Gaussian fit failed (final cost {result.cost:.3e})")
     mu_g, mu_e, sigma, w_e = result.x
