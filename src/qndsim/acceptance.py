@@ -303,9 +303,11 @@ def criterion_11(cfg: RunConfig) -> CriterionResult:
             f"overlap error at d/sigma = 5.75: {overlap:.5f} = 0.002 +- 10%",
         )
     )
+    # the 6% bound holds for a fixed 3-sigma cut, whatever readout.preselect_sigmas
+    # sets for the readout runner
     mix = readout.GaussianMixture(0.0, cfg.readout.snr, 1.0, cfg.device.p_thermal)
     shots = readout.sample_shots(mix, n, 314159)
-    discard = readout.preselect(shots, readout.preselect_threshold(mix))
+    discard = readout.preselect(shots, readout.preselect_threshold(mix, 3.0))
     sigma_bin = math.sqrt(0.06 * 0.94 / n)
     checks.append(
         (

@@ -33,7 +33,6 @@ RESOLUTION_CAP = 40.0
 
 @dataclass
 class LossBudget:
-    components: list[tuple[str, float]]
     total_additive: float
     total_multiplicative: float
 
@@ -199,10 +198,10 @@ def fit_mollow(
 
 
 def true_mollow_spectrum(
-    ratio: float, gamma: float, span: float = 2.5, points: int = 801
+    ratio: float, gamma: float, span: float, points: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(grid, spectrum): the inelastic spectrum on the standard symmetric
-    grid of +-span*Omega."""
+    """(grid, spectrum): the inelastic spectrum on the symmetric grid of
+    points detunings over +-span*Omega."""
     half = span * ratio * gamma
     grid = np.linspace(-half, half, points)
     return grid, mollow_spectrum(ratio, gamma, grid)
@@ -319,16 +318,16 @@ def extract_loss(g_s: float, g_d: float) -> float:
     return 1.0 - g_s / g_d
 
 
-def loss_budget(components: list[tuple[str, float]]) -> LossBudget:
-    """Additive and multiplicative totals of the itemized losses."""
-    for name, frac in components:
+def loss_budget(components: dict[str, float]) -> LossBudget:
+    """Additive and multiplicative totals of the itemized losses, by name."""
+    for name, frac in components.items():
         if not 0 <= frac < 1:
             raise ValueError(f"loss fraction for {name!r} must lie in [0, 1)")
-    additive = float(sum(f for _, f in components))
+    additive = float(sum(components.values()))
     transmitted = 1.0
-    for _, f in components:
+    for f in components.values():
         transmitted *= 1.0 - f
-    return LossBudget(list(components), additive, 1.0 - transmitted)
+    return LossBudget(additive, 1.0 - transmitted)
 
 
 def loss_calibration_roundtrip(
@@ -339,9 +338,9 @@ def loss_calibration_roundtrip(
     detector_gain: float,
     noise_frac: float,
     seed: int,
-    photons_per_unit: float = 1.0,
-    p_max: float = 4.0,
-    n_stark_points: int = 9,
+    photons_per_unit: float,
+    p_max: float,
+    n_stark_points: int,
 ) -> dict[str, float]:
     """End-to-end synthetic loss extraction from the true (grid, spectrum)
     pairs of the source, one per drive ratio.

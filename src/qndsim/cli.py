@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -326,12 +326,14 @@ def run_readout(cfg: RunConfig, out_dir: Path) -> RunReport:
 
 def run_loss(cfg: RunConfig, out_dir: Path) -> RunReport:
     """Itemized loss budget and the end-to-end loss extraction."""
-    budget = calibration.loss_budget(cfg.loss.components)
+    components = cfg.loss.components
+    budget = calibration.loss_budget(components)
     path_budget = out_dir / "loss_budget.csv"
-    names = [name for name, _ in budget.components]
-    fractions = [frac for _, frac in budget.components]
+    fractions = list(components.values())
     write_csv(
-        path_budget, ["name", "fraction", "cumulative"], [names, fractions, np.cumsum(fractions)]
+        path_budget,
+        ["name", "fraction", "cumulative"],
+        [list(components), fractions, np.cumsum(fractions)],
     )
     pipeline = calibration.loss_calibration_roundtrip(
         cfg.device,
@@ -393,9 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config) if args.config else default_config()
         if args.seed is not None:
-            cfg.seed = args.seed
-            if not 0 <= cfg.seed < 2**64:
-                raise ConfigError("seed must fit an unsigned 64-bit integer")
+            cfg = replace(cfg, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -11,13 +11,12 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .device import DEFAULT_GAMMA_ATOM_MHZ, DeviceParams
+from .device import DeviceParams
 from .protocol import ProtocolConfig
 
 CONFIG_VERSION = 1
@@ -81,7 +80,10 @@ class SweepConfig:
 
 @dataclass
 class SpectroscopyConfig:
-    gamma_atom_mhz: float = DEFAULT_GAMMA_ATOM_MHZ
+    # Finite e-f linewidth regularizing the dressed-resonance phase; the
+    # measured value is not known, and delta-phi targets move by < 1e-3 rad
+    # for anything below kappa/50.
+    gamma_atom_mhz: float = 0.1
 
     def __post_init__(self):
         # device.phase_difference_spectrum takes a non-negative atomic linewidth
@@ -92,9 +94,9 @@ class SpectroscopyConfig:
 @dataclass
 class ReadoutRunConfig:
     n_shots: int = 12_500
-    snr: float = 5.75
+    snr: float = 5.75  # (mu_e - mu_g) / sigma placing the overlap error at 0.2%
     n_bins: int = 101
-    preselect_sigmas: float = 3.0
+    preselect_sigmas: float = 3.0  # conservative ground-state heralding threshold
 
     def __post_init__(self):
         # preconditions of readout.fit_double_gaussian, checked at load time
@@ -112,13 +114,18 @@ class ReadoutRunConfig:
 @dataclass
 class QndRunConfig:
     n_shots: int = 12_500
+    # Per-quadrature variance of the additive measurement noise, referenced
+    # to the photon mode. The value is calibrated so that a 12,500-shot
+    # moment estimate carries ~0.5% standard error at one photon: the 2%
+    # ON/OFF power gate compared across a 9-point angle grid needs per-point
+    # noise well below half the gate to pass in 95% of runs.
     noise_var: float = 0.016
     n_theta: int = 9
-    scale: float = 1.0
+    scale: float = 1.0  # line transmission
     mc_seeds: int = 100
     gate: float = 0.02
-    floor: float = 0.25
-    coherence_offset: float = 0.0
+    floor: float = 0.25  # photons; keeps the relative deviation finite near vacuum
+    coherence_offset: float = 0.0  # spurious ON-state amplitude, off by default
 
     def __post_init__(self):
         if self.mc_seeds < 1:
@@ -187,20 +194,21 @@ class StarkRunConfig:
 
 @dataclass
 class LossRunConfig:
-    components: list[tuple[str, float]] = field(
-        default_factory=lambda: [
-            ("circulator", 0.08),
-            ("switch", 0.05),
-            ("connectors", 0.05),
-            ("cables", 0.02),
-        ]
+    # fractions by name, in the order the budget lists them
+    components: dict[str, float] = field(
+        default_factory=lambda: {
+            "circulator": 0.08,
+            "switch": 0.05,
+            "connectors": 0.05,
+            "cables": 0.02,
+        }
     )
     detector_gain: float = 1.6
     noise_frac: float = 0.01
 
     def __post_init__(self):
         # calibration.loss_budget takes each fraction in [0, 1)
-        for name, frac in self.components:
+        for name, frac in self.components.items():
             if not 0 <= frac < 1:
                 raise ConfigError(f"loss.components.{name} must lie in [0, 1)")
         if not 0 < self.detector_gain < math.inf:
@@ -235,6 +243,10 @@ class RunConfig:
     config_version: int = CONFIG_VERSION
 
     def __post_init__(self):
+        if self.config_version != CONFIG_VERSION:
+            raise ConfigError(
+                f"config_version must be {CONFIG_VERSION}, got {self.config_version!r}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit an unsigned 64-bit integer")
         # ProtocolConfig rejects a window that ends at or before the emission delay
@@ -261,6 +273,8 @@ _NESTED = {
         ReferenceValues,
     )
 }
+# YAML's true and false load as Python bools, which are also Integral; no
+# config value is a bool, so each check below rejects them.
 _SCALARS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
@@ -269,7 +283,7 @@ def _key(path: str, name) -> str:
 
 
 def _number(value, path: str) -> float:
-    if not isinstance(value, numbers.Real):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"'{path}' must be a number, got {value!r}")
     return float(value)
 
@@ -282,12 +296,14 @@ def _field_value(kind: str, value, path: str):
         if not isinstance(value, list):
             raise ConfigError(f"'{path}' must be a list of numbers")
         return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    if kind == "list[tuple[str, float]]":
+    if kind == "dict[str, float]":
         if not isinstance(value, dict):
             raise ConfigError(f"'{path}' must be a mapping of name to number")
-        return [(str(k), _number(v, _key(path, k))) for k, v in value.items()]
+        return {str(k): _number(v, _key(path, k)) for k, v in value.items()}
     base, _, optional = kind.partition(" | ")
-    if not isinstance(value, _SCALARS[base]) and not (value is None and optional):
+    if isinstance(value, bool) or (
+        not isinstance(value, _SCALARS[base]) and not (value is None and optional)
+    ):
         raise ConfigError(f"'{path}' must be of type {base}, got {value!r}")
     return value
 
@@ -311,12 +327,6 @@ def from_dict(data: dict) -> RunConfig:
     return _build(RunConfig, data)
 
 
-def to_dict(cfg: RunConfig) -> dict:
-    data = asdict(cfg)
-    data["loss"]["components"] = {k: v for k, v in cfg.loss.components}
-    return data
-
-
 def load_config(path: str | Path) -> RunConfig:
     """Parse a YAML run configuration; raises ConfigError with key context."""
     try:
@@ -337,12 +347,9 @@ def default_config() -> RunConfig:
     return RunConfig()
 
 
-def default_config_path():
-    """Path of the shipped default-parameter fixture."""
-    return resources.files("qndsim").joinpath("data/device_defaults.yaml")
-
-
 def config_digest(cfg: RunConfig) -> str:
-    """Stable content hash of the resolved configuration."""
-    canonical = json.dumps(to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    """Stable content hash of the resolved configuration: its fields in
+    declaration order, and loss.components in config order, which sets the
+    order of the loss budget and of its sum."""
+    canonical = json.dumps(asdict(cfg), separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

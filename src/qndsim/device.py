@@ -14,11 +14,6 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Finite e-f linewidth regularizing the dressed-resonance phase; the
-# measured value is not known, and delta-phi targets move by < 1e-3 rad
-# for anything below kappa/50.
-DEFAULT_GAMMA_ATOM_MHZ = 0.1
-
 # A config spelling out nu_ef in decimal can miss the binary sum
 # nu_ge + alpha by an ulp; anything further off is a contradiction.
 NU_EF_RTOL = 1e-12
@@ -86,7 +81,7 @@ def reflection_coefficient(
     params: DeviceParams,
     nu: float | np.ndarray,
     qubit_state: str,
-    gamma_atom: float = DEFAULT_GAMMA_ATOM_MHZ,
+    gamma_atom: float,
 ) -> complex | np.ndarray:
     """Single-port reflection r(nu) = 1 - kappa*D_a / (D_c*D_a + g_eff^2).
 
@@ -123,7 +118,7 @@ def wrap_phase(phi: float | np.ndarray) -> float | np.ndarray:
 def phase_difference_spectrum(
     params: DeviceParams,
     grid: np.ndarray,
-    gamma_atom: float = DEFAULT_GAMMA_ATOM_MHZ,
+    gamma_atom: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reflection coefficients r_g, r_e and the conditional-phase contrast
     delta_phi = |arg r_g - arg r_e| across a frequency grid.

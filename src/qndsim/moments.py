@@ -22,18 +22,9 @@ import numpy as np
 
 MODES = ("on", "off")
 
-# Per-quadrature variance of the additive measurement noise, referenced to
-# the photon mode. The value is calibrated so that a 12,500-shot moment
-# estimate carries ~0.5% standard error at one photon: the 2% ON/OFF power
-# gate compared across a 9-point angle grid needs per-point noise well
-# below half the gate to pass in 95% of runs.
-DEFAULT_NOISE_VAR = 0.016
-DEFAULT_SHOTS = 12_500
-POWER_FLOOR = 0.25  # photons; keeps the relative deviation finite near vacuum
-
 
 def expected_moments(
-    theta: float | np.ndarray, mode: str, scale: float = 1.0
+    theta: float | np.ndarray, mode: str, scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ideal detector response (n_avg, re_a) at preparation angles theta.
 
@@ -56,9 +47,10 @@ def expected_moments(
 def max_power_deviation(
     on: tuple[np.ndarray, np.ndarray],
     off: tuple[np.ndarray, np.ndarray],
-    floor: float = POWER_FLOOR,
+    floor: float,
 ) -> float:
-    """Largest relative ON/OFF power deviation over a shared angle grid."""
+    """Largest relative ON/OFF power deviation over a shared angle grid,
+    relative to the OFF power but never to less than floor photons."""
     n_on, n_off = np.asarray(on[0]), np.asarray(off[0])
     if n_on.shape != n_off.shape:
         raise ValueError("moment arrays must share one angle grid")
@@ -69,10 +61,10 @@ def simulate_moment_estimates(
     theta_grid: np.ndarray,
     mode: str,
     rng: np.random.Generator,
-    scale: float = 1.0,
-    n_shots: int = DEFAULT_SHOTS,
-    noise_var: float = DEFAULT_NOISE_VAR,
-    coherence_offset: float = 0.0,
+    scale: float,
+    n_shots: int,
+    noise_var: float,
+    coherence_offset: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Moment estimates (n_avg, re_a) from n_shots simulated single shots.
 
@@ -80,7 +72,7 @@ def simulate_moment_estimates(
     modulus sqrt(n) with the mode's phase statistics (ON randomizes the sign,
     OFF keeps the fixed phase theta/2), and nu is complex amplifier noise
     with the per-quadrature variance σ² = noise_var. coherence_offset adds a
-    constant spurious coherent amplitude to the ON-mode field (default off).
+    constant spurious coherent amplitude to the ON-mode field; OFF ignores it.
     The estimates are n_avg = mean|a|² - 2σ², clipped at 0, and
     re_a = mean Re a, clipped to |re_a| <= sqrt(n_avg).
 
@@ -124,20 +116,19 @@ def simulate_moment_estimates(
 def qnd_monte_carlo(
     theta_grid: np.ndarray,
     seeds: list[int],
-    scale: float = 1.0,
-    n_shots: int = DEFAULT_SHOTS,
-    noise_var: float = DEFAULT_NOISE_VAR,
-    floor: float = POWER_FLOOR,
-    coherence_offset: float = 0.0,
+    scale: float,
+    n_shots: int,
+    noise_var: float,
+    floor: float,
+    coherence_offset: float,
 ) -> np.ndarray:
     """max_power_deviation of independently simulated ON/OFF estimates,
     one per seed."""
+    shot_args = (scale, n_shots, noise_var, coherence_offset)
     deviations = np.empty(len(seeds))
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        on = simulate_moment_estimates(
-            theta_grid, "on", rng, scale, n_shots, noise_var, coherence_offset
-        )
-        off = simulate_moment_estimates(theta_grid, "off", rng, scale, n_shots, noise_var)
+        on = simulate_moment_estimates(theta_grid, "on", rng, *shot_args)
+        off = simulate_moment_estimates(theta_grid, "off", rng, *shot_args)
         deviations[i] = max_power_deviation(on, off, floor)
     return deviations

@@ -19,6 +19,9 @@ TWO_PI = 2.0 * math.pi
 
 RAMSEY_LAWS = ("exponential", "gaussian")
 
+# optimal_window searches window lengths in this range, in microseconds
+WINDOW_BOUNDS_US = (0.03, 1.5)
+
 
 @dataclass
 class ProtocolConfig:
@@ -146,20 +149,16 @@ def window_sweep(
     return fidelity_metrics(cfg.with_window(np.asarray(windows, dtype=float)), params)
 
 
-def optimal_window(
-    cfg: ProtocolConfig,
-    params: DeviceParams,
-    objective: str = "efficiency",
-    bounds: tuple[float, float] = (0.03, 1.5),
-) -> float:
-    """Window length maximizing P(e|1) (or F), by golden-section search."""
+def optimal_window(cfg: ProtocolConfig, params: DeviceParams, objective: str) -> float:
+    """Window length in WINDOW_BOUNDS_US maximizing P(e|1) (objective
+    "efficiency") or F ("fidelity"), by golden-section search."""
     if objective == "efficiency":
         func = lambda tw: detection_efficiency(cfg.with_window(tw), params)
     elif objective == "fidelity":
         func = lambda tw: fidelity_metrics(cfg.with_window(tw), params).fidelity
     else:
         raise ValueError("objective must be 'efficiency' or 'fidelity'")
-    return _golden_section_max(func, *bounds)
+    return _golden_section_max(func, *WINDOW_BOUNDS_US)
 
 
 def _golden_section_max(func, lo: float, hi: float, tol: float = 1e-9) -> float:

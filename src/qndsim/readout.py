@@ -2,8 +2,8 @@
 preselection, and double-Gaussian histogram fits.
 
 Quadrature amplitudes are in units of the per-component standard deviation
-(sigma = 1 by default); the absolute scale of the measurement chain drops
-out of every figure of merit.
+(the runners use sigma = 1); the absolute scale of the measurement chain
+drops out of every figure of merit.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ import numpy as np
 from .errors import FitError
 from .fitting import _lsq
 
-DEFAULT_SNR = 5.75  # (mu_e - mu_g) / sigma placing the overlap error at 0.2%
-DEFAULT_BINS = 101
-DEFAULT_SPAN_SIGMAS = 6.0
-PRESELECT_SIGMAS = 3.0  # conservative ground-state heralding threshold
+# histogram_shots bins the shots over their mean +- this many standard
+# deviations
+SPAN_SIGMAS = 6.0
 
 
 @dataclass
@@ -27,10 +26,10 @@ class GaussianMixture:
     """Two common-width Gaussian components on the quadrature axis, with the
     excited mean above the ground mean."""
 
-    mu_g: float = 0.0
-    mu_e: float = DEFAULT_SNR
-    sigma: float = 1.0
-    w_e: float = 0.5
+    mu_g: float
+    mu_e: float
+    sigma: float
+    w_e: float
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -62,7 +61,7 @@ def midpoint_threshold(mix: GaussianMixture) -> float:
     return (mix.mu_g + mix.mu_e) / 2
 
 
-def preselect_threshold(mix: GaussianMixture, n_sigmas: float = PRESELECT_SIGMAS) -> float:
+def preselect_threshold(mix: GaussianMixture, n_sigmas: float) -> float:
     """Conservative boundary n_sigmas above the ground mean."""
     return mix.mu_g + n_sigmas * mix.sigma
 
@@ -78,15 +77,11 @@ def preselect(shots: np.ndarray, q_star: float) -> float:
     return 1.0 - kept / shots.size
 
 
-def histogram_shots(
-    shots: np.ndarray,
-    n_bins: int = DEFAULT_BINS,
-    span_sigmas: float = DEFAULT_SPAN_SIGMAS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(bin_centers, counts): uniform binning over mean +- span_sigmas
+def histogram_shots(shots: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bin_centers, counts): n_bins uniform bins over mean +- SPAN_SIGMAS
     standard deviations."""
     center = shots.mean()
-    half = span_sigmas * shots.std()
+    half = SPAN_SIGMAS * shots.std()
     edges = np.linspace(center - half, center + half, n_bins + 1)
     counts, _ = np.histogram(shots, bins=edges)
     return (edges[:-1] + edges[1:]) / 2, counts.astype(float)
@@ -163,8 +158,7 @@ def fit_double_gaussian(q: np.ndarray, counts: np.ndarray) -> DoubleGaussianFit:
     noise = np.sqrt(counts + 1.0)
 
     def residuals(p):
-        mu_g, mu_e, sigma, w_e = p
-        return (_mixture_counts(q, total, width, mu_g, mu_e, abs(sigma), w_e) - counts) / noise
+        return (_mixture_counts(q, total, width, *p) - counts) / noise
 
     def jac(p):
         return _mixture_jac(q, total, width, *p) / noise[:, None]
@@ -176,7 +170,7 @@ def fit_double_gaussian(q: np.ndarray, counts: np.ndarray) -> DoubleGaussianFit:
     if not result.success:
         raise FitError(f"double-Gaussian fit failed (final cost {result.cost:.3e})")
     mu_g, mu_e, sigma, w_e = result.x
-    model = _mixture_counts(q, total, width, mu_g, mu_e, abs(sigma), w_e)
+    model = _mixture_counts(q, total, width, mu_g, mu_e, sigma, w_e)
     rss = float(np.sum((model - counts) ** 2))
     try:
         cov = np.linalg.inv(result.jac.T @ result.jac)
@@ -187,7 +181,7 @@ def fit_double_gaussian(q: np.ndarray, counts: np.ndarray) -> DoubleGaussianFit:
     if mu_e < mu_g:  # enforce the g-below-e labeling
         mu_g, mu_e, w_e = mu_e, mu_g, 1.0 - w_e
         stderr["mu_g"], stderr["mu_e"] = stderr["mu_e"], stderr["mu_g"]
-    mixture = GaussianMixture(float(mu_g), float(mu_e), float(abs(sigma)), float(w_e))
+    mixture = GaussianMixture(float(mu_g), float(mu_e), float(sigma), float(w_e))
     return DoubleGaussianFit(mixture, stderr, rss)
 
 

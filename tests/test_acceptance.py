@@ -95,3 +95,12 @@ def test_criterion_04_evaluates_the_configured_ramsey_law(monkeypatch):
     monkeypatch.setattr(protocol, "ramsey_coherence", spy)
     acceptance.criterion_4(from_dict({"protocol": {"ramsey_law": "gaussian"}}))
     assert laws and set(laws) == {"gaussian"}
+
+
+def test_criterion_11_cut_ignores_the_runner_preselect_sigmas():
+    # the criterion's 6% bound is stated for a fixed 3-sigma cut; the
+    # readout runner's configurable cut does not move it
+    default = acceptance.criterion_11(default_config()).details.split("; ")[-1]
+    loose = acceptance.criterion_11(from_dict({"readout": {"preselect_sigmas": 2.0}}))
+    assert loose.details.split("; ")[-1] == default
+    assert "preselection discards" in default

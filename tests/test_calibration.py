@@ -19,6 +19,7 @@ from qndsim.calibration import (
     synthetic_stark_dataset,
     true_mollow_spectrum,
 )
+from qndsim.config import LossRunConfig, MollowRunConfig, StarkRunConfig
 from qndsim.core import destroy, liouvillian_matrix, steady_state
 from qndsim.device import DeviceParams, dispersive_shift
 from qndsim.errors import FitError
@@ -27,7 +28,16 @@ GAMMA_MHZ = 1.77
 GAMMA = 2 * math.pi * GAMMA_MHZ
 PARAMS = DeviceParams()
 RATIOS = [2.0, 4.0, 6.0]
-TRUE_SPECTRA = [true_mollow_spectrum(r, GAMMA_MHZ) for r in RATIOS]
+MOLLOW = MollowRunConfig()
+STARK = StarkRunConfig()
+
+
+def true_spectrum(ratio):
+    """The source's true spectrum on the configured mollow grid."""
+    return true_mollow_spectrum(ratio, GAMMA_MHZ, MOLLOW.span, MOLLOW.points)
+
+
+TRUE_SPECTRA = [true_spectrum(r) for r in RATIOS]
 
 
 class TestMollowSpectrum:
@@ -36,7 +46,7 @@ class TestMollowSpectrum:
         # satellites resolved from the carrier peak at -+Omega; at moderate
         # drive the carrier's tails pull them in, see the resonance fit
         nominal = ratio * GAMMA_MHZ
-        grid, v = true_mollow_spectrum(ratio, GAMMA_MHZ)
+        grid, v = true_spectrum(ratio)
         interior = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
         peaks = np.flatnonzero(interior) + 1
         for sign in (-1.0, 1.0):
@@ -48,7 +58,7 @@ class TestMollowSpectrum:
 
     @pytest.mark.parametrize("ratio", RATIOS)
     def test_satellites_by_resonance_fit(self, ratio):
-        grid, spec = true_mollow_spectrum(ratio, GAMMA_MHZ)
+        grid, spec = true_spectrum(ratio)
         nominal = ratio * GAMMA_MHZ
         fitted = fit_satellite_drive(grid, spec, GAMMA_MHZ, nominal)
         assert abs(fitted - nominal) / nominal < 0.05
@@ -65,7 +75,7 @@ class TestMollowSpectrum:
 
     def test_strong_drive_height_ratio(self):
         # three-peak structure: the carrier is three times the satellites
-        grid, v = true_mollow_spectrum(5.0, GAMMA_MHZ)
+        grid, v = true_spectrum(5.0)
         interior = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
         peaks = np.flatnonzero(interior) + 1
         central = v[np.argmin(np.abs(grid))]
@@ -73,7 +83,7 @@ class TestMollowSpectrum:
         assert central / satellite == pytest.approx(3.0, rel=0.15)
 
     def test_symmetric_in_detuning(self):
-        _, spec = true_mollow_spectrum(4.0, GAMMA_MHZ)
+        _, spec = true_spectrum(4.0)
         assert np.max(np.abs(spec - spec[::-1])) < 0.02 * spec.max()
 
     def test_inelastic_flux_integral(self):
@@ -94,7 +104,7 @@ class TestMollowSpectrum:
 
     def test_routes_agree(self):
         # time-domain regression + FFT vs the closed-form resolvent
-        grid, spec = true_mollow_spectrum(4.0, GAMMA_MHZ)
+        grid, spec = true_spectrum(4.0)
         resolvent = inelastic_spectrum_model(4.0 * GAMMA_MHZ, GAMMA_MHZ, grid)
         assert np.max(np.abs(resolvent - spec)) < 0.02 * spec.max()
 
@@ -293,9 +303,7 @@ class TestLoss:
             extract_loss(1.0, 0.0)
 
     def test_budget_totals(self):
-        budget = loss_budget(
-            [("circulator", 0.08), ("switch", 0.05), ("connectors", 0.05), ("cables", 0.02)]
-        )
+        budget = loss_budget(LossRunConfig().components)
         assert budget.total_additive == pytest.approx(0.20, abs=1e-12)
         assert budget.total_multiplicative == pytest.approx(
             1 - 0.92 * 0.95 * 0.95 * 0.98, rel=1e-12
@@ -303,13 +311,13 @@ class TestLoss:
         assert budget.total_multiplicative == pytest.approx(0.186, abs=5e-4)
 
     def test_budget_empty(self):
-        budget = loss_budget([])
+        budget = loss_budget({})
         assert budget.total_additive == 0.0
         assert budget.total_multiplicative == 0.0
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
-            loss_budget([("bad", 1.0)])
+            loss_budget({"bad": 1.0})
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_pipeline_roundtrip(self, seed):
@@ -321,5 +329,8 @@ class TestLoss:
             detector_gain=1.6,
             noise_frac=0.01,
             seed=seed,
+            photons_per_unit=STARK.photons_per_unit,
+            p_max=STARK.p_max,
+            n_stark_points=STARK.n_points,
         )
         assert abs(result["loss_est"] - 0.25) <= 0.02

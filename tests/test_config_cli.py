@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import asdict
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -13,9 +15,9 @@ from qndsim.config import (
     default_config,
     from_dict,
     load_config,
-    default_config_path,
-    to_dict,
 )
+
+SHIPPED_CONFIG = resources.files("qndsim").joinpath("data/device_defaults.yaml")
 
 
 class TestGridSpec:
@@ -54,11 +56,11 @@ class TestGridSpec:
 class TestConfig:
     def test_roundtrip_preserves_digest(self):
         cfg = default_config()
-        again = from_dict(to_dict(cfg))
+        again = from_dict(asdict(cfg))
         assert config_digest(again) == config_digest(cfg)
 
     def test_shipped_fixture_matches_defaults(self):
-        cfg = load_config(default_config_path())
+        cfg = load_config(SHIPPED_CONFIG)
         assert config_digest(cfg) == config_digest(default_config())
 
     def test_unknown_top_level_key(self):
@@ -80,6 +82,21 @@ class TestConfig:
     def test_bad_seed(self):
         with pytest.raises(ConfigError, match="seed"):
             from_dict({"seed": -4})
+
+    @pytest.mark.parametrize("version", [0, 2, 7])
+    def test_unknown_config_version(self, version):
+        with pytest.raises(ConfigError, match="config_version must be 1"):
+            from_dict({"config_version": version})
+        assert from_dict({"config_version": 1}).config_version == 1
+
+    def test_digest_covers_component_order(self):
+        # the budget lists the components, and sums them, in config order
+        cfg = default_config()
+        names = list(cfg.loss.components)
+        reordered = from_dict(
+            {"loss": {"components": {k: cfg.loss.components[k] for k in reversed(names)}}}
+        )
+        assert config_digest(reordered) != config_digest(cfg)
 
     @pytest.mark.parametrize(
         "section, match",
@@ -200,9 +217,9 @@ class TestConfig:
 
         monkeypatch.setattr(yaml, "load", spy)
         libyaml = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-        fast = load_config(default_config_path())
+        fast = load_config(SHIPPED_CONFIG)
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-        slow = load_config(default_config_path())
+        slow = load_config(SHIPPED_CONFIG)
         assert loaders == [libyaml, yaml.SafeLoader]
         assert fast == slow
         assert config_digest(fast) == config_digest(slow) == SHIPPED_DIGEST
@@ -224,7 +241,7 @@ class TestConfig:
         assert cfg.seed == 9
 
 
-SHIPPED_DIGEST = "801d63eb8c3a131c8b4f2fa7492efb30ee881fb7eec80e136b220ef797f3f3b3"
+SHIPPED_DIGEST = "ddb96de278f0a1caaef08ac83311be721c53f923f218b999d129f60060294430"
 
 EXPECTED_HEADERS = {
     "spectrum.csv": "nu_MHz,re_rg,im_rg,re_re,im_re,delta_phi_rad",
@@ -423,6 +440,12 @@ class TestExitCodes:
             "qnd: {noise_var: x}",
             "output_dir: 5",
             "device:",
+            "config_version: 7",
+            "config_version: true",
+            "seed: true",
+            "qnd: {n_shots: true}",
+            "sweeps: {drive_ratios: [true, 4.0, 6.0]}",
+            "loss: {components: {a: false}}",
         ],
     )
     def test_malformed_content_exit_1_without_traceback(self, tmp_path, capsys, text):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qndsim.config import config_digest, default_config, from_dict
+from qndsim.config import SpectroscopyConfig, config_digest, default_config, from_dict
 from qndsim.core import destroy, embed
 from qndsim.device import (
     DeviceParams,
@@ -16,6 +16,7 @@ from qndsim.device import (
 )
 
 PARAMS = DeviceParams()
+GAMMA_ATOM = SpectroscopyConfig().gamma_atom_mhz
 SQRT2_G0 = math.sqrt(2) * PARAMS.g0
 
 
@@ -133,7 +134,7 @@ class TestDressedFrequencies:
 
 class TestReflection:
     def test_cavity_resonance_pi_phase(self):
-        r = reflection_coefficient(PARAMS, 6135.0, "g")
+        r = reflection_coefficient(PARAMS, 6135.0, "g", GAMMA_ATOM)
         assert r == pytest.approx(-1.0, abs=1e-12)
 
     def test_excited_qubit_transparent_at_resonance(self):
@@ -143,7 +144,7 @@ class TestReflection:
     @pytest.mark.parametrize("state", ["g", "e"])
     def test_far_detuned_full_reflection(self, state):
         nu = 6135.0 + 100 * PARAMS.kappa
-        r = reflection_coefficient(PARAMS, nu, state)
+        r = reflection_coefficient(PARAMS, nu, state, GAMMA_ATOM)
         assert abs(np.angle(r)) < 0.02
 
     @pytest.mark.parametrize("state", ["g", "e"])
@@ -159,27 +160,27 @@ class TestReflection:
 
     def test_bad_state_rejected(self):
         with pytest.raises(ValueError):
-            reflection_coefficient(PARAMS, 6135.0, "f")
+            reflection_coefficient(PARAMS, 6135.0, "f", GAMMA_ATOM)
 
 
 @pytest.fixture(scope="module")
 def spectrum():
     span = 2 * SQRT2_G0
     grid = np.linspace(6135.0 - span, 6135.0 + span, int(round(2 * span / 0.1)) + 1)
-    return (grid, *phase_difference_spectrum(PARAMS, grid))
+    return (grid, *phase_difference_spectrum(PARAMS, grid, GAMMA_ATOM))
 
 
 class TestPhaseSpectrum:
     def test_arrays_match_reflection_coefficient(self, spectrum):
         grid, r_g, r_e, dphi = spectrum
-        np.testing.assert_array_equal(r_g, reflection_coefficient(PARAMS, grid, "g"))
-        np.testing.assert_array_equal(r_e, reflection_coefficient(PARAMS, grid, "e"))
+        np.testing.assert_array_equal(r_g, reflection_coefficient(PARAMS, grid, "g", GAMMA_ATOM))
+        np.testing.assert_array_equal(r_e, reflection_coefficient(PARAMS, grid, "e", GAMMA_ATOM))
         np.testing.assert_array_equal(dphi, np.abs(wrap_phase(np.angle(r_g) - np.angle(r_e))))
         assert np.max(np.abs(r_g)) <= 1 + 1e-9 and np.max(np.abs(r_e)) <= 1 + 1e-9
         assert np.all((dphi >= 0) & (dphi <= math.pi))
 
     def test_pi_at_cavity_frequency(self):
-        _, _, dphi = phase_difference_spectrum(PARAMS, np.array([6135.0]))
+        _, _, dphi = phase_difference_spectrum(PARAMS, np.array([6135.0]), GAMMA_ATOM)
         assert dphi[0] == pytest.approx(math.pi, abs=1e-6)
 
     def test_pi_attained_near_dressed_frequencies(self, spectrum):
@@ -194,17 +195,18 @@ class TestPhaseSpectrum:
 
     def test_symmetric_about_cavity(self):
         offsets = np.linspace(0.3, 250.0, 713)
-        _, _, du = phase_difference_spectrum(PARAMS, 6135.0 + offsets)
-        _, _, dl = phase_difference_spectrum(PARAMS, 6135.0 - offsets)
+        _, _, du = phase_difference_spectrum(PARAMS, 6135.0 + offsets, GAMMA_ATOM)
+        _, _, dl = phase_difference_spectrum(PARAMS, 6135.0 - offsets, GAMMA_ATOM)
         np.testing.assert_allclose(du, dl, atol=1e-9)
 
     def test_small_contrast_far_detuned(self):
-        _, _, dphi = phase_difference_spectrum(PARAMS, np.array([6135.0 - 300.0, 6135.0 + 300.0]))
+        far = np.array([6135.0 - 300.0, 6135.0 + 300.0])
+        _, _, dphi = phase_difference_spectrum(PARAMS, far, GAMMA_ATOM)
         assert np.all(np.abs(dphi) < 0.1)
 
     def test_grid_range_enforced(self):
         with pytest.raises(ValueError, match="500"):
-            phase_difference_spectrum(PARAMS, np.array([6135.0, 6700.0]))
+            phase_difference_spectrum(PARAMS, np.array([6135.0, 6700.0]), GAMMA_ATOM)
 
 
 def test_wrap_phase_branch_convention():

@@ -15,12 +15,15 @@ from qndsim.calibration import (
     synthetic_mollow_dataset,
     true_mollow_spectrum,
 )
+from qndsim.config import MollowRunConfig, ReadoutRunConfig
 from qndsim.core.correlations import psd, two_time_correlation
 from qndsim.core.dynamics import LindbladModel
 from qndsim.core.operators import destroy
 from qndsim.errors import FitError
 from qndsim.fitting import LsqResult, _lsq
 
+MOLLOW = MollowRunConfig()
+RO = ReadoutRunConfig()
 TIGHT = dict(xtol=1e-14, ftol=1e-14, gtol=1e-14)
 WEIGHTS = [0.0, 1e-3, 0.022, 0.06, 0.5]
 SEEDS = range(20)
@@ -135,7 +138,7 @@ def test_default_mollow_fit_matches_reference(captured, cfg):
 
 def test_weak_drive_single_spectrum_matches_reference(captured):
     gamma = 1.77
-    spectra = [true_mollow_spectrum(0.25, gamma)]
+    spectra = [true_mollow_spectrum(0.25, gamma, MOLLOW.span, MOLLOW.points)]
     (grid, values), = synthetic_mollow_dataset(spectra, 0.8, 0.01, 3)
     calibration.fit_satellite_drive(grid, values, gamma, 0.25 * gamma)
     assert compare(captured[0])
@@ -160,10 +163,10 @@ def test_mollow_jacobian_matches_central_differences(ratio):
 def test_fit_jacobians_match_central_differences(captured):
     """The Jacobians the three fits hand to _lsq, at points off the optimum."""
     shots = readout.sample_shots(readout.GaussianMixture(0.0, 5.75, 1.0, 0.3), 12_500, 7)
-    readout.fit_double_gaussian(*readout.histogram_shots(shots))
+    readout.fit_double_gaussian(*readout.histogram_shots(shots, RO.n_bins))
     axis = np.linspace(-5.0, 5.0, 201)
     calibration.fit_lorentzian(axis, 2.0 / (1.0 + (axis - 0.3) ** 2))
-    spectra = [true_mollow_spectrum(r, 1.77) for r in (2.0, 4.0, 6.0)]
+    spectra = [true_mollow_spectrum(r, 1.77, MOLLOW.span, MOLLOW.points) for r in (2.0, 4.0, 6.0)]
     calibration.fit_mollow([2.0, 4.0, 6.0], synthetic_mollow_dataset(spectra, 0.8, 0.01, 0), 1.77)
     assert len(captured) == 3
     for fun, x0, jac, _, _ in captured:
@@ -236,13 +239,13 @@ def failed(fun, x0, jac, **options):
 class TestFitFailures:
     def test_double_gaussian(self, monkeypatch):
         monkeypatch.setattr(readout, "_lsq", failed)
-        shots = readout.sample_shots(readout.GaussianMixture(), 2000, 0)
+        shots = readout.sample_shots(readout.GaussianMixture(0.0, RO.snr, 1.0, 0.5), 2000, 0)
         with pytest.raises(FitError, match="double-Gaussian fit failed"):
-            readout.fit_double_gaussian(*readout.histogram_shots(shots))
+            readout.fit_double_gaussian(*readout.histogram_shots(shots, RO.n_bins))
 
     def test_fluorescence(self, monkeypatch):
         monkeypatch.setattr(calibration, "_lsq", failed)
-        spectra = [true_mollow_spectrum(r, 1.77) for r in (2.0, 4.0, 6.0)]
+        spectra = [true_mollow_spectrum(r, 1.77, MOLLOW.span, MOLLOW.points) for r in (2.0, 4.0, 6.0)]
         with pytest.raises(FitError, match="joint fluorescence fit failed"):
             calibration.fit_mollow([2.0, 4.0, 6.0], spectra, 1.77)
         with pytest.raises(FitError, match="single-spectrum resonance fit failed"):

@@ -6,13 +6,27 @@ from scipy import stats
 
 from qndsim.config import QndRunConfig
 from qndsim.moments import (
-    DEFAULT_NOISE_VAR,
-    DEFAULT_SHOTS,
     expected_moments,
     max_power_deviation,
     qnd_monte_carlo,
     simulate_moment_estimates,
 )
+
+QND = QndRunConfig()
+
+
+def simulate(
+    theta_grid,
+    mode,
+    rng,
+    scale=QND.scale,
+    n_shots=QND.n_shots,
+    coherence_offset=QND.coherence_offset,
+):
+    """simulate_moment_estimates with the configured values, unless given."""
+    return simulate_moment_estimates(
+        theta_grid, mode, rng, scale, n_shots, QND.noise_var, coherence_offset
+    )
 
 
 def assert_physical(n_avg, re_a):
@@ -25,10 +39,10 @@ def per_shot_reference(
     theta_grid,
     mode,
     rng,
-    scale=1.0,
-    n_shots=DEFAULT_SHOTS,
-    noise_var=DEFAULT_NOISE_VAR,
-    coherence_offset=0.0,
+    scale=QND.scale,
+    n_shots=QND.n_shots,
+    noise_var=QND.noise_var,
+    coherence_offset=QND.coherence_offset,
 ):
     """The moment estimator computed from every single shot: the slow
     reference whose law simulate_moment_estimates draws from sufficient
@@ -59,7 +73,7 @@ class TestExpectedMoments:
 
     @pytest.mark.parametrize("mode", ["on", "off"])
     def test_vacuum(self, mode):
-        n_avg, re_a = expected_moments(0.0, mode)
+        n_avg, re_a = expected_moments(0.0, mode, QND.scale)
         assert (n_avg, re_a) == (0.0, 0.0)
 
     def test_power_conserved_for_all_angles(self):
@@ -69,76 +83,86 @@ class TestExpectedMoments:
         np.testing.assert_array_equal(n_on, n_off)
 
     def test_coherence_erased_on(self):
-        _, re_a = expected_moments(np.linspace(0, math.pi, 17), "on")
+        _, re_a = expected_moments(np.linspace(0, math.pi, 17), "on", QND.scale)
         assert np.all(re_a == 0.0)
 
     def test_off_coherence_peaks_at_half_angle(self):
         h = 1e-4
-        _, re_a = expected_moments(np.array([math.pi / 2 - h, math.pi / 2, math.pi / 2 + h]), "off")
+        thetas = np.array([math.pi / 2 - h, math.pi / 2, math.pi / 2 + h])
+        _, re_a = expected_moments(thetas, "off", QND.scale)
         assert re_a[1] > re_a[0] and re_a[1] > re_a[2]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            expected_moments(4.0, "on")
+            expected_moments(4.0, "on", QND.scale)
         with pytest.raises(ValueError):
-            expected_moments(np.array([0.0, -0.1]), "on")
+            expected_moments(np.array([0.0, -0.1]), "on", QND.scale)
         with pytest.raises(ValueError):
             expected_moments(1.0, "on", 0.0)
         with pytest.raises(ValueError):
-            expected_moments(1.0, "sideways")
+            expected_moments(1.0, "sideways", QND.scale)
 
 
 class TestMaxPowerDeviation:
     def test_identical_inputs_pass(self):
-        moments = expected_moments(np.linspace(0, math.pi, 9), "off")
-        deviation = max_power_deviation(moments, moments)
-        assert deviation == 0.0 and deviation <= QndRunConfig().gate
+        moments = expected_moments(np.linspace(0, math.pi, 9), "off", QND.scale)
+        deviation = max_power_deviation(moments, moments, QND.floor)
+        assert deviation == 0.0 and deviation <= QND.gate
 
     def test_scaled_power_fails(self):
-        n_off, re_off = expected_moments(np.linspace(0, math.pi, 9), "off")
-        deviation = max_power_deviation((1.05 * n_off, np.zeros_like(n_off)), (n_off, re_off))
+        n_off, re_off = expected_moments(np.linspace(0, math.pi, 9), "off", QND.scale)
+        scaled = (1.05 * n_off, np.zeros_like(n_off))
+        deviation = max_power_deviation(scaled, (n_off, re_off), QND.floor)
         assert deviation == pytest.approx(0.05, rel=1e-9)
-        assert not deviation <= QndRunConfig().gate
+        assert not deviation <= QND.gate
 
     def test_mismatched_grids_rejected(self):
         with pytest.raises(ValueError):
-            max_power_deviation((np.array([1.0]), np.array([0.0])), (np.array([]), np.array([])))
+            max_power_deviation(
+                (np.array([1.0]), np.array([0.0])), (np.array([]), np.array([])), QND.floor
+            )
 
 
 class TestMonteCarlo:
     def test_estimates_track_expectation(self, rng):
         thetas = np.array([0.0, math.pi / 2, math.pi])
         for mode in ("on", "off"):
-            n_avg, re_a = simulate_moment_estimates(thetas, mode, rng)
-            n_ideal, re_ideal = expected_moments(thetas, mode)
+            n_avg, re_a = simulate(thetas, mode, rng)
+            n_ideal, re_ideal = expected_moments(thetas, mode, QND.scale)
             assert np.all(np.abs(n_avg - n_ideal) < 0.05)
             assert np.all(np.abs(re_a - re_ideal) < 0.05)
 
     def test_deviation_gate_holds_across_seeds(self):
         thetas = np.linspace(0.0, math.pi, 9)
-        deviations = qnd_monte_carlo(thetas, seeds=list(range(100)))
+        deviations = qnd_monte_carlo(
+            thetas,
+            list(range(100)),
+            QND.scale,
+            QND.n_shots,
+            QND.noise_var,
+            QND.floor,
+            QND.coherence_offset,
+        )
         assert deviations.shape == (100,)
-        assert np.count_nonzero(deviations <= QndRunConfig().gate) >= 95
+        assert np.count_nonzero(deviations <= QND.gate) >= 95
 
     def test_coherence_offset_knob(self):
         # a spurious coherent amplitude shows up in the ON-mode quadrature
         # even at theta = 0, as an offset of the erased-coherence baseline
         thetas = np.array([0.0])
-        _, clean = simulate_moment_estimates(thetas, "on", np.random.default_rng(0))
-        _, shifted = simulate_moment_estimates(
-            thetas, "on", np.random.default_rng(0), coherence_offset=0.1
-        )
+        _, clean = simulate(thetas, "on", np.random.default_rng(0))
+        _, shifted = simulate(thetas, "on", np.random.default_rng(0), coherence_offset=0.1)
         assert abs(clean[0]) < 0.01
         assert shifted[0] == pytest.approx(0.1, abs=0.02)
 
     def test_input_validation(self, rng):
         thetas = np.array([0.0, math.pi])
         with pytest.raises(ValueError):
-            simulate_moment_estimates(thetas, "sideways", rng)
+            simulate(thetas, "sideways", rng)
         with pytest.raises(ValueError):
-            simulate_moment_estimates(thetas, "on", rng, n_shots=0)
+            simulate(thetas, "on", rng, n_shots=0)
         with pytest.raises(ValueError):
-            simulate_moment_estimates(thetas, "off", rng, noise_var=-0.01)
+            simulate_moment_estimates(thetas, "off", rng, QND.scale, QND.n_shots, -0.01, 0.0)
 
 
 class TestExactLaw:
@@ -164,7 +188,7 @@ class TestExactLaw:
         # makes re_a depend on the sign split, so a law that drew the two
         # sums independently fails here
         grid = np.repeat(self.THETAS, self.REPS)
-        fast = simulate_moment_estimates(
+        fast = simulate(
             grid, mode, np.random.default_rng(0), n_shots=n_shots, coherence_offset=offset
         )
         slow = per_shot_reference(
@@ -183,12 +207,10 @@ class TestExactLaw:
         # unchanged. At these angles the clip at 0 lies over 5 standard
         # deviations below n, so n_avg is the unclipped estimate. N = 1 puts
         # the residual χ² at 0 degrees of freedom.
-        var = DEFAULT_NOISE_VAR
+        var = QND.noise_var
         rng = np.random.default_rng(2)
         for theta in (2 * math.pi / 3, math.pi):
-            n_avg, _ = simulate_moment_estimates(
-                np.full(self.REPS, theta), mode, rng, n_shots=n_shots
-            )
+            n_avg, _ = simulate(np.full(self.REPS, theta), mode, rng, n_shots=n_shots)
             law = stats.ncx2(2 * n_shots, n_shots * math.sin(theta / 2) ** 2 / var)
             pvalue = stats.kstest(n_avg, lambda x: law.cdf((x + 2 * var) * n_shots / var)).pvalue
             assert pvalue > self.P_FLOOR, f"theta = {theta:.3f}"
@@ -199,7 +221,7 @@ class TestExactLaw:
         # ON with N = 1 always leaves one sign group empty, and 0 degrees of
         # freedom for the residual χ²; N = 2 and 3 leave one empty often
         grid = np.repeat(np.linspace(0.0, math.pi, 9), 500)
-        n_avg, re_a = simulate_moment_estimates(
+        n_avg, re_a = simulate(
             grid, mode, np.random.default_rng(3), n_shots=n_shots, coherence_offset=offset
         )
         assert np.all(np.isfinite(n_avg)) and np.all(np.isfinite(re_a))
@@ -214,4 +236,4 @@ def test_moment_invariants():
         # the estimator clips them back into the physical region
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            assert_physical(*simulate_moment_estimates(thetas, mode, rng, 0.75, n_shots=200))
+            assert_physical(*simulate(thetas, mode, rng, 0.75, n_shots=200))

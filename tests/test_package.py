@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qndsim
+from qndsim import calibration, device, moments, protocol, readout
 
 SRC = str(Path(qndsim.__file__).resolve().parents[1])
 
@@ -68,6 +71,38 @@ def test_public_names_resolve(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+# Run values the config owns: the library takes each from its caller and
+# keeps no default of its own.
+CONFIGURED_PARAMETERS = [
+    (moments.expected_moments, "scale"),
+    (moments.max_power_deviation, "floor"),
+    *((moments.simulate_moment_estimates, name)
+      for name in ("scale", "n_shots", "noise_var", "coherence_offset")),
+    *((moments.qnd_monte_carlo, name)
+      for name in ("scale", "n_shots", "noise_var", "floor", "coherence_offset")),
+    (readout.histogram_shots, "n_bins"),
+    (readout.preselect_threshold, "n_sigmas"),
+    (calibration.true_mollow_spectrum, "span"),
+    (calibration.true_mollow_spectrum, "points"),
+    *((calibration.loss_calibration_roundtrip, name)
+      for name in ("photons_per_unit", "p_max", "n_stark_points")),
+    (device.reflection_coefficient, "gamma_atom"),
+    (device.phase_difference_spectrum, "gamma_atom"),
+    (protocol.optimal_window, "objective"),
+]
+
+
+@pytest.mark.parametrize("func, name", CONFIGURED_PARAMETERS,
+                         ids=[f"{f.__name__}-{n}" for f, n in CONFIGURED_PARAMETERS])
+def test_configured_parameter_has_no_default(func, name):
+    assert inspect.signature(func).parameters[name].default is inspect.Parameter.empty
+
+
+def test_mixture_fields_have_no_defaults():
+    for f in dataclasses.fields(readout.GaussianMixture):
+        assert f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
 
 
 @needs_proc

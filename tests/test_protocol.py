@@ -7,6 +7,7 @@ from scipy.optimize import minimize_scalar
 
 from qndsim.device import DeviceParams
 from qndsim.protocol import (
+    WINDOW_BOUNDS_US,
     DetectionProbs,
     ProtocolConfig,
     capture_fraction,
@@ -215,7 +216,7 @@ class TestWindowOptimum:
         peak = optimal_window(CFG, PARAMS, "efficiency")
         ref = minimize_scalar(
             lambda tw: -detection_efficiency(CFG.with_window(tw), PARAMS),
-            bounds=(0.03, 1.5),
+            bounds=WINDOW_BOUNDS_US,
             method="bounded",
             options={"xatol": 1e-10},
         ).x

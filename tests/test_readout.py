@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from qndsim.config import ReadoutRunConfig
 from qndsim.readout import (
     GaussianMixture,
     assigned_fraction,
@@ -18,8 +19,9 @@ from qndsim.readout import (
     sample_shots,
 )
 
-MIX = GaussianMixture(0.0, 5.75, 1.0, 0.5)
-N = 12_500
+RO = ReadoutRunConfig()
+MIX = GaussianMixture(0.0, RO.snr, 1.0, 0.5)
+N = RO.n_shots
 
 
 class TestSampling:
@@ -74,19 +76,19 @@ class TestPreselect:
     def test_thermal_discard_fraction(self):
         mix = GaussianMixture(0.0, 5.75, 1.0, 0.06)
         shots = sample_shots(mix, N, seed=21)
-        discard = preselect(shots, preselect_threshold(mix))
+        discard = preselect(shots, preselect_threshold(mix, RO.preselect_sigmas))
         assert abs(discard - 0.06) <= 3 * math.sqrt(0.06 * 0.94 / N)
 
     def test_ground_only_population(self):
         mix = GaussianMixture(0.0, 5.75, 1.0, 0.0)
         shots = sample_shots(mix, N, seed=22)
-        discard = preselect(shots, preselect_threshold(mix))
+        discard = preselect(shots, preselect_threshold(mix, RO.preselect_sigmas))
         # only the 3-sigma tail of the ground Gaussian is lost
         assert discard <= 0.00135 + 3 * math.sqrt(0.00135 / N)
 
     def test_retained_all_ground_assigned(self):
         shots = sample_shots(MIX, 2000, seed=23)
-        thr = preselect_threshold(MIX)
+        thr = preselect_threshold(MIX, RO.preselect_sigmas)
         # the kept shots are exactly those at or below the threshold
         discard = preselect(shots, thr)
         assert round(discard * shots.size) == np.count_nonzero(shots > thr)
@@ -95,7 +97,7 @@ class TestPreselect:
 class TestDoubleGaussianFit:
     def test_roundtrip_single_seed(self):
         shots = sample_shots(GaussianMixture(0.0, 6.0, 1.0, 0.5), N, seed=31)
-        fit = fit_double_gaussian(*histogram_shots(shots))
+        fit = fit_double_gaussian(*histogram_shots(shots, RO.n_bins))
         truth = {"mu_g": 0.0, "mu_e": 6.0, "sigma": 1.0, "w_e": 0.5}
         for key, val in truth.items():
             assert abs(getattr(fit.mixture, key) - val) <= 3 * fit.stderr[key]
@@ -105,7 +107,7 @@ class TestDoubleGaussianFit:
         bad = 0
         for seed in range(20):
             shots = sample_shots(truth, N, seed=seed)
-            fit = fit_double_gaussian(*histogram_shots(shots))
+            fit = fit_double_gaussian(*histogram_shots(shots, RO.n_bins))
             for key in ("mu_g", "mu_e", "sigma", "w_e"):
                 if abs(getattr(fit.mixture, key) - getattr(truth, key)) > 3 * fit.stderr[key]:
                     bad += 1
@@ -114,14 +116,14 @@ class TestDoubleGaussianFit:
 
     def test_single_component_data(self):
         shots = sample_shots(GaussianMixture(0.0, 6.0, 1.0, 0.0), N, seed=32)
-        fit = fit_double_gaussian(*histogram_shots(shots))
+        fit = fit_double_gaussian(*histogram_shots(shots, RO.n_bins))
         assert fit.mixture.w_e < 0.01
 
     def test_protocol_weight_recovered(self):
         # excited weight of the photon-detection histogram after readout errors
         w_e = 0.624
         shots = sample_shots(GaussianMixture(0.0, 6.0, 1.0, w_e), N, seed=33)
-        fit = fit_double_gaussian(*histogram_shots(shots))
+        fit = fit_double_gaussian(*histogram_shots(shots, RO.n_bins))
         assert abs(fit.mixture.w_e - w_e) <= 3 * math.sqrt(w_e * (1 - w_e) / N)
 
     def test_preconditions(self):
@@ -175,5 +177,5 @@ def test_mixture_invariants():
 def test_threshold_invariants():
     mix = GaussianMixture(1.0, 6.0, 0.5, 0.5)
     assert midpoint_threshold(mix) == 3.5
-    assert preselect_threshold(mix) == 2.5
+    assert preselect_threshold(mix, RO.preselect_sigmas) == 2.5
     assert preselect_threshold(mix, 1.0) == 1.5
