@@ -3,9 +3,9 @@ stated tolerance, plus the byte-level determinism check of the emitters.
 
 run_check() executes all experiment runners twice with the same seed,
 compares the two output trees byte for byte, and evaluates criteria 1-11
-from fresh computation and the first run's reports. Criterion 4 gates the
-fidelity optimum of the window sweep, the figure of merit that sets the
-operating point, and reports the efficiency optimum alongside it ungated;
+from fresh computation and the first run's report headlines. Criterion 4
+gates the fidelity optimum of the window sweep, the figure of merit that sets
+the operating point, and reports the efficiency optimum alongside it ungated;
 see the README, "Window-sweep optimum (criterion 4)".
 """
 
@@ -335,8 +335,8 @@ def _compare_trees(dir_a: Path, dir_b: Path) -> str | None:
     return None
 
 
-def run_criteria(cfg: RunConfig, reports: dict) -> list[CriterionResult]:
-    """Criteria 1-11, given the emitted reports of one full run."""
+def run_criteria(cfg: RunConfig, headlines: dict[str, dict]) -> list[CriterionResult]:
+    """Criteria 1-11, given the report headlines of one full run by subcommand."""
     return [
         criterion_1(cfg),
         criterion_2(cfg),
@@ -344,9 +344,9 @@ def run_criteria(cfg: RunConfig, reports: dict) -> list[CriterionResult]:
         criterion_4(cfg),
         criterion_5(cfg),
         criterion_6(cfg),
-        criterion_7(cfg, reports["qnd"].headline),
-        criterion_8(cfg, reports["mollow"].headline),
-        criterion_9(cfg, reports["loss"].headline),
+        criterion_7(cfg, headlines["qnd"]),
+        criterion_8(cfg, headlines["mollow"]),
+        criterion_9(cfg, headlines["loss"]),
         criterion_10(cfg),
         criterion_11(cfg),
     ]
@@ -357,10 +357,10 @@ def run_check(cfg: RunConfig, out_dir: Path) -> list[CriterionResult]:
     from .cli import run_all
 
     out_dir = Path(out_dir)
-    reports = run_all(cfg, out_dir / "run_a")
+    headlines = run_all(cfg, out_dir / "run_a")
     run_all(cfg, out_dir / "run_b")
     diff = _compare_trees(out_dir / "run_a", out_dir / "run_b")
-    results = run_criteria(cfg, reports)
+    results = run_criteria(cfg, headlines)
     results.append(criterion_12(diff))
     text = render_report(results)
     write_text_atomic(out_dir / "acceptance_report.txt", text + "\n")

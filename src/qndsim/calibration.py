@@ -134,7 +134,6 @@ class MollowFit:
     gain: float
     gamma: float
     omegas: list[float]
-    rss: float
 
 
 def _fluorescence_fit(spectra, gamma_init, omegas0):
@@ -193,7 +192,6 @@ def fit_mollow(
         gain=float(result.x[0]),
         gamma=float(result.x[1]),
         omegas=[float(v) for v in result.x[2:]],
-        rss=float(2 * result.cost),
     )
 
 

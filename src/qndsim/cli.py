@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +27,9 @@ from .device import (
 from .errors import SimulationError
 
 
-@dataclass
-class RunReport:
-    subcommand: str
-    config_digest: str
-    seed: int
-    files: list[str] = field(default_factory=list)
-    headline: dict = field(default_factory=dict)
+# The tables a runner returns with its headline: each CSV file name, in write
+# order, mapped to the file's header and columns.
+Tables = dict[str, tuple[list[str], list]]
 
 
 def _runner_seed(master: int, name: str) -> int:
@@ -41,35 +37,24 @@ def _runner_seed(master: int, name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _report(cfg: RunConfig, name: str, out_dir: Path, files: list[Path], headline: dict) -> RunReport:
-    report = RunReport(
-        subcommand=name,
-        config_digest=config_digest(cfg),
-        seed=cfg.seed,
-        files=sorted(p.name for p in files),
-        headline=headline,
-    )
-    write_json(out_dir / f"{name}_report.json", asdict(report))
-    return report
-
-
-def run_spectrum(cfg: RunConfig, out_dir: Path) -> RunReport:
+def run_spectrum(cfg: RunConfig) -> tuple[Tables, dict]:
     """Conditional reflection-phase spectrum of the detector."""
     dev = cfg.device
     nus = cfg.sweeps.nu_mhz.to_array()
     r_g, r_e, dphi = phase_difference_spectrum(dev, nus, cfg.spectroscopy.gamma_atom_mhz)
-    path = out_dir / "spectrum.csv"
-    write_csv(
-        path,
-        ["nu_MHz", "re_rg", "im_rg", "re_re", "im_re", "delta_phi_rad"],
-        [nus, r_g.real, r_g.imag, r_e.real, r_e.imag, dphi],
-    )
+    tables = {
+        "spectrum.csv": (
+            ["nu_MHz", "re_rg", "im_rg", "re_re", "im_re", "delta_phi_rad"],
+            [nus, r_g.real, r_g.imag, r_e.real, r_e.imag, dphi],
+        )
+    }
     center = dphi[np.argmin(np.abs(nus - dev.nu_ef))]
     lo, hi = dressed_frequencies(dev, 1)
     dressed_err = {}
     for tag, nu_d in (("minus", lo), ("plus", hi)):
+        # null when the grid does not reach the dressed frequency
         window = np.abs(nus - nu_d) <= 2.0
-        dressed_err[tag] = float(np.min(np.abs(dphi[window] - np.pi))) if window.any() else float("nan")
+        dressed_err[tag] = float(np.min(np.abs(dphi[window] - np.pi))) if window.any() else None
     in_band = np.abs(nus - dev.nu_ef) <= 2 * np.sqrt(2) * dev.g0
     headline = {
         "delta_phi_at_cavity": float(center),
@@ -77,15 +62,13 @@ def run_spectrum(cfg: RunConfig, out_dir: Path) -> RunReport:
         "pi_deviation_at_dressed_plus": dressed_err["plus"],
         "pi_crossings": count_pi_crossings(r_g[in_band], r_e[in_band]),
     }
-    return _report(cfg, "spectrum", out_dir, [path], headline)
+    return tables, headline
 
 
-def run_theta_sweep(cfg: RunConfig, out_dir: Path) -> RunReport:
+def run_theta_sweep(cfg: RunConfig) -> tuple[Tables, dict]:
     """Click probability vs photon preparation angle."""
     thetas = cfg.sweeps.theta_rad.to_array()
     p_e = protocol.theta_sweep(cfg.protocol, cfg.device, thetas)
-    path = out_dir / "theta_sweep.csv"
-    write_csv(path, ["theta_rad", "p_e"], [thetas, p_e])
     probs = protocol.fidelity_metrics(cfg.protocol, cfg.device)
     headline = {
         "p_e_given_1": probs.p_e_given_1,
@@ -93,45 +76,34 @@ def run_theta_sweep(cfg: RunConfig, out_dir: Path) -> RunReport:
         "fidelity": probs.fidelity,
         "ratio": probs.ratio,
     }
-    return _report(cfg, "theta_sweep", out_dir, [path], headline)
+    return {"theta_sweep.csv": (["theta_rad", "p_e"], [thetas, p_e])}, headline
 
 
-def run_window_sweep(cfg: RunConfig, out_dir: Path) -> RunReport:
+def run_window_sweep(cfg: RunConfig) -> tuple[Tables, dict]:
     """Efficiency, dark count, fidelity and ratio vs window length."""
+    proto, dev = cfg.protocol, cfg.device
     windows = cfg.sweeps.window_us.to_array()
-    probs = protocol.window_sweep(cfg.protocol, cfg.device, windows)
-    path = out_dir / "window_sweep.csv"
-    write_csv(
-        path,
-        ["Tw_us", "p_e1", "p_e0", "fidelity", "ratio"],
-        [windows, probs.p_e_given_1, probs.p_e_given_0, probs.fidelity, probs.ratio],
-    )
-    headline = {
-        "peak_efficiency_window_us": protocol.optimal_window(
-            cfg.protocol, cfg.device, "efficiency"
-        ),
-        "peak_fidelity_window_us": protocol.optimal_window(
-            cfg.protocol, cfg.device, "fidelity"
-        ),
-        "max_ratio": float(np.max(probs.ratio)),
-        "ratio_at_100ns": protocol.fidelity_metrics(
-            cfg.protocol.with_window(0.1), cfg.device
-        ).ratio,
+    probs = protocol.window_sweep(proto, dev, windows)
+    tables = {
+        "window_sweep.csv": (
+            ["Tw_us", "p_e1", "p_e0", "fidelity", "ratio"],
+            [windows, probs.p_e_given_1, probs.p_e_given_0, probs.fidelity, probs.ratio],
+        )
     }
-    return _report(cfg, "window_sweep", out_dir, [path], headline)
+    headline = {
+        "peak_efficiency_window_us": protocol.optimal_window(proto, dev, "efficiency"),
+        "peak_fidelity_window_us": protocol.optimal_window(proto, dev, "fidelity"),
+        "max_ratio": float(np.max(probs.ratio)),
+        "ratio_at_100ns": protocol.fidelity_metrics(proto.with_window(0.1), dev).ratio,
+    }
+    return tables, headline
 
 
-def run_qnd(cfg: RunConfig, out_dir: Path) -> RunReport:
+def run_qnd(cfg: RunConfig) -> tuple[Tables, dict]:
     """Expected ON/OFF field moments plus the shot-noise Monte Carlo."""
     thetas = np.linspace(0.0, np.pi, cfg.qnd.n_theta)
     on = moments.expected_moments(thetas, "on", cfg.qnd.scale)
     off = moments.expected_moments(thetas, "off", cfg.qnd.scale)
-    path_exp = out_dir / "qnd_expected.csv"
-    write_csv(
-        path_exp,
-        ["theta_rad", "n_on", "n_off", "re_a_on", "re_a_off"],
-        [thetas, on[0], off[0], on[1], off[1]],
-    )
     base = _runner_seed(cfg.seed, "qnd")
     seeds = [
         int(s)
@@ -147,18 +119,22 @@ def run_qnd(cfg: RunConfig, out_dir: Path) -> RunReport:
         cfg.qnd.coherence_offset,
     )
     passed = deviations <= cfg.qnd.gate
-    path_mc = out_dir / "qnd_mc.csv"
-    write_csv(
-        path_mc,
-        ["seed_index", "max_power_deviation", "passed"],
-        [range(len(seeds)), deviations, passed],
-    )
+    tables = {
+        "qnd_expected.csv": (
+            ["theta_rad", "n_on", "n_off", "re_a_on", "re_a_off"],
+            [thetas, on[0], off[0], on[1], off[1]],
+        ),
+        "qnd_mc.csv": (
+            ["seed_index", "max_power_deviation", "passed"],
+            [range(len(seeds)), deviations, passed],
+        ),
+    }
     headline = {
         "expected_max_deviation": moments.max_power_deviation(on, off, cfg.qnd.floor),
         "mc_pass_count": int(passed.sum()),
         "mc_seeds": len(seeds),
     }
-    return _report(cfg, "qnd", out_dir, [path_exp, path_mc], headline)
+    return tables, headline
 
 
 def _true_spectra(cfg: RunConfig) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -171,7 +147,7 @@ def _true_spectra(cfg: RunConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def run_mollow(cfg: RunConfig, out_dir: Path) -> RunReport:
+def run_mollow(cfg: RunConfig) -> tuple[Tables, dict]:
     """Fluorescence spectra, sideband locations, and the gain-fit recovery."""
     mc = cfg.mollow
     gamma = cfg.device.gamma_source
@@ -181,36 +157,32 @@ def run_mollow(cfg: RunConfig, out_dir: Path) -> RunReport:
     for ratio, (grid, values) in zip(ratios, spectra):
         nominal = ratio * gamma
         fitted = calibration.fit_satellite_drive(grid, values, gamma, nominal)
-        sideband_errs[f"sideband_rel_err_ratio_{ratio:g}"] = float(
-            abs(fitted - nominal) / nominal
-        )
-    path = out_dir / "mollow_spectra.csv"
-    write_csv(
-        path,
-        ["drive_ratio", "delta_MHz", "psd", "psd_display"],
-        [
-            np.repeat(ratios, mc.points),
-            np.concatenate([grid for grid, _ in spectra]),
-            np.concatenate([values for _, values in spectra]),
-            np.concatenate(
-                [values + k * mc.display_offset for k, (_, values) in enumerate(spectra)]
-            ),
-        ],
-    )
+        sideband_errs[f"sideband_rel_err_ratio_{ratio:g}"] = float(abs(fitted - nominal) / nominal)
     dataset = calibration.synthetic_mollow_dataset(
         spectra, mc.gain_truth, mc.noise_frac, _runner_seed(cfg.seed, "mollow")
     )
     fit = calibration.fit_mollow(ratios, dataset, gamma)
-    path_fit = out_dir / "mollow_fit.csv"
-    write_csv(
-        path_fit,
-        ["parameter", "estimate", "truth"],
-        [
-            ["gain", "gamma_MHz", *(f"omega_MHz_ratio_{r:g}" for r in ratios)],
-            [fit.gain, fit.gamma, *fit.omegas],
-            [mc.gain_truth, gamma, *(r * gamma for r in ratios)],
-        ],
-    )
+    tables = {
+        "mollow_spectra.csv": (
+            ["drive_ratio", "delta_MHz", "psd", "psd_display"],
+            [
+                np.repeat(ratios, mc.points),
+                np.concatenate([grid for grid, _ in spectra]),
+                np.concatenate([values for _, values in spectra]),
+                np.concatenate(
+                    [values + k * mc.display_offset for k, (_, values) in enumerate(spectra)]
+                ),
+            ],
+        ),
+        "mollow_fit.csv": (
+            ["parameter", "estimate", "truth"],
+            [
+                ["gain", "gamma_MHz", *(f"omega_MHz_ratio_{r:g}" for r in ratios)],
+                [fit.gain, fit.gamma, *fit.omegas],
+                [mc.gain_truth, gamma, *(r * gamma for r in ratios)],
+            ],
+        ),
+    }
     headline = {
         "gain_truth": mc.gain_truth,
         "gain_est": fit.gain,
@@ -219,10 +191,10 @@ def run_mollow(cfg: RunConfig, out_dir: Path) -> RunReport:
         "gamma_rel_err": abs(fit.gamma - gamma) / gamma,
         **sideband_errs,
     }
-    return _report(cfg, "mollow", out_dir, [path, path_fit], headline)
+    return tables, headline
 
 
-def run_stark(cfg: RunConfig, out_dir: Path) -> RunReport:
+def run_stark(cfg: RunConfig) -> tuple[Tables, dict]:
     """Photon-number calibration from the linear qubit-frequency shift."""
     dev = cfg.device
     chi = dispersive_shift(dev.alpha, dev.g0, dev.delta_qc)
@@ -237,12 +209,9 @@ def run_stark(cfg: RunConfig, out_dir: Path) -> RunReport:
         seed=_runner_seed(cfg.seed, "stark"),
     )
     fit = calibration.stark_fit(p_in, nu_q)
-    path = out_dir / "stark.csv"
-    write_csv(
-        path,
-        ["P_in", "nu_q_MHz", "n_p"],
-        [p_in, nu_q, fit.photons_at(p_in, chi)],
-    )
+    tables = {
+        "stark.csv": (["P_in", "nu_q_MHz", "n_p"], [p_in, nu_q, fit.photons_at(p_in, chi)])
+    }
     headline = {
         "chi_MHz": chi,
         "slope_true": slope_true,
@@ -250,10 +219,10 @@ def run_stark(cfg: RunConfig, out_dir: Path) -> RunReport:
         "slope_err": fit.slope_err,
         "nu_q0_est": fit.intercept,
     }
-    return _report(cfg, "stark", out_dir, [path], headline)
+    return tables, headline
 
 
-def run_readout(cfg: RunConfig, out_dir: Path) -> RunReport:
+def run_readout(cfg: RunConfig) -> tuple[Tables, dict]:
     """Single-shot histograms, double-Gaussian fits, and preselection."""
     dev = cfg.device
     ro = cfg.readout
@@ -266,25 +235,20 @@ def run_readout(cfg: RunConfig, out_dir: Path) -> RunReport:
         "photon_0": protocol.readout_composition(probs.p_e_given_0, dev.eps_ge, dev.eps_eg),
         "photon_1": protocol.readout_composition(probs.p_e_given_1, dev.eps_ge, dev.eps_eg),
     }
-    files = []
+    tables = {}
     fits = {}
     assigned = {}
     for name, p_e in populations.items():
         seed = _runner_seed(cfg.seed, f"readout:{name}")
         gen = readout.GaussianMixture(mix.mu_g, mix.mu_e, mix.sigma, p_e)
         shots = readout.sample_shots(gen, ro.n_shots, seed)
-        path_shots = out_dir / f"shots_{name}.csv"
-        write_csv(path_shots, ["index", "q"], [range(ro.n_shots), shots])
         hist = readout.histogram_shots(shots, ro.n_bins)
-        path_hist = out_dir / f"hist_{name}.csv"
-        write_csv(path_hist, ["bin_center", "count"], hist)
-        files.extend([path_shots, path_hist])
+        tables[f"shots_{name}.csv"] = (["index", "q"], [range(ro.n_shots), shots])
+        tables[f"hist_{name}.csv"] = (["bin_center", "count"], hist)
         fits[name] = readout.fit_double_gaussian(*hist)
         assigned[name] = readout.assigned_fraction(shots, thr)
     mixtures = [fit.mixture for fit in fits.values()]
-    path_fits = out_dir / "readout_fits.csv"
-    write_csv(
-        path_fits,
+    tables["readout_fits.csv"] = (
         ["dataset", "mu_g", "mu_e", "sigma", "w_e", "rss"],
         [
             list(fits),
@@ -295,17 +259,16 @@ def run_readout(cfg: RunConfig, out_dir: Path) -> RunReport:
             [fit.rss for fit in fits.values()],
         ],
     )
-    files.append(path_fits)
 
     pre_mix = readout.GaussianMixture(mix.mu_g, mix.mu_e, mix.sigma, dev.p_thermal)
     pre_seed = _runner_seed(cfg.seed, "readout:preselect")
     pre_shots = readout.sample_shots(pre_mix, ro.n_shots, pre_seed)
     pre_thr = readout.preselect_threshold(mix, ro.preselect_sigmas)
     discard = readout.preselect(pre_shots, pre_thr)
-    pre_hist = readout.histogram_shots(pre_shots, ro.n_bins)
-    path_pre = out_dir / "hist_preselect.csv"
-    write_csv(path_pre, ["bin_center", "count"], pre_hist)
-    files.append(path_pre)
+    tables["hist_preselect.csv"] = (
+        ["bin_center", "count"],
+        readout.histogram_shots(pre_shots, ro.n_bins),
+    )
 
     composed_f = probs.fidelity * readout.assignment_fidelity(dev.eps_ge, dev.eps_eg)
     headline = {
@@ -321,20 +284,14 @@ def run_readout(cfg: RunConfig, out_dir: Path) -> RunReport:
         "reference_dark": cfg.reference.single_shot_dark,
         "reference_miss": cfg.reference.single_shot_miss,
     }
-    return _report(cfg, "readout", out_dir, files, headline)
+    return tables, headline
 
 
-def run_loss(cfg: RunConfig, out_dir: Path) -> RunReport:
+def run_loss(cfg: RunConfig) -> tuple[Tables, dict]:
     """Itemized loss budget and the end-to-end loss extraction."""
     components = cfg.loss.components
     budget = calibration.loss_budget(components)
-    path_budget = out_dir / "loss_budget.csv"
     fractions = list(components.values())
-    write_csv(
-        path_budget,
-        ["name", "fraction", "cumulative"],
-        [list(components), fractions, np.cumsum(fractions)],
-    )
     pipeline = calibration.loss_calibration_roundtrip(
         cfg.device,
         cfg.sweeps.drive_ratios,
@@ -347,9 +304,17 @@ def run_loss(cfg: RunConfig, out_dir: Path) -> RunReport:
         cfg.stark.p_max,
         cfg.stark.n_points,
     )
-    path_pipe = out_dir / "loss_pipeline.csv"
     quantities = sorted(pipeline)
-    write_csv(path_pipe, ["quantity", "value"], [quantities, [pipeline[q] for q in quantities]])
+    tables = {
+        "loss_budget.csv": (
+            ["name", "fraction", "cumulative"],
+            [list(components), fractions, np.cumsum(fractions)],
+        ),
+        "loss_pipeline.csv": (
+            ["quantity", "value"],
+            [quantities, [pipeline[q] for q in quantities]],
+        ),
+    }
     headline = {
         "total_additive": budget.total_additive,
         "total_multiplicative": budget.total_multiplicative,
@@ -357,7 +322,7 @@ def run_loss(cfg: RunConfig, out_dir: Path) -> RunReport:
         "loss_est": pipeline["loss_est"],
         "loss_abs_err": abs(pipeline["loss_est"] - pipeline["loss_true"]),
     }
-    return _report(cfg, "loss", out_dir, [path_budget, path_pipe], headline)
+    return tables, headline
 
 
 RUNNERS = {
@@ -372,8 +337,30 @@ RUNNERS = {
 }
 
 
-def run_all(cfg: RunConfig, out_dir: Path) -> dict[str, RunReport]:
-    return {name: runner(cfg, out_dir) for name, runner in RUNNERS.items()}
+def _emit(cfg: RunConfig, subcommand: str, out_dir: Path, digest: str) -> dict:
+    """Run one subcommand, write its tables and its report into out_dir, and
+    return its headline. digest is config_digest(cfg), computed by the caller
+    once for all the reports it writes."""
+    tables, headline = RUNNERS[subcommand](cfg)
+    for name, (header, columns) in tables.items():
+        write_csv(out_dir / name, header, columns)
+    name = subcommand.replace("-", "_")
+    report = {
+        "subcommand": name,
+        "config_digest": digest,
+        "seed": cfg.seed,
+        "files": sorted(tables),
+        "headline": headline,
+    }
+    write_json(out_dir / f"{name}_report.json", report)
+    return headline
+
+
+def run_all(cfg: RunConfig, out_dir: Path) -> dict[str, dict]:
+    """Every subcommand's files and report in out_dir; the headlines by
+    subcommand."""
+    digest = config_digest(cfg)
+    return {subcommand: _emit(cfg, subcommand, out_dir, digest) for subcommand in RUNNERS}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -385,11 +372,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", type=Path, default=None, help="YAML run configuration")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="also run the full acceptance suite (exit 3 on failure)",
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -406,14 +388,9 @@ def main(argv: list[str] | None = None) -> int:
             results = acceptance.run_check(cfg, out_dir)
             print(acceptance.render_report(results))
             return 0 if all(r.passed for r in results) else 3
-        report = RUNNERS[args.subcommand](cfg, out_dir)
-        for key, value in report.headline.items():
+        headline = _emit(cfg, args.subcommand, out_dir, config_digest(cfg))
+        for key, value in headline.items():
             print(f"{key}: {value}")
-        if args.check:
-            results = acceptance.run_check(cfg, out_dir)
-            print(acceptance.render_report(results))
-            if not all(r.passed for r in results):
-                return 3
         return 0
     except (SimulationError, ValueError) as exc:
         print(f"{args.subcommand}: {exc}", file=sys.stderr)

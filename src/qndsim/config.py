@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .device import DeviceParams
+from .device import SPECTRUM_HALF_SPAN_MHZ, DeviceParams
 from .protocol import ProtocolConfig
 
 CONFIG_VERSION = 1
@@ -42,6 +42,8 @@ class GridSpec:
     def __post_init__(self):
         if (self.step is None) == (self.num is None):
             raise ConfigError("grid needs exactly one of step or num")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError("grid start and stop must be finite")
         if self.stop <= self.start:
             raise ConfigError("grid stop must exceed start")
         if self.step is not None and self.step <= 0:
@@ -76,6 +78,9 @@ class SweepConfig:
             raise ConfigError("sweeps.drive_ratios needs at least three ratios")
         if any(r <= 0 for r in self.drive_ratios):
             raise ConfigError("sweeps.drive_ratios must be positive")
+        # protocol.theta_sweep takes preparation angles in [0, pi]
+        if not (0 <= self.theta_rad.start and self.theta_rad.stop <= math.pi):
+            raise ConfigError("sweeps.theta_rad must lie in [0, pi]")
 
 
 @dataclass
@@ -253,6 +258,13 @@ class RunConfig:
         if self.sweeps.window_us.start <= self.protocol.t0:
             raise ConfigError(
                 f"sweeps.window_us.start must exceed protocol.t0 ({self.protocol.t0:g} us)"
+            )
+        # device.phase_difference_spectrum takes frequencies near nu_ef only
+        nu, nu_ef = self.sweeps.nu_mhz, self.device.nu_ef
+        if not max(abs(nu.start - nu_ef), abs(nu.stop - nu_ef)) <= SPECTRUM_HALF_SPAN_MHZ:
+            raise ConfigError(
+                f"sweeps.nu_mhz must stay within +-{SPECTRUM_HALF_SPAN_MHZ:g} MHz "
+                f"of device.nu_ef ({nu_ef:g} MHz)"
             )
 
 

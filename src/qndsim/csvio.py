@@ -88,4 +88,5 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) ->
 
 
 def write_json(path: Path, payload: dict) -> None:
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinite value raises ValueError."""
+    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")

@@ -18,6 +18,10 @@ TWO_PI = 2.0 * np.pi
 # nu_ge + alpha by an ulp; anything further off is a contradiction.
 NU_EF_RTOL = 1e-12
 
+# Half-width, in MHz, of the band around nu_ef that phase_difference_spectrum
+# accepts; the config checks sweeps.nu_mhz against it at load time.
+SPECTRUM_HALF_SPAN_MHZ = 500.0
+
 
 @dataclass
 class DeviceParams:
@@ -129,8 +133,8 @@ def phase_difference_spectrum(
     available in r_g and r_e.
     """
     grid = np.asarray(grid, dtype=float)
-    if np.any(np.abs(grid - params.nu_ef) > 500.0):
-        raise ValueError("grid must stay within +-500 MHz of nu_ef")
+    if np.any(np.abs(grid - params.nu_ef) > SPECTRUM_HALF_SPAN_MHZ):
+        raise ValueError(f"grid must stay within +-{SPECTRUM_HALF_SPAN_MHZ:g} MHz of nu_ef")
     r_g = reflection_coefficient(params, grid, "g", gamma_atom)
     r_e = reflection_coefficient(params, grid, "e", gamma_atom)
     delta_phi = np.abs(wrap_phase(np.angle(r_g) - np.angle(r_e)))

@@ -37,6 +37,9 @@ class ProtocolConfig:
     ramsey_law: str = "exponential"
 
     def __post_init__(self):
+        # capture_fraction assumes the packet starts inside the window
+        if not self.t0 >= 0:
+            raise ValueError("t0 must be non-negative")
         # Tw may be an array of windows: the sweeps evaluate the model at once
         if np.any(self.Tw <= self.t0):
             raise ValueError("detection window must extend past the emission delay")

@@ -206,7 +206,13 @@ class TestFitMollow:
             spectra.append((grid, 0.8 * inelastic_spectrum_model(ratio * gamma, gamma, grid)))
         fit = fit_mollow(RATIOS, spectra, gamma)
         peak = max(values.max() for _, values in spectra)
-        rms = math.sqrt(fit.rss / sum(len(values) for _, values in spectra))
+        residuals = np.concatenate(
+            [
+                fit.gain * inelastic_spectrum_model(om, fit.gamma, grid) - values
+                for om, (grid, values) in zip(fit.omegas, spectra)
+            ]
+        )
+        rms = math.sqrt(np.mean(residuals**2))
         assert rms < 1e-6 * peak
         assert fit.gain == pytest.approx(0.8, rel=1e-6)
 

@@ -16,6 +16,7 @@ from qndsim.config import (
     from_dict,
     load_config,
 )
+from qndsim.csvio import write_csv
 
 SHIPPED_CONFIG = resources.files("qndsim").joinpath("data/device_defaults.yaml")
 
@@ -307,7 +308,7 @@ class TestRunners:
         cells = [truth["gain"], truth["gamma_MHz"], truth["omega_MHz_ratio_3"]]
         assert cells == ["1", "1.77", "5.31"]
 
-    def test_mollow_computes_each_spectrum_once(self, tmp_path, monkeypatch):
+    def test_mollow_computes_each_spectrum_once(self, monkeypatch):
         # the noisy fit data reuse the spectra written to mollow_spectra.csv
         calls = []
         spectrum = calibration.mollow_spectrum
@@ -318,7 +319,7 @@ class TestRunners:
 
         monkeypatch.setattr(calibration, "mollow_spectrum", counted)
         cfg = default_config()
-        cli.run_mollow(cfg, tmp_path)
+        cli.run_mollow(cfg)
         assert calls == cfg.sweeps.drive_ratios
 
     def test_qnd_mc_passed_column(self, tmp_path):
@@ -326,14 +327,46 @@ class TestRunners:
         # numpy bools true/false and the headline counts them
         cfg = default_config()
         cfg.qnd.gate = 0.005
-        report = cli.run_qnd(cfg, tmp_path)
+        tables, headline = cli.run_qnd(cfg)
+        write_csv(tmp_path / "qnd_mc.csv", *tables["qnd_mc.csv"])
         rows = [row.split(",") for row in (tmp_path / "qnd_mc.csv").read_text().splitlines()[1:]]
         assert [int(index) for index, _, _ in rows] == list(range(cfg.qnd.mc_seeds))
         passed = [flag for _, _, flag in rows]
         assert {"true", "false"} == set(passed)
         assert passed == ["true" if float(dev) <= 0.005 else "false" for _, dev, _ in rows]
-        assert report.headline["mc_pass_count"] == passed.count("true")
-        assert report.headline["mc_seeds"] == cfg.qnd.mc_seeds
+        assert headline["mc_pass_count"] == passed.count("true")
+        assert headline["mc_seeds"] == cfg.qnd.mc_seeds
+
+    def test_subcommands_one_by_one_give_the_run_all_tree(self, tmp_path):
+        # each subcommand alone writes its report and exactly the CSV files
+        # that the report lists; together they give run_all's tree, byte
+        # for byte, and run_all returns the reports' headlines
+        tree = tmp_path / "tree"
+        headlines = cli.run_all(default_config(), tree)
+        assert list(headlines) == list(cli.RUNNERS)
+        written = {}
+        for subcommand in cli.RUNNERS:
+            out = tmp_path / subcommand
+            assert cli.main([subcommand, "--out", str(out)]) == 0
+            name = subcommand.replace("-", "_")
+            report = json.loads((out / f"{name}_report.json").read_text())
+            assert report["subcommand"] == name
+            assert report["headline"] == headlines[subcommand]
+            assert report["files"] == sorted(p.name for p in out.glob("*.csv"))
+            assert len(list(out.iterdir())) == len(report["files"]) + 1
+            written.update((p.name, p.read_bytes()) for p in out.iterdir())
+        assert written == {p.name: p.read_bytes() for p in tree.iterdir()}
+
+    def test_spectrum_window_off_the_grid_is_null(self, tmp_path):
+        # a grid that reaches neither dressed frequency reports no deviation
+        # there, as JSON null
+        path = tmp_path / "run.yaml"
+        path.write_text("sweeps: {nu_mhz: {start: 6100, stop: 6170, step: 0.1}}\n")
+        assert cli.main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 0
+        headline = json.loads((tmp_path / "spectrum_report.json").read_text())["headline"]
+        assert headline["pi_deviation_at_dressed_minus"] is None
+        assert headline["pi_deviation_at_dressed_plus"] is None
+        assert headline["delta_phi_at_cavity"] == pytest.approx(math.pi, abs=1e-6)
 
     def test_loss_uses_the_mollow_grid(self, tmp_path, monkeypatch):
         # the source side of the loss round trip is fitted on the grid of
@@ -402,6 +435,10 @@ class TestExitCodes:
             "sweeps: {window_us: {start: 0.005, stop: 0.5, step: 0.0495}}",
             "sweeps: {theta_rad: {start: 0, stop: 1, step: 0.3}}",
             "sweeps: {nu_mhz: {start: 5985, stop: 6285, num: 30.5}}",
+            "sweeps: {theta_rad: {start: 0, stop: 4, num: 5}}",
+            "sweeps: {window_us: {start: .nan, stop: 0.6, num: 5}}",
+            "sweeps: {nu_mhz: {start: 5000, stop: 6285, step: 0.5}}",
+            "protocol: {t0: -0.01, Tw: 0.0}",
             "readout: {n_shots: 50}",
             "readout: {n_shots: 150.5}",
             "readout: {snr: 0}",

@@ -100,3 +100,11 @@ def test_columns_must_match_header(tmp_path, columns):
     with pytest.raises(ValueError, match="2 columns of equal length"):
         write_csv(tmp_path / "table.csv", ["a", "b"], columns)
     assert not (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_is_strict(tmp_path, value):
+    # a report holds strict JSON, which has no NaN or Infinity
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "report.json", {"headline": {"a": value}})
+    assert not any(tmp_path.iterdir())

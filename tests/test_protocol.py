@@ -38,6 +38,9 @@ class TestProtocolConfig:
             {"theta": 4.0},
             {"gamma_photon": 0.0},
             {"ramsey_law": "algebraic"},
+            # the packet must start inside the window
+            {"t0": -0.01},
+            {"t0": -0.01, "Tw": 0.0},
         ],
     )
     def test_invariants(self, kwargs):
