@@ -24,6 +24,7 @@ from .device import (
     dressed_frequencies,
     phase_difference_spectrum,
 )
+from .domain import DomainError
 from .errors import SimulationError
 
 
@@ -378,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config) if args.config else default_config()
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:  # DomainError: the --seed override
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
@@ -392,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         for key, value in headline.items():
             print(f"{key}: {value}")
         return 0
-    except (SimulationError, ValueError) as exc:
+    except (SimulationError, ValueError, ArithmeticError) as exc:
         print(f"{args.subcommand}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -17,6 +17,7 @@ import numpy as np
 import yaml
 
 from .device import SPECTRUM_HALF_SPAN_MHZ, DeviceParams
+from .domain import Checked, DomainError, number
 from .protocol import ProtocolConfig
 
 CONFIG_VERSION = 1
@@ -31,28 +32,23 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class GridSpec:
+class GridSpec(Checked):
     """Uniform grid given by start/stop plus either step or num."""
 
-    start: float
-    stop: float
-    step: float | None = None
-    num: int | None = None
+    start: float = number()
+    stop: float = number()
+    step: float | None = number(None, gt=0)
+    num: int | None = number(None, kind=int, ge=2)
 
     def __post_init__(self):
+        super().__post_init__()
         if (self.step is None) == (self.num is None):
             raise ConfigError("grid needs exactly one of step or num")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ConfigError("grid start and stop must be finite")
         if self.stop <= self.start:
             raise ConfigError("grid stop must exceed start")
-        if self.step is not None and self.step <= 0:
-            raise ConfigError("grid step must be positive")
-        if self.num is not None and self.num < 2:
-            raise ConfigError("grid num must be at least 2")
         if self.step is not None:
             steps = (self.stop - self.start) / self.step
-            if abs(steps - round(steps)) > GRID_STEPS_RTOL * steps:
+            if not math.isfinite(steps) or abs(steps - round(steps)) > GRID_STEPS_RTOL * steps:
                 raise ConfigError(
                     f"grid step {self.step:g} does not divide the span "
                     f"{self.stop - self.start:g} ({steps:.6g} steps)"
@@ -66,173 +62,108 @@ class GridSpec:
 
 
 @dataclass
-class SweepConfig:
+class SweepConfig(Checked):
     nu_mhz: GridSpec = field(default_factory=lambda: GridSpec(5985.0, 6285.0, step=0.1))
     window_us: GridSpec = field(default_factory=lambda: GridSpec(0.05, 0.6, step=0.005))
     theta_rad: GridSpec = field(default_factory=lambda: GridSpec(0.0, math.pi, num=33))
-    drive_ratios: list[float] = field(default_factory=lambda: [2.0, 4.0, 6.0])
+    drive_ratios: list[float] = number(factory=lambda: [2.0, 4.0, 6.0], gt=0)
 
     def __post_init__(self):
+        super().__post_init__()
         # calibration.fit_mollow fits the spectra jointly and needs three
         if len(self.drive_ratios) < 3:
             raise ConfigError("sweeps.drive_ratios needs at least three ratios")
-        if any(r <= 0 for r in self.drive_ratios):
-            raise ConfigError("sweeps.drive_ratios must be positive")
         # protocol.theta_sweep takes preparation angles in [0, pi]
         if not (0 <= self.theta_rad.start and self.theta_rad.stop <= math.pi):
             raise ConfigError("sweeps.theta_rad must lie in [0, pi]")
 
 
 @dataclass
-class SpectroscopyConfig:
+class SpectroscopyConfig(Checked):
     # Finite e-f linewidth regularizing the dressed-resonance phase; the
     # measured value is not known, and delta-phi targets move by < 1e-3 rad
-    # for anything below kappa/50.
-    gamma_atom_mhz: float = 0.1
-
-    def __post_init__(self):
-        # device.phase_difference_spectrum takes a non-negative atomic linewidth
-        if not 0 <= self.gamma_atom_mhz < math.inf:
-            raise ConfigError("spectroscopy.gamma_atom_mhz must be non-negative and finite")
+    # for anything below kappa/50. device.phase_difference_spectrum takes a
+    # non-negative linewidth.
+    gamma_atom_mhz: float = number(0.1, ge=0)
 
 
 @dataclass
-class ReadoutRunConfig:
-    n_shots: int = 12_500
-    snr: float = 5.75  # (mu_e - mu_g) / sigma placing the overlap error at 0.2%
-    n_bins: int = 101
-    preselect_sigmas: float = 3.0  # conservative ground-state heralding threshold
-
-    def __post_init__(self):
-        # preconditions of readout.fit_double_gaussian, checked at load time
-        if self.n_shots < 100:
-            raise ConfigError("readout.n_shots must be at least 100")
-        if self.n_bins < 20:
-            raise ConfigError("readout.n_bins must be at least 20")
-        # readout.GaussianMixture places e above g
-        if not 0 < self.snr < math.inf:
-            raise ConfigError("readout.snr must be positive and finite")
-        if not self.preselect_sigmas > 0:
-            raise ConfigError("readout.preselect_sigmas must be positive")
+class ReadoutRunConfig(Checked):
+    # the minimum counts are preconditions of readout.fit_double_gaussian
+    n_shots: int = number(12_500, kind=int, ge=100)
+    # (mu_e - mu_g) / sigma placing the overlap error at 0.2%;
+    # readout.GaussianMixture places e above g
+    snr: float = number(5.75, gt=0)
+    n_bins: int = number(101, kind=int, ge=20)
+    preselect_sigmas: float = number(3.0, gt=0)  # conservative ground-state heralding threshold
 
 
 @dataclass
-class QndRunConfig:
-    n_shots: int = 12_500
+class QndRunConfig(Checked):
+    n_shots: int = number(12_500, kind=int, ge=1)
     # Per-quadrature variance of the additive measurement noise, referenced
     # to the photon mode. The value is calibrated so that a 12,500-shot
     # moment estimate carries ~0.5% standard error at one photon: the 2%
     # ON/OFF power gate compared across a 9-point angle grid needs per-point
     # noise well below half the gate to pass in 95% of runs.
-    noise_var: float = 0.016
-    n_theta: int = 9
-    scale: float = 1.0  # line transmission
-    mc_seeds: int = 100
-    gate: float = 0.02
-    floor: float = 0.25  # photons; keeps the relative deviation finite near vacuum
-    coherence_offset: float = 0.0  # spurious ON-state amplitude, off by default
-
-    def __post_init__(self):
-        if self.mc_seeds < 1:
-            raise ConfigError("qnd.mc_seeds must be at least 1")
-        if self.n_shots < 1:
-            raise ConfigError("qnd.n_shots must be at least 1")
-        # the angle grid runs from 0 to pi
-        if self.n_theta < 2:
-            raise ConfigError("qnd.n_theta must be at least 2")
-        if not 0 < self.noise_var < math.inf:
-            raise ConfigError("qnd.noise_var must be positive and finite")
-        if not 0 < self.scale <= 1:
-            raise ConfigError("qnd.scale must lie in (0, 1]")
-        if not self.gate > 0:
-            raise ConfigError("qnd.gate must be positive")
-        if not self.floor > 0:
-            raise ConfigError("qnd.floor must be positive")
-        if not math.isfinite(self.coherence_offset):
-            raise ConfigError("qnd.coherence_offset must be finite")
-
-
-def _check_noise_frac(value: float, section: str) -> None:
-    if not 0 <= value < math.inf:
-        raise ConfigError(f"{section}.noise_frac must be non-negative and finite")
+    noise_var: float = number(0.016, gt=0)
+    n_theta: int = number(9, kind=int, ge=2)  # the angle grid runs from 0 to pi
+    scale: float = number(1.0, gt=0, le=1)  # line transmission
+    mc_seeds: int = number(100, kind=int, ge=1)
+    # Relative ON/OFF power deviation allowed; at 1 or more the gate would
+    # pass an erased or a doubled photon.
+    gate: float = number(0.02, gt=0, lt=1)
+    # Photons; keeps the relative deviation finite near vacuum.
+    # moments.expected_moments puts the OFF power at scale * sin^2(theta/2)
+    # <= 1 photon, so a floor of 1 or more would replace it as the divisor.
+    floor: float = number(0.25, gt=0, lt=1)
+    coherence_offset: float = number(0.0)  # spurious ON-state amplitude, off by default
 
 
 @dataclass
-class MollowRunConfig:
-    gain_truth: float = 0.8
-    noise_frac: float = 0.01
-    span: float = 2.5
-    points: int = 801
-    display_offset: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.gain_truth < math.inf:
-            raise ConfigError("mollow.gain_truth must be positive and finite")
-        _check_noise_frac(self.noise_frac, "mollow")
-        # calibration.mollow_spectrum needs the grid to reach +-2 Omega
-        if not 2 <= self.span < math.inf:
-            raise ConfigError("mollow.span must be at least 2 and finite")
-        if self.points < 2:
-            raise ConfigError("mollow.points must be at least 2")
-        if not math.isfinite(self.display_offset):
-            raise ConfigError("mollow.display_offset must be finite")
+class MollowRunConfig(Checked):
+    gain_truth: float = number(0.8, gt=0)
+    noise_frac: float = number(0.01, ge=0)
+    # grid half-width in drive rates; calibration.mollow_spectrum needs it to reach +-2 Omega
+    span: float = number(2.5, ge=2)
+    points: int = number(801, kind=int, ge=2)
+    display_offset: float = number(0.5)
 
 
 @dataclass
-class StarkRunConfig:
-    n_points: int = 9
-    p_max: float = 4.0
-    photons_per_unit: float = 1.0
-    noise_frac: float = 0.01
-
-    def __post_init__(self):
-        # calibration.stark_fit needs three distinct, non-negative powers
-        if self.n_points < 3:
-            raise ConfigError("stark.n_points must be at least 3")
-        if not 0 < self.p_max < math.inf:
-            raise ConfigError("stark.p_max must be positive and finite")
-        # a zero photon scale makes the detector-chain gain vanish in loss
-        if not 0 < self.photons_per_unit < math.inf:
-            raise ConfigError("stark.photons_per_unit must be positive and finite")
-        _check_noise_frac(self.noise_frac, "stark")
+class StarkRunConfig(Checked):
+    n_points: int = number(9, kind=int, ge=3)  # calibration.stark_fit needs three distinct powers
+    p_max: float = number(4.0, gt=0)
+    # a zero photon scale makes the detector-chain gain vanish in loss
+    photons_per_unit: float = number(1.0, gt=0)
+    noise_frac: float = number(0.01, ge=0)
 
 
 @dataclass
-class LossRunConfig:
-    # fractions by name, in the order the budget lists them
-    components: dict[str, float] = field(
-        default_factory=lambda: {
-            "circulator": 0.08,
-            "switch": 0.05,
-            "connectors": 0.05,
-            "cables": 0.02,
-        }
+class LossRunConfig(Checked):
+    # fractions by name, in the order the budget lists them; calibration.loss_budget
+    # takes each in [0, 1)
+    components: dict[str, float] = number(
+        factory=lambda: {"circulator": 0.08, "switch": 0.05, "connectors": 0.05, "cables": 0.02},
+        ge=0,
+        lt=1,
     )
-    detector_gain: float = 1.6
-    noise_frac: float = 0.01
-
-    def __post_init__(self):
-        # calibration.loss_budget takes each fraction in [0, 1)
-        for name, frac in self.components.items():
-            if not 0 <= frac < 1:
-                raise ConfigError(f"loss.components.{name} must lie in [0, 1)")
-        if not 0 < self.detector_gain < math.inf:
-            raise ConfigError("loss.detector_gain must be positive and finite")
-        _check_noise_frac(self.noise_frac, "loss")
+    detector_gain: float = number(1.6, gt=0)
+    noise_frac: float = number(0.01, ge=0)
 
 
 @dataclass
-class ReferenceValues:
+class ReferenceValues(Checked):
     """Quoted single-shot reference measurements, reported next to the
     composed model predictions (see README on the known bookkeeping gap)."""
 
-    single_shot_fidelity: float = 0.496
-    single_shot_dark: float = 0.134
-    single_shot_miss: float = 0.37
+    single_shot_fidelity: float = number(0.496, ge=-1, le=1)  # P(e|1) - P(e|0)
+    single_shot_dark: float = number(0.134, ge=0, le=1)
+    single_shot_miss: float = number(0.37, ge=0, le=1)
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Checked):
     device: DeviceParams = field(default_factory=DeviceParams)
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     sweeps: SweepConfig = field(default_factory=SweepConfig)
@@ -243,17 +174,16 @@ class RunConfig:
     stark: StarkRunConfig = field(default_factory=StarkRunConfig)
     loss: LossRunConfig = field(default_factory=LossRunConfig)
     reference: ReferenceValues = field(default_factory=ReferenceValues)
-    seed: int = 0
+    seed: int = number(0, kind=int, ge=0, lt=2**64)  # an unsigned 64-bit integer
     output_dir: str = "out"
-    config_version: int = CONFIG_VERSION
+    config_version: int = number(CONFIG_VERSION, kind=int)
 
     def __post_init__(self):
         if self.config_version != CONFIG_VERSION:
             raise ConfigError(
                 f"config_version must be {CONFIG_VERSION}, got {self.config_version!r}"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit an unsigned 64-bit integer")
+        super().__post_init__()
         # ProtocolConfig rejects a window that ends at or before the emission delay
         if self.sweeps.window_us.start <= self.protocol.t0:
             raise ConfigError(
@@ -268,23 +198,9 @@ class RunConfig:
             )
 
 
-# Dataclasses a config mapping nests, by the field annotation naming them.
-_NESTED = {
-    cls.__name__: cls
-    for cls in (
-        DeviceParams,
-        ProtocolConfig,
-        SweepConfig,
-        GridSpec,
-        SpectroscopyConfig,
-        ReadoutRunConfig,
-        QndRunConfig,
-        MollowRunConfig,
-        StarkRunConfig,
-        LossRunConfig,
-        ReferenceValues,
-    )
-}
+# Dataclasses a config mapping nests, by the field annotation naming them:
+# every config dataclass, as each one checks its domains through Checked.
+_NESTED = {cls.__name__: cls for cls in Checked.__subclasses__()}
 # YAML's true and false load as Python bools, which are also Integral; no
 # config value is a bool, so each check below rejects them.
 _SCALARS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
@@ -331,6 +247,8 @@ def _build(cls, data, path: str = ""):
     kwargs = {name: _field_value(kinds[name], v, _key(path, name)) for name, v in data.items()}
     try:
         return cls(**kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"'{_key(path, exc.key)}' {exc.rule}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid section '{path}': {exc}" if path else str(exc)) from exc
 

@@ -197,7 +197,8 @@ def steady_state(model: LindbladModel) -> np.ndarray:
         raise NumericsError("null vector of the Liouvillian is traceless")
     rho = rho / tr  # fixes the arbitrary phase and the normalization at once
     rho = (rho + rho.conj().T) / 2
-    residual = np.max(np.abs(lindblad_rhs(model, rho)))
+    # relative to the Liouvillian's norm, with which the rounding error scales
+    residual = np.max(np.abs(lindblad_rhs(model, rho))) / s[0]
     if residual > 1e-10:
-        raise NumericsError(f"steady-state residual {residual:.3e} exceeds 1e-10")
+        raise NumericsError(f"steady-state relative residual {residual:.3e} exceeds 1e-10")
     return check_states(rho, d)

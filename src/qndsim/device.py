@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import Checked, number
+
 TWO_PI = 2.0 * np.pi
 
 # A config spelling out nu_ef in decimal can miss the binary sum
@@ -24,42 +26,37 @@ SPECTRUM_HALF_SPAN_MHZ = 500.0
 
 
 @dataclass
-class DeviceParams:
+class DeviceParams(Checked):
     """Measured device frequencies, rates and error parameters.
 
     Frequencies and rates in MHz, times in microseconds, the rest are
     dimensionless fractions.
     """
 
-    nu_ge: float = 6475.0
-    nu_ef: float | None = None  # derived as nu_ge + alpha when omitted
-    alpha: float = -340.0
-    g0: float = 40.0
-    kappa: float = 19.0
-    nu_ro: float = 4800.0
-    gamma_source: float = 1.77
-    T1: float = 3.0
-    T2_star: float = 1.8
-    loss_L: float = 0.25
-    eps_ge: float = 0.063
-    eps_eg: float = 0.022
-    p_thermal: float = 0.06
-    delta_qc: float = -676.0
+    nu_ge: float = number(6475.0)
+    nu_ef: float | None = number(None)  # derived as nu_ge + alpha when omitted
+    alpha: float = number(-340.0)
+    g0: float = number(40.0, ge=0)
+    kappa: float = number(19.0, gt=0)
+    nu_ro: float = number(4800.0)
+    gamma_source: float = number(1.77, gt=0)  # calibration.steady_population divides by it
+    T1: float = number(3.0, gt=0)
+    T2_star: float = number(1.8, gt=0)
+    loss_L: float = number(0.25, ge=0, lt=1)  # loss_deconvolution divides by 1 - L
+    eps_ge: float = number(0.063, ge=0, le=1)
+    eps_eg: float = number(0.022, ge=0, le=1)
+    p_thermal: float = number(0.06, ge=0, le=1)  # the readout mixture's excited weight
+    delta_qc: float = number(-676.0)
 
     def __post_init__(self):
+        super().__post_init__()
         nu_ef = self.nu_ge + self.alpha
         if self.nu_ef is None:
             self.nu_ef = nu_ef
         elif not math.isclose(self.nu_ef, nu_ef, rel_tol=NU_EF_RTOL):
             raise ValueError(f"nu_ef must equal nu_ge + alpha = {nu_ef!r}")
-        if not 0 <= self.loss_L < 1:
-            raise ValueError("loss_L must lie in [0, 1)")
-        if not 0 <= self.eps_ge + self.eps_eg < 1:
+        if not self.eps_ge + self.eps_eg < 1:
             raise ValueError("readout error rates must sum below 1")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.T1 <= 0 or self.T2_star <= 0:
-            raise ValueError("coherence times must be positive")
         if self.T2_star > 2 * self.T1:
             raise ValueError("T2_star cannot exceed 2*T1")
 
@@ -102,12 +99,13 @@ def reflection_coefficient(
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     det = TWO_PI * (params.nu_ef - nu)
     d_cav = 1j * det + TWO_PI * params.kappa / 2
-    if qubit_state == "g":
-        # bare cavity: the atomic factor cancels (removable 0/0 on resonance)
+    g_eff_sq = 2 * (TWO_PI * params.g0) ** 2 if qubit_state == "e" else 0.0
+    if g_eff_sq == 0:
+        # bare cavity, also where the coupling underflows: the atomic factor
+        # cancels (removable 0/0 on resonance)
         r = 1 - TWO_PI * params.kappa / d_cav
     else:
         d_atom = 1j * det + TWO_PI * gamma_atom / 2
-        g_eff_sq = 2 * (TWO_PI * params.g0) ** 2
         r = 1 - TWO_PI * params.kappa * d_atom / (d_cav * d_atom + g_eff_sq)
     return complex(r[0]) if scalar else r
 

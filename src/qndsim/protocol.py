@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .device import DeviceParams
+from .domain import Checked, number
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,29 +25,23 @@ WINDOW_BOUNDS_US = (0.03, 1.5)
 
 
 @dataclass
-class ProtocolConfig:
+class ProtocolConfig(Checked):
     """Detection window, photon preparation angle and emission parameters.
 
     Tw and t0 in microseconds, theta in radians, gamma_photon in MHz.
     """
 
-    Tw: float = 0.250
-    theta: float = math.pi
-    t0: float = 0.020
-    gamma_photon: float = 1.77
+    # Tw may be an array of windows: the sweeps evaluate the model at once
+    Tw: float = number(0.250, gt=0)
+    theta: float = number(math.pi, ge=0, le=math.pi)
+    t0: float = number(0.020, ge=0)  # capture_fraction assumes the packet starts inside the window
+    gamma_photon: float = number(1.77, gt=0)
     ramsey_law: str = "exponential"
 
     def __post_init__(self):
-        # capture_fraction assumes the packet starts inside the window
-        if not self.t0 >= 0:
-            raise ValueError("t0 must be non-negative")
-        # Tw may be an array of windows: the sweeps evaluate the model at once
+        super().__post_init__()
         if np.any(self.Tw <= self.t0):
             raise ValueError("detection window must extend past the emission delay")
-        if not 0 <= self.theta <= math.pi:
-            raise ValueError("theta must lie in [0, pi]")
-        if self.gamma_photon <= 0:
-            raise ValueError("gamma_photon must be positive")
         if self.ramsey_law not in RAMSEY_LAWS:
             raise ValueError(f"ramsey_law must be one of {RAMSEY_LAWS}")
 

@@ -424,73 +424,87 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "text",
+        "text, key",
         [
-            "device: [1]",
-            "loss: {components: [1, 2]}",
-            "loss: {components: {a: x}}",
-            "sweeps: {drive_ratios: 5}",
-            "sweeps: {drive_ratios: [a]}",
-            "sweeps: {drive_ratios: [3.0]}",
-            "sweeps: {window_us: {start: 0.005, stop: 0.5, step: 0.0495}}",
-            "sweeps: {theta_rad: {start: 0, stop: 1, step: 0.3}}",
-            "sweeps: {nu_mhz: {start: 5985, stop: 6285, num: 30.5}}",
-            "sweeps: {theta_rad: {start: 0, stop: 4, num: 5}}",
-            "sweeps: {window_us: {start: .nan, stop: 0.6, num: 5}}",
-            "sweeps: {nu_mhz: {start: 5000, stop: 6285, step: 0.5}}",
-            "protocol: {t0: -0.01, Tw: 0.0}",
-            "readout: {n_shots: 50}",
-            "readout: {n_shots: 150.5}",
-            "readout: {snr: 0}",
-            "readout: {snr: -5.75}",
-            "readout: {preselect_sigmas: -1}",
-            "readout: {snr: .inf}",
-            "qnd: {n_theta: 2.5}",
-            "qnd: {mc_seeds: 0}",
-            "qnd: {n_shots: 0}",
-            "qnd: {noise_var: -0.01}",
-            "qnd: {scale: 1.5}",
-            "qnd: {n_theta: 0}",
-            "qnd: {coherence_offset: .inf}",
-            "stark: {n_points: 2}",
-            "stark: {p_max: 0.0}",
-            "stark: {p_max: -1.0}",
-            "stark: {photons_per_unit: 0.0}",
-            "mollow: {span: 1.5}",
-            "mollow: {points: 1}",
-            "mollow: {gain_truth: 0.0}",
-            "loss: {detector_gain: 0.0}",
-            "loss: {components: {a: 1.0}}",
-            "loss: {components: {a: -0.1}}",
-            "mollow: {span: .inf}",
-            "stark: {p_max: .inf}",
-            "mollow: {gain_truth: .inf}",
-            "loss: {detector_gain: .inf}",
-            "mollow: {noise_frac: .inf}",
-            "stark: {photons_per_unit: .inf}",
-            "stark: {noise_frac: .nan}",
-            "loss: {noise_frac: -0.01}",
-            "mollow: {display_offset: .nan}",
-            "spectroscopy: {gamma_atom_mhz: .inf}",
-            "spectroscopy: {gamma_atom_mhz: -1.0}",
-            "seed: 1.5",
-            "qnd: {noise_var: x}",
-            "output_dir: 5",
-            "device:",
-            "config_version: 7",
-            "config_version: true",
-            "seed: true",
-            "qnd: {n_shots: true}",
-            "sweeps: {drive_ratios: [true, 4.0, 6.0]}",
-            "loss: {components: {a: false}}",
+            ("device: [1]", "device"),
+            ("loss: {components: [1, 2]}", "loss.components"),
+            ("loss: {components: {a: x}}", "loss.components.a"),
+            ("sweeps: {drive_ratios: 5}", "sweeps.drive_ratios"),
+            ("sweeps: {drive_ratios: [a]}", "sweeps.drive_ratios[0]"),
+            ("sweeps: {drive_ratios: [3.0]}", "sweeps.drive_ratios"),
+            ("sweeps: {window_us: {start: 0.005, stop: 0.5, step: 0.0495}}", "sweeps.window_us.start"),
+            ("sweeps: {theta_rad: {start: 0, stop: 1, step: 0.3}}", "sweeps.theta_rad"),
+            ("sweeps: {nu_mhz: {start: 5985, stop: 6285, num: 30.5}}", "sweeps.nu_mhz.num"),
+            ("sweeps: {theta_rad: {start: 0, stop: 4, num: 5}}", "sweeps.theta_rad"),
+            ("sweeps: {window_us: {start: .nan, stop: 0.6, num: 5}}", "sweeps.window_us.start"),
+            ("sweeps: {nu_mhz: {start: 5000, stop: 6285, step: 0.5}}", "sweeps.nu_mhz"),
+            ("sweeps: {window_us: {start: 0.05, stop: 0.6, step: 5.0e-324}}", "sweeps.window_us"),
+            ("protocol: {t0: -0.01, Tw: 0.0}", "protocol.Tw"),
+            ("readout: {n_shots: 50}", "readout.n_shots"),
+            ("readout: {n_shots: 150.5}", "readout.n_shots"),
+            ("readout: {snr: 0}", "readout.snr"),
+            ("readout: {snr: -5.75}", "readout.snr"),
+            ("readout: {preselect_sigmas: -1}", "readout.preselect_sigmas"),
+            ("readout: {snr: .inf}", "readout.snr"),
+            ("qnd: {n_theta: 2.5}", "qnd.n_theta"),
+            ("qnd: {mc_seeds: 0}", "qnd.mc_seeds"),
+            ("qnd: {n_shots: 0}", "qnd.n_shots"),
+            ("qnd: {noise_var: -0.01}", "qnd.noise_var"),
+            ("qnd: {scale: 1.5}", "qnd.scale"),
+            ("qnd: {n_theta: 0}", "qnd.n_theta"),
+            ("qnd: {coherence_offset: .inf}", "qnd.coherence_offset"),
+            ("stark: {n_points: 2}", "stark.n_points"),
+            ("stark: {p_max: 0.0}", "stark.p_max"),
+            ("stark: {p_max: -1.0}", "stark.p_max"),
+            ("stark: {photons_per_unit: 0.0}", "stark.photons_per_unit"),
+            ("mollow: {span: 1.5}", "mollow.span"),
+            ("mollow: {points: 1}", "mollow.points"),
+            ("mollow: {gain_truth: 0.0}", "mollow.gain_truth"),
+            ("loss: {detector_gain: 0.0}", "loss.detector_gain"),
+            ("loss: {components: {a: 1.0}}", "loss.components.a"),
+            ("loss: {components: {a: -0.1}}", "loss.components.a"),
+            ("mollow: {span: .inf}", "mollow.span"),
+            ("stark: {p_max: .inf}", "stark.p_max"),
+            ("mollow: {gain_truth: .inf}", "mollow.gain_truth"),
+            ("loss: {detector_gain: .inf}", "loss.detector_gain"),
+            ("mollow: {noise_frac: .inf}", "mollow.noise_frac"),
+            ("stark: {photons_per_unit: .inf}", "stark.photons_per_unit"),
+            ("stark: {noise_frac: .nan}", "stark.noise_frac"),
+            ("loss: {noise_frac: -0.01}", "loss.noise_frac"),
+            ("mollow: {display_offset: .nan}", "mollow.display_offset"),
+            ("spectroscopy: {gamma_atom_mhz: .inf}", "spectroscopy.gamma_atom_mhz"),
+            ("spectroscopy: {gamma_atom_mhz: -1.0}", "spectroscopy.gamma_atom_mhz"),
+            ("seed: 1.5", "seed"),
+            ("qnd: {noise_var: x}", "qnd.noise_var"),
+            ("output_dir: 5", "output_dir"),
+            ("device:", "device"),
+            ("config_version: 7", "config_version"),
+            ("config_version: true", "config_version"),
+            ("seed: true", "seed"),
+            ("qnd: {n_shots: true}", "qnd.n_shots"),
+            ("sweeps: {drive_ratios: [true, 4.0, 6.0]}", "sweeps.drive_ratios[0]"),
+            ("loss: {components: {a: false}}", "loss.components.a"),
+            ("device: {kappa: .inf}", "device.kappa"),
+            ("device: {g0: .nan}", "device.g0"),
+            ("device: {T1: .inf}", "device.T1"),
+            ("device: {delta_qc: .nan}", "device.delta_qc"),
+            ("device: {p_thermal: 1.5}", "device.p_thermal"),
+            ("device: {gamma_source: -1.0}", "device.gamma_source"),
+            ("protocol: {Tw: .inf}", "protocol.Tw"),
+            ("protocol: {gamma_photon: .nan}", "protocol.gamma_photon"),
+            ("qnd: {floor: .inf}", "qnd.floor"),
+            ("qnd: {gate: .inf}", "qnd.gate"),
+            ("readout: {preselect_sigmas: .inf}", "readout.preselect_sigmas"),
+            ("reference: {single_shot_dark: 7.0}", "reference.single_shot_dark"),
         ],
     )
-    def test_malformed_content_exit_1_without_traceback(self, tmp_path, capsys, text):
+    def test_malformed_content_exit_1_without_traceback(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text + "\n")
         assert cli.main(["theta-sweep", "--config", str(bad), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err
+        assert key in err
         assert "Traceback" not in err
 
     def test_missing_config_exit_1(self, tmp_path):
@@ -520,6 +534,16 @@ class TestExitCodes:
         assert cli.main(["mollow", "--config", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "mollow: requested grid exceeds the resolvable frequency range" in err
+        assert "Traceback" not in err
+
+    def test_overflow_exit_2(self, tmp_path, capsys):
+        # a huge but finite coupling overflows Python float arithmetic in the
+        # spectrum runner: a numeric error, not a traceback
+        path = tmp_path / "run.yaml"
+        path.write_text("device: {g0: 1.0e+200}\n")
+        assert cli.main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "spectrum: " in err
         assert "Traceback" not in err
 
     def test_check_exit_3_on_failing_criterion(self, tmp_path, capsys):

@@ -158,6 +158,15 @@ class TestReflection:
         r = reflection_coefficient(PARAMS, grid, "e", gamma_atom=0.1)
         assert np.max(np.abs(r)) <= 1 + 1e-9
 
+    @pytest.mark.parametrize("g0", [0.0, 1e-200])
+    def test_uncoupled_excited_qubit_is_a_bare_cavity(self, g0):
+        # without atomic loss, on resonance, the e branch is 0/0 once the
+        # coupling is zero or underflows; its limit is the bare cavity
+        params = DeviceParams(g0=g0)
+        assert reflection_coefficient(params, 6135.0, "e", gamma_atom=0.0) == (
+            reflection_coefficient(params, 6135.0, "g", gamma_atom=0.0)
+        )
+
     def test_bad_state_rejected(self):
         with pytest.raises(ValueError):
             reflection_coefficient(PARAMS, 6135.0, "f", GAMMA_ATOM)
