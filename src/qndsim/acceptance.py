@@ -12,7 +12,7 @@ see the README, "Window-sweep optimum (criterion 4)".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -367,15 +367,7 @@ def run_check(cfg: RunConfig, out_dir: Path) -> list[CriterionResult]:
     write_json(
         out_dir / "acceptance_report.json",
         {
-            "criteria": [
-                {
-                    "number": r.number,
-                    "title": r.title,
-                    "passed": r.passed,
-                    "details": r.details,
-                }
-                for r in results
-            ],
+            "criteria": [asdict(r) for r in results],
             "all_passed": all(r.passed for r in results),
         },
     )

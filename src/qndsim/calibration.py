@@ -95,7 +95,7 @@ def mollow_spectrum(omega_ratio: float, gamma: float, grid: np.ndarray) -> np.nd
 
 
 def inelastic_spectrum_model(
-    omega_mhz: float, gamma_mhz: float, grid: np.ndarray
+    omega_mhz: float | np.ndarray, gamma_mhz: float, grid: np.ndarray
 ) -> np.ndarray:
     """Closed-form inelastic spectrum of the resonantly driven emitter, used
     as the fit model (Mollow, Phys. Rev. 188, 1969 (1969)).
@@ -106,6 +106,9 @@ def inelastic_spectrum_model(
     Its poles are the non-zero Liouvillian eigenvalues, -Gamma/2 and
     -3Gamma/4 +- sqrt(Gamma^2/16 - Omega^2), and it is regular at
     Omega = Gamma/4. Independent of the time-domain route above.
+
+    omega_mhz broadcasts against grid: a column of drives and a stack of
+    grids give one spectrum per row.
     """
     y = (omega_mhz / gamma_mhz) ** 2
     x = (np.asarray(grid, dtype=float) / gamma_mhz) ** 2
@@ -136,37 +139,29 @@ class MollowFit:
     omegas: list[float]
 
 
-def _fluorescence_fit(spectra, gamma_init, omegas0):
-    """Least squares of gain * inelastic_spectrum_model over the (grid,
-    spectrum) pairs, with (gain, Gamma) shared and one Omega per spectrum.
+def _fluorescence_fit(grids, spectra, gamma_init, omegas0):
+    """Least squares of gain * inelastic_spectrum_model over the stacked
+    (ratio, detuning) arrays grids and spectra, with (gain, Gamma) shared and
+    one Omega per row.
 
     The fit starts from the gain projecting the start-value model onto the
     data, with each rate bounded to [0.2, 5] times its start value and the
     gain to at least 1e-6 times its start value."""
-    grids = [grid for grid, _ in spectra]
-    targets = np.concatenate([values for _, values in spectra])
-
-    def model_stack(gamma, omegas):
-        return np.concatenate(
-            [inelastic_spectrum_model(om, gamma, g) for om, g in zip(omegas, grids)]
-        )
+    rows = np.arange(len(grids))
+    targets = spectra.ravel()
 
     def residuals(p):
-        return p[0] * model_stack(p[1], p[2:]) - targets
+        return p[0] * inelastic_spectrum_model(p[2:, None], p[1], grids).ravel() - targets
 
     def jac(p):
-        out = np.zeros((targets.size, p.size))
-        start = 0
-        for k, (om, grid) in enumerate(zip(p[2:], grids)):
-            block = slice(start, start + grid.size)
-            spec, d_omega, d_gamma = _inelastic_spectrum_derivs(om, p[1], grid)
-            out[block, 0] = spec
-            out[block, 1] = p[0] * d_gamma
-            out[block, 2 + k] = p[0] * d_omega
-            start += grid.size
-        return out
+        spec, d_omega, d_gamma = _inelastic_spectrum_derivs(p[2:, None], p[1], grids)
+        out = np.zeros((*grids.shape, p.size))
+        out[..., 0] = spec
+        out[..., 1] = p[0] * d_gamma
+        out[rows, :, 2 + rows] = p[0] * d_omega
+        return out.reshape(targets.size, p.size)
 
-    base = model_stack(gamma_init, omegas0)
+    base = inelastic_spectrum_model(np.asarray(omegas0)[:, None], gamma_init, grids).ravel()
     gain0 = float(base @ targets / (base @ base))
     if not gain0 > 0:
         raise FitError(f"fluorescence data project onto a non-positive gain ({gain0:.3e})")
@@ -177,15 +172,17 @@ def _fluorescence_fit(spectra, gamma_init, omegas0):
 
 
 def fit_mollow(
-    drive_ratios: list[float], spectra: list[tuple[np.ndarray, np.ndarray]], gamma_init: float
+    drive_ratios: list[float], grids: np.ndarray, spectra: np.ndarray, gamma_init: float
 ) -> MollowFit:
-    """Joint fit of (grid, spectrum) pairs, one per drive ratio, sharing
-    (gain, Gamma) with one Omega each."""
+    """Joint fit of the (ratio, detuning) arrays grids and spectra, one row
+    per drive ratio, sharing (gain, Gamma) with one Omega each."""
     if len(spectra) < 3:
         raise ValueError("need at least three spectra for the joint fit")
     if len(drive_ratios) != len(spectra):
         raise ValueError("one spectrum per drive ratio required")
-    result = _fluorescence_fit(spectra, gamma_init, [r * gamma_init for r in drive_ratios])
+    if np.shape(grids) != np.shape(spectra):
+        raise ValueError("grids and spectra must have the same shape")
+    result = _fluorescence_fit(grids, spectra, gamma_init, [r * gamma_init for r in drive_ratios])
     if not result.success:
         raise FitError(f"joint fluorescence fit failed (final cost {result.cost:.3e})")
     return MollowFit(
@@ -206,16 +203,13 @@ def true_mollow_spectrum(
 
 
 def synthetic_mollow_dataset(
-    spectra: list[tuple[np.ndarray, np.ndarray]], gain: float, noise_frac: float, seed: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Measured-looking (grid, spectrum) pairs: the true spectra scaled by a
-    chain gain with multiplicative Gaussian noise, clipped at zero."""
+    spectra: np.ndarray, gain: float, noise_frac: float, seed: int
+) -> np.ndarray:
+    """Measured-looking spectra, one row per true spectrum: scaled by a chain
+    gain with multiplicative Gaussian noise, clipped at zero."""
     rng = np.random.default_rng(seed)
-    noisy = []
-    for grid, true in spectra:
-        measured = gain * true * (1.0 + noise_frac * rng.standard_normal(len(true)))
-        noisy.append((grid, np.maximum(measured, 0.0)))
-    return noisy
+    measured = gain * spectra * (1.0 + noise_frac * rng.standard_normal(spectra.shape))
+    return np.maximum(measured, 0.0)
 
 
 def fit_satellite_drive(
@@ -228,7 +222,9 @@ def fit_satellite_drive(
     is extracted the way spectroscopy does it: fitting the full inelastic
     lineshape with (gain, Gamma, Omega) free.
     """
-    result = _fluorescence_fit([(grid, spectrum)], gamma_init, [omega_init])
+    result = _fluorescence_fit(
+        np.atleast_2d(grid), np.atleast_2d(spectrum), gamma_init, [omega_init]
+    )
     if not result.success:
         raise FitError("single-spectrum resonance fit failed")
     return float(result.x[2])
@@ -331,7 +327,8 @@ def loss_budget(components: dict[str, float]) -> LossBudget:
 def loss_calibration_roundtrip(
     params: DeviceParams,
     drive_ratios: list[float],
-    spectra: list[tuple[np.ndarray, np.ndarray]],
+    grids: np.ndarray,
+    spectra: np.ndarray,
     true_loss: float,
     detector_gain: float,
     noise_frac: float,
@@ -340,8 +337,8 @@ def loss_calibration_roundtrip(
     p_max: float,
     n_stark_points: int,
 ) -> dict[str, float]:
-    """End-to-end synthetic loss extraction from the true (grid, spectrum)
-    pairs of the source, one per drive ratio.
+    """End-to-end synthetic loss extraction from the source's true spectra on
+    their grids, one row of each per drive ratio.
 
     The source side is calibrated by the joint fluorescence fit (recovering
     G_s = (1-L) G_d); the detector side by the Stark photon-number meter
@@ -351,7 +348,7 @@ def loss_calibration_roundtrip(
     g_d_true = detector_gain
     g_s_true = (1.0 - true_loss) * g_d_true
     dataset = synthetic_mollow_dataset(spectra, g_s_true, noise_frac, seed)
-    g_s_est = fit_mollow(drive_ratios, dataset, params.gamma_source).gain
+    g_s_est = fit_mollow(drive_ratios, grids, dataset, params.gamma_source).gain
 
     chi = dispersive_shift(params.alpha, params.g0, params.delta_qc)
     rng = np.random.default_rng(seed + 1)

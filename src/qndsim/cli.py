@@ -49,16 +49,18 @@ def run_spectrum(cfg: RunConfig) -> tuple[Tables, dict]:
             [nus, r_g.real, r_g.imag, r_e.real, r_e.imag, dphi],
         )
     }
-    center = dphi[np.argmin(np.abs(nus - dev.nu_ef))]
+    # each entry below is null when no grid point lies within 2 MHz of its
+    # frequency
+    nearest = np.argmin(np.abs(nus - dev.nu_ef))
+    center = float(dphi[nearest]) if abs(nus[nearest] - dev.nu_ef) <= 2.0 else None
     lo, hi = dressed_frequencies(dev, 1)
     dressed_err = {}
     for tag, nu_d in (("minus", lo), ("plus", hi)):
-        # null when the grid does not reach the dressed frequency
         window = np.abs(nus - nu_d) <= 2.0
         dressed_err[tag] = float(np.min(np.abs(dphi[window] - np.pi))) if window.any() else None
     in_band = np.abs(nus - dev.nu_ef) <= 2 * np.sqrt(2) * dev.g0
     headline = {
-        "delta_phi_at_cavity": float(center),
+        "delta_phi_at_cavity": center,
         "pi_deviation_at_dressed_minus": dressed_err["minus"],
         "pi_deviation_at_dressed_plus": dressed_err["plus"],
         "pi_crossings": count_pi_crossings(r_g[in_band], r_e[in_band]),
@@ -95,7 +97,12 @@ def run_window_sweep(cfg: RunConfig) -> tuple[Tables, dict]:
         "peak_efficiency_window_us": protocol.optimal_window(proto, dev, "efficiency"),
         "peak_fidelity_window_us": protocol.optimal_window(proto, dev, "fidelity"),
         "max_ratio": float(np.max(probs.ratio)),
-        "ratio_at_100ns": protocol.fidelity_metrics(proto.with_window(0.1), dev).ratio,
+        # null when a 100 ns window ends before the emission delay
+        "ratio_at_100ns": (
+            protocol.fidelity_metrics(proto.with_window(0.1), dev).ratio
+            if proto.t0 < 0.1
+            else None
+        ),
     }
     return tables, headline
 
@@ -138,14 +145,16 @@ def run_qnd(cfg: RunConfig) -> tuple[Tables, dict]:
     return tables, headline
 
 
-def _true_spectra(cfg: RunConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The source's true (grid, spectrum) pairs on the mollow grid, one per
-    drive ratio."""
+def _true_spectra(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(grids, spectra): the source's true spectra on the mollow grid, one row
+    of each per drive ratio."""
     mc = cfg.mollow
-    return [
+    rows = [
         calibration.true_mollow_spectrum(r, cfg.device.gamma_source, mc.span, mc.points)
         for r in cfg.sweeps.drive_ratios
     ]
+    grids, spectra = zip(*rows)
+    return np.array(grids), np.array(spectra)
 
 
 def run_mollow(cfg: RunConfig) -> tuple[Tables, dict]:
@@ -153,26 +162,25 @@ def run_mollow(cfg: RunConfig) -> tuple[Tables, dict]:
     mc = cfg.mollow
     gamma = cfg.device.gamma_source
     ratios = cfg.sweeps.drive_ratios
-    spectra = _true_spectra(cfg)
+    grids, spectra = _true_spectra(cfg)
     sideband_errs = {}
-    for ratio, (grid, values) in zip(ratios, spectra):
+    for ratio, grid, values in zip(ratios, grids, spectra):
         nominal = ratio * gamma
         fitted = calibration.fit_satellite_drive(grid, values, gamma, nominal)
         sideband_errs[f"sideband_rel_err_ratio_{ratio:g}"] = float(abs(fitted - nominal) / nominal)
     dataset = calibration.synthetic_mollow_dataset(
         spectra, mc.gain_truth, mc.noise_frac, _runner_seed(cfg.seed, "mollow")
     )
-    fit = calibration.fit_mollow(ratios, dataset, gamma)
+    fit = calibration.fit_mollow(ratios, grids, dataset, gamma)
+    offsets = mc.display_offset * np.arange(len(ratios))[:, None]
     tables = {
         "mollow_spectra.csv": (
             ["drive_ratio", "delta_MHz", "psd", "psd_display"],
             [
                 np.repeat(ratios, mc.points),
-                np.concatenate([grid for grid, _ in spectra]),
-                np.concatenate([values for _, values in spectra]),
-                np.concatenate(
-                    [values + k * mc.display_offset for k, (_, values) in enumerate(spectra)]
-                ),
+                grids.ravel(),
+                spectra.ravel(),
+                (spectra + offsets).ravel(),
             ],
         ),
         "mollow_fit.csv": (
@@ -296,7 +304,7 @@ def run_loss(cfg: RunConfig) -> tuple[Tables, dict]:
     pipeline = calibration.loss_calibration_roundtrip(
         cfg.device,
         cfg.sweeps.drive_ratios,
-        _true_spectra(cfg),
+        *_true_spectra(cfg),
         cfg.device.loss_L,
         cfg.loss.detector_gain,
         cfg.loss.noise_frac,

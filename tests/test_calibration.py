@@ -37,7 +37,7 @@ def true_spectrum(ratio):
     return true_mollow_spectrum(ratio, GAMMA_MHZ, MOLLOW.span, MOLLOW.points)
 
 
-TRUE_SPECTRA = [true_spectrum(r) for r in RATIOS]
+TRUE_GRIDS, TRUE_SPECTRA = map(np.array, zip(*(true_spectrum(r) for r in RATIOS)))
 
 
 class TestMollowSpectrum:
@@ -199,57 +199,70 @@ class TestFitMollow:
     def test_exact_self_fit(self):
         # data generated from the fit model itself: residuals at machine level
         gamma = GAMMA_MHZ
-        spectra = []
-        for ratio in RATIOS:
-            half = 2.5 * ratio * gamma
-            grid = np.linspace(-half, half, 401)
-            spectra.append((grid, 0.8 * inelastic_spectrum_model(ratio * gamma, gamma, grid)))
-        fit = fit_mollow(RATIOS, spectra, gamma)
-        peak = max(values.max() for _, values in spectra)
-        residuals = np.concatenate(
-            [
-                fit.gain * inelastic_spectrum_model(om, fit.gamma, grid) - values
-                for om, (grid, values) in zip(fit.omegas, spectra)
-            ]
+        omegas = np.array(RATIOS)[:, None] * gamma
+        grids = np.linspace(-2.5, 2.5, 401) * omegas
+        spectra = 0.8 * inelastic_spectrum_model(omegas, gamma, grids)
+        fit = fit_mollow(RATIOS, grids, spectra, gamma)
+        residuals = (
+            fit.gain * inelastic_spectrum_model(np.array(fit.omegas)[:, None], fit.gamma, grids)
+            - spectra
         )
         rms = math.sqrt(np.mean(residuals**2))
-        assert rms < 1e-6 * peak
+        assert rms < 1e-6 * spectra.max()
         assert fit.gain == pytest.approx(0.8, rel=1e-6)
 
     def test_gain_recovery_with_noise(self):
         data = synthetic_mollow_dataset(TRUE_SPECTRA, 0.8, 0.01, seed=5)
-        fit = fit_mollow(RATIOS, data, GAMMA_MHZ)
+        fit = fit_mollow(RATIOS, TRUE_GRIDS, data, GAMMA_MHZ)
         assert abs(fit.gain - 0.8) / 0.8 < 0.02
 
     def test_gain_recovery_twenty_seeds(self):
         for seed in range(20):
             data = synthetic_mollow_dataset(TRUE_SPECTRA, 0.8, 0.01, seed=seed)
-            fit = fit_mollow(RATIOS, data, GAMMA_MHZ)
+            fit = fit_mollow(RATIOS, TRUE_GRIDS, data, GAMMA_MHZ)
             assert abs(fit.gain - 0.8) / 0.8 < 0.02
             assert abs(fit.gamma - GAMMA_MHZ) / GAMMA_MHZ < 0.02
 
     def test_needs_three_spectra(self):
         data = synthetic_mollow_dataset(TRUE_SPECTRA, 0.8, 0.01, seed=5)
         with pytest.raises(ValueError, match="three spectra"):
-            fit_mollow(RATIOS[:2], data[:2], GAMMA_MHZ)
+            fit_mollow(RATIOS[:2], TRUE_GRIDS[:2], data[:2], GAMMA_MHZ)
         with pytest.raises(ValueError, match="one spectrum per drive ratio"):
-            fit_mollow(RATIOS[:2], data, GAMMA_MHZ)
+            fit_mollow(RATIOS[:2], TRUE_GRIDS, data, GAMMA_MHZ)
+
+    def test_grids_and_spectra_of_one_shape(self):
+        data = synthetic_mollow_dataset(TRUE_SPECTRA, 0.8, 0.01, seed=5)
+        with pytest.raises(ValueError, match="same shape"):
+            fit_mollow(RATIOS, TRUE_GRIDS[:, :-1], data, GAMMA_MHZ)
+        with pytest.raises(ValueError, match="same shape"):
+            fit_mollow(RATIOS, TRUE_GRIDS[0], data, GAMMA_MHZ)
 
     def test_non_positive_start_gain_rejected(self):
         # all-zero data project onto gain 0, which no gain bound can contain
-        zeros = [(grid, np.zeros_like(values)) for grid, values in TRUE_SPECTRA]
         with pytest.raises(FitError, match="non-positive gain"):
-            fit_mollow(RATIOS, zeros, GAMMA_MHZ)
-        grid, _ = TRUE_SPECTRA[0]
+            fit_mollow(RATIOS, TRUE_GRIDS, np.zeros_like(TRUE_SPECTRA), GAMMA_MHZ)
+        grid = TRUE_GRIDS[0]
         with pytest.raises(FitError, match="non-positive gain"):
             fit_satellite_drive(grid, np.zeros_like(grid), GAMMA_MHZ, RATIOS[0] * GAMMA_MHZ)
 
     def test_noise_is_multiplicative_and_clipped(self):
         data = synthetic_mollow_dataset(TRUE_SPECTRA, 0.8, 0.01, seed=5)
-        for (grid, true), (noisy_grid, noisy) in zip(TRUE_SPECTRA, data):
-            assert noisy_grid is grid
+        assert data.shape == TRUE_SPECTRA.shape
+        for true, noisy in zip(TRUE_SPECTRA, data):
             assert noisy.min() >= 0.0
             assert np.max(np.abs(noisy / 0.8 - true)) < 0.06 * true.max()
+
+    def test_stacked_noise_is_the_per_row_draws(self):
+        # one draw over the (3, 801) stack gives the numbers of three
+        # consecutive per-row draws from one generator, row-major
+        assert TRUE_SPECTRA.shape == (3, 801)
+        data = synthetic_mollow_dataset(TRUE_SPECTRA, 0.8, 0.01, seed=5)
+        rng = np.random.default_rng(5)
+        rows = [
+            np.maximum(0.8 * true * (1.0 + 0.01 * rng.standard_normal(true.size)), 0.0)
+            for true in TRUE_SPECTRA
+        ]
+        np.testing.assert_array_equal(data, np.array(rows))
 
 
 class TestStark:
@@ -330,6 +343,7 @@ class TestLoss:
         result = loss_calibration_roundtrip(
             PARAMS,
             RATIOS,
+            TRUE_GRIDS,
             TRUE_SPECTRA,
             true_loss=0.25,
             detector_gain=1.6,

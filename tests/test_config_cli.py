@@ -368,15 +368,37 @@ class TestRunners:
         assert headline["pi_deviation_at_dressed_plus"] is None
         assert headline["delta_phi_at_cavity"] == pytest.approx(math.pi, abs=1e-6)
 
+    def test_spectrum_cavity_off_the_grid_is_null(self, tmp_path):
+        # a grid that ends 335 MHz below nu_ef reports no cavity phase
+        path = tmp_path / "run.yaml"
+        path.write_text("sweeps: {nu_mhz: {start: 5700.0, stop: 5800.0, step: 0.5}}\n")
+        assert cli.main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 0
+        headline = json.loads((tmp_path / "spectrum_report.json").read_text())["headline"]
+        assert headline["delta_phi_at_cavity"] is None
+
+    def test_window_sweep_100ns_before_the_emission_is_null(self, tmp_path):
+        # with t0 past 100 ns there is no 100 ns window, but both optima are
+        # defined
+        path = tmp_path / "run.yaml"
+        path.write_text(
+            "protocol: {t0: 0.15, Tw: 0.4}\n"
+            "sweeps: {window_us: {start: 0.2, stop: 0.6, step: 0.01}}\n"
+        )
+        assert cli.main(["window-sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+        headline = json.loads((tmp_path / "window_sweep_report.json").read_text())["headline"]
+        assert headline["ratio_at_100ns"] is None
+        assert headline["peak_fidelity_window_us"] == pytest.approx(0.424, abs=1e-3)
+        assert headline["peak_efficiency_window_us"] == pytest.approx(0.523, abs=1e-3)
+
     def test_loss_uses_the_mollow_grid(self, tmp_path, monkeypatch):
         # the source side of the loss round trip is fitted on the grid of
         # the mollow section, as the mollow runner's fit is
         grids = []
         fit_mollow = calibration.fit_mollow
 
-        def spy(ratios, spectra, gamma):
-            grids.extend(grid for grid, _ in spectra)
-            return fit_mollow(ratios, spectra, gamma)
+        def spy(ratios, stacked_grids, spectra, gamma):
+            grids.extend(stacked_grids)
+            return fit_mollow(ratios, stacked_grids, spectra, gamma)
 
         monkeypatch.setattr(calibration, "fit_mollow", spy)
         path = tmp_path / "run.yaml"

@@ -127,19 +127,18 @@ def test_lorentzian_matches_reference(captured):
 
 
 def test_default_mollow_fit_matches_reference(captured, cfg):
-    gamma = cfg.device.gamma_source
     ratios = cfg.sweeps.drive_ratios
-    spectra = [true_mollow_spectrum(r, gamma, cfg.mollow.span, cfg.mollow.points) for r in ratios]
+    grids, spectra = cli._true_spectra(cfg)
     data = synthetic_mollow_dataset(spectra, cfg.mollow.gain_truth, cfg.mollow.noise_frac, 0)
-    calibration.fit_mollow(ratios, data, gamma)
+    calibration.fit_mollow(ratios, grids, data, cfg.device.gamma_source)
     assert len(captured) == 1 and captured[0][1].size == 2 + len(ratios)
     assert compare(captured[0])
 
 
 def test_weak_drive_single_spectrum_matches_reference(captured):
     gamma = 1.77
-    spectra = [true_mollow_spectrum(0.25, gamma, MOLLOW.span, MOLLOW.points)]
-    (grid, values), = synthetic_mollow_dataset(spectra, 0.8, 0.01, 3)
+    grid, spectrum = true_mollow_spectrum(0.25, gamma, MOLLOW.span, MOLLOW.points)
+    values = synthetic_mollow_dataset(spectrum, 0.8, 0.01, 3)
     calibration.fit_satellite_drive(grid, values, gamma, 0.25 * gamma)
     assert compare(captured[0])
 
@@ -160,14 +159,30 @@ def test_mollow_jacobian_matches_central_differences(ratio):
         np.testing.assert_allclose(analytic, central, rtol=0, atol=1e-8 * np.abs(central).max())
 
 
-def test_fit_jacobians_match_central_differences(captured):
+def test_stacked_model_matches_per_row_calls(cfg):
+    """The fluorescence fit evaluates every ratio in one broadcast call. Row
+    by row it squares a scalar Omega/Gamma through libm's pow, which may
+    differ from the array square in the last bit."""
+    grids, _ = cli._true_spectra(cfg)
+    omegas = np.array([1.3, 6.1, 11.7])
+    stacked = _inelastic_spectrum_derivs(omegas[:, None], 1.83, grids)
+    rows = [_inelastic_spectrum_derivs(om, 1.83, grid) for om, grid in zip(omegas, grids)]
+    for k, value in enumerate(stacked):
+        np.testing.assert_allclose(value, [row[k] for row in rows], rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(
+        inelastic_spectrum_model(omegas[:, None], 1.83, grids), stacked[0]
+    )
+
+
+def test_fit_jacobians_match_central_differences(captured, cfg):
     """The Jacobians the three fits hand to _lsq, at points off the optimum."""
     shots = readout.sample_shots(readout.GaussianMixture(0.0, 5.75, 1.0, 0.3), 12_500, 7)
     readout.fit_double_gaussian(*readout.histogram_shots(shots, RO.n_bins))
     axis = np.linspace(-5.0, 5.0, 201)
     calibration.fit_lorentzian(axis, 2.0 / (1.0 + (axis - 0.3) ** 2))
-    spectra = [true_mollow_spectrum(r, 1.77, MOLLOW.span, MOLLOW.points) for r in (2.0, 4.0, 6.0)]
-    calibration.fit_mollow([2.0, 4.0, 6.0], synthetic_mollow_dataset(spectra, 0.8, 0.01, 0), 1.77)
+    grids, spectra = cli._true_spectra(cfg)
+    data = synthetic_mollow_dataset(spectra, 0.8, 0.01, 0)
+    calibration.fit_mollow(cfg.sweeps.drive_ratios, grids, data, cfg.device.gamma_source)
     assert len(captured) == 3
     for fun, x0, jac, _, _ in captured:
         x = x0 * 1.01 + 0.01
@@ -243,13 +258,14 @@ class TestFitFailures:
         with pytest.raises(FitError, match="double-Gaussian fit failed"):
             readout.fit_double_gaussian(*readout.histogram_shots(shots, RO.n_bins))
 
-    def test_fluorescence(self, monkeypatch):
+    def test_fluorescence(self, monkeypatch, cfg):
         monkeypatch.setattr(calibration, "_lsq", failed)
-        spectra = [true_mollow_spectrum(r, 1.77, MOLLOW.span, MOLLOW.points) for r in (2.0, 4.0, 6.0)]
+        ratios, gamma = cfg.sweeps.drive_ratios, cfg.device.gamma_source
+        grids, spectra = cli._true_spectra(cfg)
         with pytest.raises(FitError, match="joint fluorescence fit failed"):
-            calibration.fit_mollow([2.0, 4.0, 6.0], spectra, 1.77)
+            calibration.fit_mollow(ratios, grids, spectra, gamma)
         with pytest.raises(FitError, match="single-spectrum resonance fit failed"):
-            calibration.fit_satellite_drive(*spectra[0], 1.77, 2.0 * 1.77)
+            calibration.fit_satellite_drive(grids[0], spectra[0], gamma, ratios[0] * gamma)
 
     def test_lorentzian(self, monkeypatch):
         monkeypatch.setattr(calibration, "_lsq", failed)
