@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration, moments, protocol, readout
+from . import calibration, protocol, readout
 from .config import RunConfig
 from .core import (
     LindbladModel,
@@ -52,13 +52,38 @@ def _result(number: int, title: str, checks: list[tuple[bool, str]]) -> Criterio
     return CriterionResult(number, title, passed, details)
 
 
+# Each helper below returns the (ok, message) pair of one check. The message
+# prints the value and the bound that the comparison reads, in full precision.
+
+
+def _near(label: str, value: float, target: float, tol: float) -> tuple[bool, str]:
+    return abs(value - target) <= tol, f"{label} = {value} vs {target} +- {tol}"
+
+
+def _within(label: str, value: float, lo: float, hi: float) -> tuple[bool, str]:
+    return lo <= value <= hi, f"{label} = {value} in [{lo}, {hi}]"
+
+
+def _at_most(label: str, value: float, bound: float) -> tuple[bool, str]:
+    return value <= bound, f"{label} = {value} <= {bound}"
+
+
+def _at_250ns(cfg: RunConfig) -> protocol.DetectionProbs | None:
+    """fidelity_metrics at the 250 ns reference window of criteria 3 and 5;
+    None when that window ends before the emission delay t0."""
+    if cfg.protocol.t0 >= 0.25:
+        return None
+    return protocol.fidelity_metrics(cfg.protocol.with_window(0.25), cfg.device)
+
+
+def _before_emission(label: str, window: str, cfg: RunConfig) -> tuple[bool, str]:
+    delay = f"the emission delay t0 = {cfg.protocol.t0} us"
+    return False, f"{label} undefined: a {window} window ends before {delay}"
+
+
 def criterion_1(cfg: RunConfig) -> CriterionResult:
     chi = dispersive_shift(cfg.device.alpha, cfg.device.g0, cfg.device.delta_qc)
-    return _result(
-        1,
-        "dispersive shift",
-        [(abs(chi - (-2.40)) <= 0.01, f"chi = {chi:.4f} MHz vs -2.40 +- 0.01")],
-    )
+    return _result(1, "dispersive shift", [_near("chi [MHz]", chi, -2.40, 0.01)])
 
 
 def criterion_2(cfg: RunConfig) -> CriterionResult:
@@ -69,20 +94,17 @@ def criterion_2(cfg: RunConfig) -> CriterionResult:
     grid = np.linspace(dev.nu_ef - span, dev.nu_ef + span, n)
     r_g, r_e, dphi = phase_difference_spectrum(dev, grid, gamma_atom)
     center = float(phase_difference_spectrum(dev, np.array([dev.nu_ef]), gamma_atom)[2][0])
-    checks = [
-        (
-            abs(center - math.pi) <= 1e-6,
-            f"|delta_phi({dev.nu_ef:g}) - pi| = {abs(center - math.pi):.2e} <= 1e-6",
-        )
-    ]
+    checks = [_near(f"delta_phi({dev.nu_ef:g} MHz) [rad]", center, math.pi, 1e-6)]
     for label, nu_d in zip(("-", "+"), (dev.nu_ef - 56.57, dev.nu_ef + 56.57)):
         window = np.abs(grid - nu_d) <= 2.0
+        if not window.any():
+            checks.append(
+                (False, f"no grid point within 2 MHz of the {label} dressed frequency {nu_d:g} MHz")
+            )
+            continue
         best = float(np.min(np.abs(dphi[window] - math.pi)))
         checks.append(
-            (
-                best <= 0.05,
-                f"pi reached within {best:.4f} rad near the {label} dressed frequency",
-            )
+            _at_most(f"|delta_phi - pi| near the {label} dressed frequency [rad]", best, 0.05)
         )
     crossings = count_pi_crossings(r_g, r_e)
     checks.append((crossings == 3, f"{crossings} pi crossings (want 3)"))
@@ -90,45 +112,37 @@ def criterion_2(cfg: RunConfig) -> CriterionResult:
 
 
 def criterion_3(cfg: RunConfig) -> CriterionResult:
-    probs = protocol.fidelity_metrics(cfg.protocol.with_window(0.25), cfg.device)
-    checks = [
-        (
-            abs(probs.p_e_given_1 - 0.658) <= 0.03,
-            f"P(e|1) = {probs.p_e_given_1:.4f} vs 0.658 +- 0.030",
-        ),
-        (
-            abs(probs.p_e_given_0 - 0.059) <= 0.015,
-            f"P(e|0) = {probs.p_e_given_0:.4f} vs 0.059 +- 0.015",
-        ),
-        (
-            abs(probs.fidelity - 0.599) <= 0.04,
-            f"F = {probs.fidelity:.4f} vs 0.599 +- 0.040",
-        ),
-    ]
+    probs = _at_250ns(cfg)
+    if probs is None:
+        checks = [_before_emission("P(e|1), P(e|0) and F", "250 ns", cfg)]
+    else:
+        checks = [
+            _near("P(e|1)", probs.p_e_given_1, 0.658, 0.03),
+            _near("P(e|0)", probs.p_e_given_0, 0.059, 0.015),
+            _near("F", probs.fidelity, 0.599, 0.04),
+        ]
     return _result(3, "detection point at Tw = 250 ns", checks)
 
 
-def criterion_4(cfg: RunConfig) -> CriterionResult:
+def criterion_4(cfg: RunConfig, window_headline: dict) -> CriterionResult:
     # The measured operating point trades capture against coherence, so it is
     # the fidelity optimum. The efficiency optimum sits later by construction
     # (for C = exp(-Tw/T2*), C (p_int - 1/2) peaks where
     # p_int' = (p_int - 1/2)/T2*) and is reported, not gated.
-    peak = protocol.optimal_window(cfg.protocol, cfg.device, "fidelity")
-    eff_peak = protocol.optimal_window(cfg.protocol, cfg.device, "efficiency")
     windows = cfg.sweeps.window_us.to_array()
     darks = protocol.window_sweep(cfg.protocol, cfg.device, windows).p_e_given_0
     monotone = bool(np.all(np.diff(darks) >= 0))
-    ratio = protocol.fidelity_metrics(cfg.protocol.with_window(0.1), cfg.device).ratio
+    ratio = window_headline["ratio_at_100ns"]
     checks = [
-        (
-            0.25 <= peak <= 0.35,
-            f"F optimum at {peak * 1e3:.1f} ns vs 300 +- 50 ns",
-        ),
+        _within("F-optimal window [us]", window_headline["peak_fidelity_window_us"], 0.25, 0.35),
         (monotone, "P(e|0) monotone non-decreasing across the sweep"),
-        (13 <= ratio <= 20, f"ratio(100 ns) = {ratio:.2f} in [13, 20]"),
+        _before_emission("ratio(100 ns)", "100 ns", cfg)
+        if ratio is None
+        else _within("ratio(100 ns)", ratio, 13, 20),
     ]
     result = _result(4, "window sweep", checks)
-    result.details += f"; info: P(e|1) optimum at {eff_peak * 1e3:.1f} ns (not gated)"
+    eff_peak = window_headline["peak_efficiency_window_us"]
+    result.details += f"; info: P(e|1)-optimal window [us] = {eff_peak} (not gated)"
     return result
 
 
@@ -137,12 +151,13 @@ def criterion_5(cfg: RunConfig) -> CriterionResult:
     p_meas = protocol.readout_composition(0.658, dev.eps_ge, dev.eps_eg)
     miss = 1.0 - p_meas
     fid_ro = readout.assignment_fidelity(dev.eps_ge, dev.eps_eg)
-    model_f = protocol.fidelity_metrics(cfg.protocol.with_window(0.25), dev).fidelity
-    composed = model_f * fid_ro
+    probs = _at_250ns(cfg)
     checks = [
-        (abs(miss - 0.37) <= 0.02, f"P(g|1) = {miss:.4f} vs 0.37 +- 0.02"),
-        (abs(fid_ro - 0.915) <= 1e-12, f"assignment fidelity = {fid_ro:.6f} (0.915 exact)"),
-        (0.49 <= composed <= 0.56, f"composed single-shot F = {composed:.4f} in [0.49, 0.56]"),
+        _near("P(g|1)", miss, 0.37, 0.02),
+        _near("assignment fidelity", fid_ro, 0.915, 1e-12),
+        _before_emission("composed single-shot F", "250 ns", cfg)
+        if probs is None
+        else _within("composed single-shot F", probs.fidelity * fid_ro, 0.49, 0.56),
     ]
     return _result(5, "single-shot composition", checks)
 
@@ -151,24 +166,22 @@ def criterion_6(cfg: RunConfig) -> CriterionResult:
     p_in = protocol.loss_deconvolution(0.37, 0.25)
     f_in = protocol.internal_fidelity(0.16, 0.134)
     checks = [
-        (abs(p_in - 0.16) <= 1e-12, f"P_in(g|1) = {p_in:.6f} (0.16 exact)"),
-        (abs(f_in - 0.706) <= 0.005, f"F_in = {f_in:.4f} vs 0.706 +- 0.005"),
+        _near("P_in(g|1)", p_in, 0.16, 1e-12),
+        _near("F_in", f_in, 0.706, 0.005),
     ]
     return _result(6, "internal fidelity", checks)
 
 
-def criterion_7(cfg: RunConfig, qnd_headline: dict) -> CriterionResult:
-    thetas = np.linspace(0.0, math.pi, cfg.qnd.n_theta)
-    n_on, _ = moments.expected_moments(thetas, "on", cfg.qnd.scale)
-    n_off, _ = moments.expected_moments(thetas, "off", cfg.qnd.scale)
-    identical = bool(np.array_equal(n_on, n_off))
+def criterion_7(qnd_headline: dict) -> CriterionResult:
+    # the deviation is relative to max(n_off, floor) with floor > 0, so it is
+    # zero exactly when the expected ON and OFF power curves are identical
     pass_count = qnd_headline["mc_pass_count"]
     n_seeds = qnd_headline["mc_seeds"]
     checks = [
-        (identical, "expected ON/OFF power curves identical"),
+        _at_most("expected ON/OFF power deviation", qnd_headline["expected_max_deviation"], 0),
         (
             pass_count >= 0.95 * n_seeds,
-            f"Monte Carlo 2% gate: {pass_count}/{n_seeds} seeds passed (need >= 95%)",
+            f"Monte Carlo gate passed by {pass_count}/{n_seeds} seeds (need >= 0.95 * {n_seeds})",
         ),
     ]
     return _result(7, "QND power conservation", checks)
@@ -178,11 +191,8 @@ def criterion_8(cfg: RunConfig, mollow_headline: dict) -> CriterionResult:
     checks = []
     for ratio in cfg.sweeps.drive_ratios:
         err = mollow_headline[f"sideband_rel_err_ratio_{ratio:g}"]
-        checks.append(
-            (err <= 0.05, f"sidebands at ratio {ratio:g}: off nominal by {err * 100:.2f}%")
-        )
-    gain_err = mollow_headline["gain_rel_err"]
-    checks.append((gain_err <= 0.02, f"gain recovered within {gain_err * 100:.2f}% (need 2%)"))
+        checks.append(_at_most(f"sideband relative error at ratio {ratio:g}", err, 0.05))
+    checks.append(_at_most("gain relative error", mollow_headline["gain_rel_err"], 0.02))
     gamma_ang = TWO_PI * cfg.device.gamma_source
     worst = 0.0
     for ratio in (0.1, 1.0, 5.0, 100.0):
@@ -190,9 +200,9 @@ def criterion_8(cfg: RunConfig, mollow_headline: dict) -> CriterionResult:
         numeric = steady_state(model)[1, 1].real
         closed = calibration.steady_population(ratio * gamma_ang, gamma_ang)
         worst = max(worst, abs(numeric - closed))
-    checks.append((worst <= 1e-6, f"steady population matches the engine to {worst:.2e}"))
+    checks.append(_at_most("steady population, engine vs closed form", worst, 1e-6))
     limit = calibration.steady_population(100.0, 1.0)
-    checks.append((abs(limit - 0.5) <= 1e-3, f"n_q(Omega=100 Gamma) = {limit:.5f} -> 1/2"))
+    checks.append(_near("n_q(Omega = 100 Gamma)", limit, 0.5, 1e-3))
     return _result(8, "fluorescence power pipeline", checks)
 
 
@@ -205,9 +215,7 @@ def criterion_9(cfg: RunConfig, loss_headline: dict) -> CriterionResult:
     )
     fit = calibration.stark_fit(*clean)
     noiseless_err = abs(fit.slope - slope_true) / abs(slope_true)
-    checks = [
-        (noiseless_err < 0.01, f"noiseless slope error {noiseless_err * 100:.3g}% < 1%")
-    ]
+    checks = [(noiseless_err < 0.01, f"noiseless slope relative error = {noiseless_err} < 0.01")]
     noise = cfg.stark.noise_frac * abs(slope_true) * cfg.stark.p_max
     bad = 0
     for seed in range(20):
@@ -224,16 +232,9 @@ def criterion_9(cfg: RunConfig, loss_headline: dict) -> CriterionResult:
         if abs(noisy_fit.slope - slope_true) > 3 * noisy_fit.slope_err:
             bad += 1
     # one 3-sigma outlier in 20 draws is within the stated coverage
-    checks.append((bad <= 1, f"noisy slope within 3 standard errors for {20 - bad}/20 seeds"))
-    loss_err = loss_headline["loss_abs_err"]
-    checks.append((loss_err <= 0.02, f"loss round-trip error {loss_err:.4f} <= 0.02"))
-    budget = calibration.loss_budget(cfg.loss.components)
-    checks.append(
-        (
-            abs(budget.total_additive - 0.20) <= 1e-12,
-            f"additive loss budget = {budget.total_additive:.4f} (0.20 exact)",
-        )
-    )
+    checks.append(_at_most("noisy slopes beyond 3 standard errors, of 20 seeds", bad, 1))
+    checks.append(_at_most("loss round-trip error", loss_headline["loss_abs_err"], 0.02))
+    checks.append(_near("additive loss budget", loss_headline["total_additive"], 0.20, 1e-12))
     return _result(9, "Stark and loss pipeline", checks)
 
 
@@ -267,10 +268,10 @@ def criterion_10(cfg: RunConfig) -> CriterionResult:
         width_errs.append(abs(fwhm - gamma_mhz) / gamma_mhz)
     width_err = max(width_errs)
     checks = [
-        (decay_err <= 1e-6, f"decay vs analytic exp: max err {decay_err:.2e} <= 1e-6"),
-        (trace_err <= 1e-7, f"trace preserved to {trace_err:.2e} <= 1e-7"),
-        (rabi_err <= 1e-6, f"Rabi oscillation: max err {rabi_err:.2e} <= 1e-6"),
-        (width_err <= 0.02, f"regression linewidths within {width_err * 100:.2f}% (need 2%)"),
+        _at_most("decay vs analytic exp, max error", decay_err, 1e-6),
+        _at_most("trace error", trace_err, 1e-7),
+        _at_most("Rabi oscillation vs analytic, max error", rabi_err, 1e-6),
+        _at_most("regression linewidths, max relative error", width_err, 0.02),
     ]
     return _result(10, "engine validation", checks)
 
@@ -295,26 +296,16 @@ def criterion_11(cfg: RunConfig) -> CriterionResult:
                 bad += 1
                 break
     # one 3-sigma outlier in 20 draws is within the stated coverage
-    checks = [(bad <= 1, f"round-trip fits within 3 standard errors for {20 - bad}/20 seeds")]
+    checks = [_at_most("round-trip fits beyond 3 standard errors, of 20 seeds", bad, 1)]
     overlap = readout.overlap_error(readout.GaussianMixture(0.0, 5.75, 1.0, 0.5))
-    checks.append(
-        (
-            abs(overlap - 0.002) <= 0.1 * 0.002,
-            f"overlap error at d/sigma = 5.75: {overlap:.5f} = 0.002 +- 10%",
-        )
-    )
+    checks.append(_near("overlap error at d/sigma = 5.75", overlap, 0.002, 0.1 * 0.002))
     # the 6% bound holds for a fixed 3-sigma cut, whatever readout.preselect_sigmas
     # sets for the readout runner
     mix = readout.GaussianMixture(0.0, cfg.readout.snr, 1.0, cfg.device.p_thermal)
     shots = readout.sample_shots(mix, n, 314159)
     discard = readout.preselect(shots, readout.preselect_threshold(mix, 3.0))
     sigma_bin = math.sqrt(0.06 * 0.94 / n)
-    checks.append(
-        (
-            abs(discard - 0.06) <= 3 * sigma_bin,
-            f"preselection discards {discard * 100:.2f}% vs 6% +- {3 * sigma_bin * 100:.2f}%",
-        )
-    )
+    checks.append(_near("discard fraction of a 3-sigma preselection", discard, 0.06, 3 * sigma_bin))
     return _result(11, "readout statistics", checks)
 
 
@@ -341,10 +332,10 @@ def run_criteria(cfg: RunConfig, headlines: dict[str, dict]) -> list[CriterionRe
         criterion_1(cfg),
         criterion_2(cfg),
         criterion_3(cfg),
-        criterion_4(cfg),
+        criterion_4(cfg, headlines["window-sweep"]),
         criterion_5(cfg),
         criterion_6(cfg),
-        criterion_7(cfg, headlines["qnd"]),
+        criterion_7(headlines["qnd"]),
         criterion_8(cfg, headlines["mollow"]),
         criterion_9(cfg, headlines["loss"]),
         criterion_10(cfg),

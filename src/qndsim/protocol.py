@@ -149,14 +149,22 @@ def window_sweep(
 
 def optimal_window(cfg: ProtocolConfig, params: DeviceParams, objective: str) -> float:
     """Window length in WINDOW_BOUNDS_US maximizing P(e|1) (objective
-    "efficiency") or F ("fidelity"), by golden-section search."""
+    "efficiency") or F ("fidelity"), by golden-section search. A window that
+    closes by the emission delay t0 scores -inf, so the search never builds one."""
     if objective == "efficiency":
         func = lambda tw: detection_efficiency(cfg.with_window(tw), params)
     elif objective == "fidelity":
         func = lambda tw: fidelity_metrics(cfg.with_window(tw), params).fidelity
     else:
         raise ValueError("objective must be 'efficiency' or 'fidelity'")
-    return _golden_section_max(func, *WINDOW_BOUNDS_US)
+    if cfg.t0 >= WINDOW_BOUNDS_US[1]:
+        raise ValueError(
+            f"emission delay t0 = {cfg.t0:g} us leaves no window in the search "
+            f"range {WINDOW_BOUNDS_US} us"
+        )
+    return _golden_section_max(
+        lambda tw: func(tw) if tw > cfg.t0 else -math.inf, *WINDOW_BOUNDS_US
+    )
 
 
 def _golden_section_max(func, lo: float, hi: float, tol: float = 1e-9) -> float:

@@ -588,3 +588,46 @@ class TestExitCodes:
         report = json.loads((out / "acceptance_report.json").read_text())
         assert not report["all_passed"]
         assert not {c["number"]: c for c in report["criteria"]}[1]["passed"]
+
+    @pytest.mark.parametrize(
+        "data, number, fail",
+        [
+            (
+                {
+                    "protocol": {"t0": 0.15, "Tw": 0.4},
+                    "sweeps": {"window_us": {"start": 0.2, "stop": 0.6, "step": 0.01}},
+                },
+                4,
+                "FAIL: ratio(100 ns) undefined: a 100 ns window ends before the emission delay",
+            ),
+            (
+                {"device": {"g0": 10.0}},
+                2,
+                "FAIL: no grid point within 2 MHz of the - dressed frequency",
+            ),
+            (
+                {
+                    "protocol": {"t0": 0.3, "Tw": 0.5},
+                    "sweeps": {"window_us": {"start": 0.35, "stop": 0.6, "step": 0.01}},
+                },
+                3,
+                "FAIL: P(e|1), P(e|0) and F undefined: a 250 ns window ends before the emission",
+            ),
+        ],
+    )
+    def test_check_exit_3_on_an_unreachable_reference_point(
+        self, tmp_path, capsys, data, number, fail
+    ):
+        # every runner runs on these configs, but a reference point of one
+        # criterion lies outside them: that criterion fails, not the run
+        path = tmp_path / "run.yaml"
+        path.write_text(
+            yaml.safe_dump({**data, "qnd": {"mc_seeds": 20}, "readout": {"n_shots": 2000}})
+        )
+        out = tmp_path / "out"
+        assert cli.main(["check", "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "acceptance_report.json").read_text())
+        criterion = {c["number"]: c for c in report["criteria"]}[number]
+        assert not criterion["passed"]
+        assert fail in criterion["details"]

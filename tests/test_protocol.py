@@ -258,6 +258,26 @@ class TestWindowOptimum:
                 efficiency_peak, abs=1e-7
             )
 
+    def test_optima_past_a_late_emission(self):
+        # the search range starts before t0 = 0.6 us; windows that close by
+        # the emission are never built, and the optima keep their closed forms
+        cfg = replace(CFG, t0=0.6, Tw=0.9)
+        growth = 1.0 + RATE * PARAMS.T2_star
+        a = 1.0 - PARAMS.loss_L
+        fidelity_peak = cfg.t0 + math.log(growth) / RATE
+        efficiency_peak = cfg.t0 + math.log(a * growth / (0.5 - PARAMS.loss_L)) / RATE
+        assert fidelity_peak == pytest.approx(0.8738, abs=1e-4)
+        assert efficiency_peak == pytest.approx(0.9726, abs=1e-4)
+        assert optimal_window(cfg, PARAMS, "fidelity") == pytest.approx(fidelity_peak, abs=1e-6)
+        assert optimal_window(cfg, PARAMS, "efficiency") == pytest.approx(
+            efficiency_peak, abs=1e-6
+        )
+
+    def test_emission_past_the_search_range_rejected(self):
+        cfg = replace(CFG, t0=WINDOW_BOUNDS_US[1], Tw=2.0)
+        with pytest.raises(ValueError, match=r"search range \(0.03, 1.5\)"):
+            optimal_window(cfg, PARAMS, "fidelity")
+
 
 class TestReadoutComposition:
     def test_paper_point(self):
