@@ -151,6 +151,16 @@ class LossRunConfig(Checked):
     detector_gain: float = number(1.6, gt=0)
     noise_frac: float = number(0.01, ge=0)
 
+    def __post_init__(self):
+        super().__post_init__()
+        # each name is one field of loss_budget.csv, which quotes nothing
+        for name in self.components:
+            if any(char in name for char in ',"\r\n'):
+                raise ConfigError(
+                    f"loss.components name {name!r} must not contain a comma, "
+                    "a double quote, CR or LF"
+                )
+
 
 @dataclass
 class ReferenceValues(Checked):

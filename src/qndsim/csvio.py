@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import os
 import secrets
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -52,39 +51,57 @@ def _conversion(kinds: set[type]) -> str | None:
     return specs.pop() if len(specs) == 1 else None
 
 
+def _typed(column) -> tuple[str | None, list]:
+    """A column's cells, with the %-conversion its dtype gives them: %.12g for
+    a one-dimensional float array, %s for an integer array or a range; None
+    where the cell types decide."""
+    if isinstance(column, range):
+        return "%s", list(column)
+    if not isinstance(column, np.ndarray):
+        return None, list(column)
+    kind = column.dtype.kind if column.ndim == 1 else None
+    # a longdouble's tolist() keeps numpy scalars, which format_value prints by str()
+    if kind == "f" and column.dtype.itemsize <= 8:
+        return f"%{FLOAT_FORMAT}", column.tolist()
+    return ("%s" if kind in ("i", "u") else None), column.tolist()
+
+
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     """Header plus one line per row from one column per header name, each
     cell as format_value prints it.
 
     ndarray columns go through tolist(), so numpy scalars print as Python's.
-    The table goes through one %-template, with the conversion picked from
-    the cell types of each column: %.12g for floats, %s for ints and strings.
-    A bool column, or a column whose types need different conversions, is
-    formatted cell by cell with format_value instead: under %s the floats
-    below an int would print their repr digits, and under %.12g an int of
-    1e12 or more would print as 1e+12.
+    The table goes through one %-template. A float array's dtype gives its
+    column %.12g, and an integer array or a range gives %s. Any other column
+    (a list, a tuple, a bool, complex or object array) takes its conversion
+    from its cell types: %.12g for floats, %s for ints and strings. A bool
+    column, or a column whose types need different conversions, is formatted
+    cell by cell with format_value instead: under %s the floats below an int
+    would print their repr digits, and under %.12g an int of 1e12 or more
+    would print as 1e+12.
 
     Raises ValueError unless there is one column per header name and all
     columns have the same length.
     """
-    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-    n_rows = len(columns[0]) if columns else 0
-    if len(columns) != len(header) or any(len(c) != n_rows for c in columns):
+    typed = [_typed(c) for c in columns]
+    n_rows, n_cols = (len(typed[0][1]) if typed else 0), len(typed)
+    if n_cols != len(header) or any(len(cells) != n_rows for _, cells in typed):
         raise ValueError(
             f"{path.name}: needs {len(header)} columns of equal length, one per header name"
         )
+    # row-major cells: column j fills every n_cols-th cell from the j-th
+    cells = [None] * (n_rows * n_cols)
     specs = []
-    for j, column in enumerate(columns):
-        spec = _conversion(set(map(type, column)))
+    for j, (spec, column) in enumerate(typed):
         if spec is None:
-            columns[j] = list(map(format_value, column))
+            spec = _conversion(set(map(type, column)))
+        if spec is None:
+            column = list(map(format_value, column))
             spec = "%s"
+        cells[j::n_cols] = column
         specs.append(spec)
     line = ",".join(specs) + "\n"
-    # Rows exist only as zip's transient tuples, so a large table leaves the
-    # garbage collector nothing to scan.
-    cells = tuple(chain.from_iterable(zip(*columns)))
-    write_text_atomic(path, ",".join(header) + "\n" + (line * n_rows) % cells)
+    write_text_atomic(path, ",".join(header) + "\n" + (line * n_rows) % tuple(cells))
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -103,26 +103,32 @@ def dark_count(Tw: float | np.ndarray, params: DeviceParams, law: str) -> float 
     return (1.0 - ramsey_coherence(Tw, params.T2_star, law)) / 2.0
 
 
-def detection_efficiency(cfg: ProtocolConfig, params: DeviceParams) -> float | np.ndarray:
-    """Click probability with a photon emitted.
+def _click_probs(
+    tw: float | np.ndarray, cfg: ProtocolConfig, params: DeviceParams
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(P(e|1), P(e|0)) at window length tw, with cfg's other parameters.
 
     A captured photon (probability p_int = (1-L) * capture) flips the Ramsey
     phase, succeeding with the coherence-limited probability (1+C)/2; a lost
     or uncaptured photon leaves the interferometer undisturbed and the
-    outcome reverts to dark-count statistics.
+    outcome reverts to dark-count statistics, P(e|0) = (1 - C) / 2.
     """
-    p_int = (1.0 - params.loss_L) * capture_fraction(cfg)
-    c = ramsey_coherence(cfg.Tw, params.T2_star, cfg.ramsey_law)
-    p_dark = dark_count(cfg.Tw, params, cfg.ramsey_law)
-    return p_int * (1.0 + c) / 2.0 + (1.0 - p_int) * p_dark
+    tw = np.asarray(tw, dtype=float)
+    rate = TWO_PI * cfg.gamma_photon
+    p_int = (1.0 - params.loss_L) * (1.0 - np.exp(-rate * (tw - cfg.t0)))
+    c = ramsey_coherence(tw, params.T2_star, cfg.ramsey_law)
+    p_dark = (1.0 - c) / 2.0
+    return p_int * (1.0 + c) / 2.0 + (1.0 - p_int) * p_dark, p_dark
+
+
+def detection_efficiency(cfg: ProtocolConfig, params: DeviceParams) -> float | np.ndarray:
+    """Click probability with a photon emitted, P(e|1) (see _click_probs)."""
+    return _click_probs(cfg.Tw, cfg, params)[0]
 
 
 def fidelity_metrics(cfg: ProtocolConfig, params: DeviceParams) -> DetectionProbs:
     """Efficiency, dark count, fidelity F = P(e|1) - P(e|0) and their ratio."""
-    return DetectionProbs.from_probs(
-        detection_efficiency(cfg, params),
-        dark_count(cfg.Tw, params, cfg.ramsey_law),
-    )
+    return DetectionProbs.from_probs(*_click_probs(cfg.Tw, cfg, params))
 
 
 def theta_sweep(
@@ -151,20 +157,21 @@ def optimal_window(cfg: ProtocolConfig, params: DeviceParams, objective: str) ->
     """Window length in WINDOW_BOUNDS_US maximizing P(e|1) (objective
     "efficiency") or F ("fidelity"), by golden-section search. A window that
     closes by the emission delay t0 scores -inf, so the search never builds one."""
-    if objective == "efficiency":
-        func = lambda tw: detection_efficiency(cfg.with_window(tw), params)
-    elif objective == "fidelity":
-        func = lambda tw: fidelity_metrics(cfg.with_window(tw), params).fidelity
-    else:
+    if objective not in ("efficiency", "fidelity"):
         raise ValueError("objective must be 'efficiency' or 'fidelity'")
     if cfg.t0 >= WINDOW_BOUNDS_US[1]:
         raise ValueError(
             f"emission delay t0 = {cfg.t0:g} us leaves no window in the search "
             f"range {WINDOW_BOUNDS_US} us"
         )
-    return _golden_section_max(
-        lambda tw: func(tw) if tw > cfg.t0 else -math.inf, *WINDOW_BOUNDS_US
-    )
+
+    def score(tw: float) -> float:
+        if tw <= cfg.t0:
+            return -math.inf
+        p1, p0 = _click_probs(tw, cfg, params)
+        return p1 if objective == "efficiency" else p1 - p0
+
+    return _golden_section_max(score, *WINDOW_BOUNDS_US)
 
 
 def _golden_section_max(func, lo: float, hi: float, tol: float = 1e-9) -> float:

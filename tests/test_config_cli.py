@@ -518,6 +518,10 @@ class TestExitCodes:
             ("qnd: {gate: .inf}", "qnd.gate"),
             ("readout: {preselect_sigmas: .inf}", "readout.preselect_sigmas"),
             ("reference: {single_shot_dark: 7.0}", "reference.single_shot_dark"),
+            ('loss: {components: {"circulator, isolator": 0.08}}', "loss.components"),
+            (r'loss: {components: {"a\"b": 0.08}}', "loss.components"),
+            (r'loss: {components: {"a\rb": 0.08}}', "loss.components"),
+            (r'loss: {components: {"a\nb": 0.08}}', "loss.components"),
         ],
     )
     def test_malformed_content_exit_1_without_traceback(self, tmp_path, capsys, text, key):

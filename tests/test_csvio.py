@@ -4,8 +4,13 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qndsim.csvio import _conversion, format_value, write_csv, write_json
+
+from test_domains import DETERMINISTIC
 
 
 def per_cell_reference(header, columns) -> str:
@@ -41,6 +46,48 @@ TABLES = {
     ],
     "tuple_and_range_columns": [("gain", "gamma"), range(2)],
     "zero_rows": [[], np.array([])],
+    # the dtype picks the conversion of these array columns
+    "float32_arrays": [
+        np.array([0.1, -2.5e-7, 3e38, 1.17549435e-38], dtype=np.float32),
+        np.array([1.77, 3 * 1.77, 0.0, -1.0], dtype=np.float32),
+    ],
+    "uint8_and_uint64_arrays": [
+        np.array([0, 7, 255], dtype=np.uint8),
+        np.array([0, 10**12, 2**64 - 1], dtype=np.uint64),
+    ],
+    "int64_negative_and_1e12": [
+        np.array([-7, -(10**13), 0], dtype=np.int64),
+        np.array([10**12, 123_456_789_012_345, 2**63 - 1], dtype=np.int64),
+    ],
+    "float64_special_values": [
+        np.array([math.nan, math.inf, -math.inf]),
+        np.array([-0.0, 5e-324, 1.2e14]),
+    ],
+    "bool_complex_and_object_arrays": [
+        np.array([True, False, True]),
+        np.array([1 + 2j, -0.5j, 3 * 1.77 + 0j]),
+        np.array([1, 1.77, "a"], dtype=object),
+    ],
+    "range_with_a_step": [range(-3, 12, 5), range(10, 0, -4)],
+    "zero_length_typed_arrays": [
+        np.array([], dtype=np.float64),
+        np.array([], dtype=np.int64),
+        np.array([], dtype=np.float32),
+        range(0),
+    ],
+    "typed_with_list_and_str_columns": [
+        np.array([0.1 * 3, 1.77]),
+        [1, 3 * 1.77],
+        ["gain", "gamma"],
+        np.array([10**12, -1]),
+        range(2),
+    ],
+    # no dtype conversion for these: the cell types decide
+    "longdouble_and_two_dimensional_arrays": [
+        np.array([0.1, 1.77], dtype=np.longdouble),
+        np.array([[0.5, 1.0], [2.0, 3 * 1.77]]),
+        np.array([[1], [2]]),
+    ],
 }
 
 
@@ -69,6 +116,26 @@ def test_matches_per_cell_reference(tmp_path, columns):
     header = [f"c{j}" for j in range(len(columns))]
     write_csv(tmp_path / "table.csv", header, columns)
     assert (tmp_path / "table.csv").read_text() == per_cell_reference(header, columns)
+
+
+@settings(max_examples=50, **DETERMINISTIC)
+@given(
+    columns=st.integers(0, 40).flatmap(
+        lambda n_rows: st.lists(
+            st.one_of(
+                hnp.arrays(np.float64, n_rows),
+                hnp.arrays(np.int64, n_rows),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+def test_typed_arrays_match_per_cell_reference(tmp_path_factory, columns):
+    path = tmp_path_factory.mktemp("typed") / "table.csv"
+    header = [f"c{j}" for j in range(len(columns))]
+    write_csv(path, header, columns)
+    assert path.read_text() == per_cell_reference(header, columns)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
+import importlib.util
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from qndsim.protocol import (
     WINDOW_BOUNDS_US,
     DetectionProbs,
     ProtocolConfig,
+    _golden_section_max,
     capture_fraction,
     dark_count,
     detection_efficiency,
@@ -27,6 +31,34 @@ from qndsim.protocol import (
 PARAMS = DeviceParams()
 CFG = ProtocolConfig()
 RATE = 2 * math.pi * 1.77
+
+
+def _design_devices(count: int) -> list[dict]:
+    """The first count sampled configs of perfbench's design workload, seed 0."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    dont_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.dont_write_bytecode = dont_write_bytecode
+    return [workloads.design_config(0, index) for index in range(count)]
+
+
+DESIGN_DEVICES = _design_devices(5)
+
+
+def reference_optimal_window(cfg, params, objective):
+    """The window search evaluated through the public functions, one
+    ProtocolConfig per window."""
+    if objective == "efficiency":
+        func = lambda tw: detection_efficiency(cfg.with_window(tw), params)
+    else:
+        func = lambda tw: fidelity_metrics(cfg.with_window(tw), params).fidelity
+    return _golden_section_max(
+        lambda tw: func(tw) if tw > cfg.t0 else -math.inf, *WINDOW_BOUNDS_US
+    )
 
 
 class TestProtocolConfig:
@@ -272,6 +304,30 @@ class TestWindowOptimum:
         assert optimal_window(cfg, PARAMS, "efficiency") == pytest.approx(
             efficiency_peak, abs=1e-6
         )
+
+    @pytest.mark.parametrize("t0", [0.02, 0.6])
+    @pytest.mark.parametrize("law", ["exponential", "gaussian"])
+    @pytest.mark.parametrize("index", range(len(DESIGN_DEVICES)))
+    def test_search_equals_the_per_window_reference(self, monkeypatch, index, law, t0):
+        sampled = DESIGN_DEVICES[index]
+        params = DeviceParams(**sampled["device"])
+        cfg = ProtocolConfig(
+            **{**sampled["protocol"], "t0": t0, "Tw": t0 + 0.3, "ramsey_law": law}
+        )
+        built = []
+        post_init = ProtocolConfig.__post_init__
+
+        def spy(self):
+            built.append(self.Tw)
+            post_init(self)
+
+        monkeypatch.setattr(ProtocolConfig, "__post_init__", spy)
+        for objective in ("efficiency", "fidelity"):
+            built.clear()
+            peak = optimal_window(cfg, params, objective)
+            assert built == []
+            assert peak == reference_optimal_window(cfg, params, objective)
+            assert built  # the spy sees the windows the reference builds
 
     def test_emission_past_the_search_range_rejected(self):
         cfg = replace(CFG, t0=WINDOW_BOUNDS_US[1], Tw=2.0)
