@@ -1,4 +1,7 @@
+import ast
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -103,10 +106,30 @@ class TestMollowSpectrum:
             mollow_spectrum(4.0, GAMMA_MHZ, np.linspace(-5.0, 5.0, 101))
 
     def test_routes_agree(self):
-        # time-domain regression + FFT vs the closed-form resolvent
+        # the engine's resolvent vs the closed form derived from it by hand
         grid, spec = true_spectrum(4.0)
         resolvent = inelastic_spectrum_model(4.0 * GAMMA_MHZ, GAMMA_MHZ, grid)
-        assert np.max(np.abs(resolvent - spec)) < 0.02 * spec.max()
+        assert np.max(np.abs(resolvent - spec)) <= 1e-12 * spec.max()
+
+    def test_no_blas_and_no_time_domain_route(self):
+        # the solve stays in elementwise numpy: no np.linalg, no @, and
+        # neither the correlator nor the PSD
+        tree = ast.parse(textwrap.dedent(inspect.getsource(mollow_spectrum)))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert not any(isinstance(n, ast.MatMult) for n in ast.walk(tree))
+        assert "linalg" not in attrs
+        assert not {"two_time_correlation", "psd", "interp"} & (names | attrs)
+
+    @pytest.mark.parametrize("ratio", [0.25, 2.0, 4.0, 6.0, 8.0])
+    def test_exact_on_the_requested_grid(self, ratio):
+        # every detuning, the carrier at 0 (off the even grid, so appended)
+        # and the exceptional point Omega = Gamma/4 included
+        omega = ratio * GAMMA_MHZ
+        grid = np.append(np.linspace(-2.5, 2.5, 800) * omega, 0.0)
+        spec = mollow_spectrum(ratio, GAMMA_MHZ, grid)
+        closed = inelastic_spectrum_model(omega, GAMMA_MHZ, grid)
+        assert np.max(np.abs(spec - closed)) <= 1e-12 * closed.max()
 
 
 def _resolvent_terms(omega_mhz, gamma_mhz):
@@ -210,6 +233,12 @@ class TestFitMollow:
         rms = math.sqrt(np.mean(residuals**2))
         assert rms < 1e-6 * spectra.max()
         assert fit.gain == pytest.approx(0.8, rel=1e-6)
+
+    def test_noiseless_default_spectra_recover_gain_and_gamma(self):
+        # exact spectra leave the fit no bias to absorb
+        fit = fit_mollow(RATIOS, TRUE_GRIDS, 0.8 * TRUE_SPECTRA, GAMMA_MHZ)
+        assert abs(fit.gain - 0.8) <= 1e-9 * 0.8
+        assert abs(fit.gamma - GAMMA_MHZ) <= 1e-9 * GAMMA_MHZ
 
     def test_gain_recovery_with_noise(self):
         data = synthetic_mollow_dataset(TRUE_SPECTRA, 0.8, 0.01, seed=5)

@@ -551,16 +551,25 @@ class TestExitCodes:
         assert f"{subcommand}: cannot write output" in err
         assert "Traceback" not in err
 
-    def test_downstream_error_exit_2(self, tmp_path, capsys):
-        # a Mollow grid wider than the frequency range the correlator's tau
-        # grid resolves fails inside the spectrum computation, surfaced with
-        # subcommand context
+    def test_wide_mollow_grid_runs_on_the_closed_form(self, tmp_path, capsys):
+        # the resolvent evaluates any requested detuning, so a grid of +-400
+        # drive rates runs; the mollow runner writes the closed form there
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump({"mollow": {"span": 400.0}}))
-        assert cli.main(["mollow", "--config", str(path), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "mollow: requested grid exceeds the resolvable frequency range" in err
-        assert "Traceback" not in err
+        for subcommand in ("mollow", "loss"):
+            assert cli.main([subcommand, "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        cfg = load_config(path)
+        gamma = cfg.device.gamma_source
+        ratios = cfg.sweeps.drive_ratios
+        rows = np.loadtxt(tmp_path / "mollow_spectra.csv", delimiter=",", skiprows=1)
+        for ratio, written in zip(ratios, np.split(rows[:, 2], len(ratios))):
+            half = 400.0 * ratio * gamma
+            grid = np.linspace(-half, half, cfg.mollow.points)
+            closed = calibration.inelastic_spectrum_model(ratio * gamma, gamma, grid)
+            # 1e-12 of the peak, plus the half unit in the 12th digit of %.12g
+            bound = 1e-12 * closed.max() + 5e-12 * closed
+            assert np.all(np.abs(written - closed) <= bound)
 
     def test_overflow_exit_2(self, tmp_path, capsys):
         # a huge but finite coupling overflows Python float arithmetic in the
