@@ -261,9 +261,7 @@ def criterion_10(cfg: RunConfig) -> CriterionResult:
         g_ang = TWO_PI * gamma_mhz
         model = LindbladModel(np.zeros((2, 2)), [math.sqrt(g_ang) * sm])
         taus = np.linspace(0.0, 48.0 / g_ang, 8192)
-        corr = two_time_correlation(
-            model, excited, sm.conj().T, sm, taus, require_stationary=False
-        )
+        corr = two_time_correlation(model, excited, sm.conj().T, sm, taus)
         _, fwhm, _ = calibration.fit_lorentzian(*psd(corr, taus[1] - taus[0]))
         width_errs.append(abs(fwhm - gamma_mhz) / gamma_mhz)
     width_err = max(width_errs)

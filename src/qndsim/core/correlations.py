@@ -5,39 +5,32 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TruncationError
-from .dynamics import LindbladModel, _evolve_matrix, lindblad_rhs
+from .dynamics import LindbladModel, _evolve_matrix
 from .operators import check_states
 
-STATIONARITY_TOL = 1e-8
 DECAY_FRACTION = 1e-4
 
 
 def two_time_correlation(
     model: LindbladModel,
-    rho_ss: np.ndarray,
+    rho0: np.ndarray,
     a_op: np.ndarray,
     b_op: np.ndarray,
     tau_grid: np.ndarray,
-    require_stationary: bool = True,
 ) -> np.ndarray:
-    """Stationary correlator <A(tau) B(0)> on tau_grid, one value per lag.
+    """Correlator <A(tau) B(0)> seeded by the state rho0, one value per lag
+    of tau_grid.
 
-    Regression: propagate B rho under the Liouvillian and trace against A at
-    each lag. With require_stationary=False the initial state may be any
-    valid density matrix, giving the transient correlator seeded by it.
+    Regression: propagate B rho0 under the Liouvillian and trace against A
+    at each lag. rho0 may be any valid density matrix: the steady state
+    gives the stationary correlator, any other state the transient one.
     """
     d = model.dim
     if np.shape(a_op) != (d, d) or np.shape(b_op) != (d, d):
         raise ValueError("operator shape does not match the model")
-    rho_ss = check_states(rho_ss, d)
-    if require_stationary:
-        residual = np.max(np.abs(lindblad_rhs(model, rho_ss)))
-        if residual > STATIONARITY_TOL:
-            raise ValueError(
-                f"state is not stationary (rhs max {residual:.3e} > {STATIONARITY_TOL})"
-            )
+    rho0 = check_states(rho0, d)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    seeded = _evolve_matrix(model, b_op @ rho_ss, tau_grid)
+    seeded = _evolve_matrix(model, b_op @ rho0, tau_grid)
     return np.einsum("ij,tji->t", a_op, seeded)
 
 

@@ -38,7 +38,6 @@ class DeviceParams(Checked):
     alpha: float = number(-340.0)
     g0: float = number(40.0, ge=0)
     kappa: float = number(19.0, gt=0)
-    nu_ro: float = number(4800.0)
     gamma_source: float = number(1.77, gt=0)  # calibration.steady_population divides by it
     T1: float = number(3.0, gt=0)
     T2_star: float = number(1.8, gt=0)

@@ -12,8 +12,6 @@ import math
 import numbers
 from dataclasses import MISSING, dataclass, field, fields
 
-import numpy as np
-
 
 class DomainError(ValueError):
     """A field value outside its declared domain; key names the field."""
@@ -39,17 +37,15 @@ class Domain:
         return f"{kind} in {left}{self.lo!r}, {self.hi!r}{right}"
 
     def check(self, key: str, value) -> None:
-        """Raise unless value, or each element of an array value, lies inside."""
+        """Raise unless value is a number lying inside."""
         # float and int first: isinstance tries them before the slower ABC
-        if isinstance(value, bool) or not isinstance(value, (float, int, np.ndarray, numbers.Real)):
+        if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
             raise TypeError(f"{key} must be a number, got {value!r}")
         # an infinite end is open, so these comparisons also reject inf and nan
-        inside = (value > self.lo if self.lo_open else value >= self.lo) & (
+        inside = (value > self.lo if self.lo_open else value >= self.lo) and (
             value < self.hi if self.hi_open else value <= self.hi
         )
-        if not (inside.all() if isinstance(inside, np.ndarray) else inside) or (
-            self.kind is int and not isinstance(value, (int, numbers.Integral))
-        ):
+        if not inside or (self.kind is int and not isinstance(value, (int, numbers.Integral))):
             raise DomainError(key, f"must be {self}, got {value!r}")
 
 

@@ -31,21 +31,20 @@ class ProtocolConfig(Checked):
     Tw and t0 in microseconds, theta in radians, gamma_photon in MHz.
     """
 
-    # Tw may be an array of windows: the sweeps evaluate the model at once
     Tw: float = number(0.250, gt=0)
     theta: float = number(math.pi, ge=0, le=math.pi)
-    t0: float = number(0.020, ge=0)  # capture_fraction assumes the packet starts inside the window
+    t0: float = number(0.020, ge=0)  # _click_probs assumes the packet starts inside the window
     gamma_photon: float = number(1.77, gt=0)
     ramsey_law: str = "exponential"
 
     def __post_init__(self):
         super().__post_init__()
-        if np.any(self.Tw <= self.t0):
+        if self.Tw <= self.t0:
             raise ValueError("detection window must extend past the emission delay")
         if self.ramsey_law not in RAMSEY_LAWS:
             raise ValueError(f"ramsey_law must be one of {RAMSEY_LAWS}")
 
-    def with_window(self, window_us: float | np.ndarray) -> "ProtocolConfig":
+    def with_window(self, window_us: float) -> "ProtocolConfig":
         return replace(self, Tw=window_us)
 
 
@@ -67,25 +66,6 @@ class DetectionProbs:
         return cls(p_e_given_1, p_e_given_0, p_e_given_1 - p_e_given_0, ratio)
 
 
-def photon_envelope(t: float | np.ndarray, cfg: ProtocolConfig) -> float | np.ndarray:
-    """Emitted wave-packet amplitude: decaying exponential from the delay t0.
-
-    xi(t) = sqrt(G) exp(-G (t - t0) / 2) for t >= t0 with G = 2 pi gamma_photon,
-    normalized so the integral of |xi|^2 over the full packet is 1.
-    """
-    rate = TWO_PI * cfg.gamma_photon
-    t = np.asarray(t, dtype=float)
-    amp = np.where(t >= cfg.t0, np.sqrt(rate) * np.exp(-rate * (t - cfg.t0) / 2), 0.0)
-    return float(amp) if amp.ndim == 0 else amp
-
-
-def capture_fraction(cfg: ProtocolConfig) -> float | np.ndarray:
-    """Fraction of the photon envelope inside the detection window, which
-    ProtocolConfig keeps past the emission delay t0."""
-    rate = TWO_PI * cfg.gamma_photon
-    return 1.0 - np.exp(-rate * (np.asarray(cfg.Tw, dtype=float) - cfg.t0))
-
-
 def ramsey_coherence(Tw: float | np.ndarray, T2_star: float, law: str) -> float | np.ndarray:
     """Remaining Ramsey fringe contrast after a free evolution of Tw."""
     Tw = np.asarray(Tw, dtype=float)
@@ -96,11 +76,6 @@ def ramsey_coherence(Tw: float | np.ndarray, T2_star: float, law: str) -> float 
     if law == "gaussian":
         return np.exp(-((Tw / T2_star) ** 2))
     raise ValueError(f"unknown ramsey law {law!r}")
-
-
-def dark_count(Tw: float | np.ndarray, params: DeviceParams, law: str) -> float | np.ndarray:
-    """Click probability without a photon: P(e|0) = (1 - C(Tw)) / 2."""
-    return (1.0 - ramsey_coherence(Tw, params.T2_star, law)) / 2.0
 
 
 def _click_probs(
@@ -119,11 +94,6 @@ def _click_probs(
     c = ramsey_coherence(tw, params.T2_star, cfg.ramsey_law)
     p_dark = (1.0 - c) / 2.0
     return p_int * (1.0 + c) / 2.0 + (1.0 - p_int) * p_dark, p_dark
-
-
-def detection_efficiency(cfg: ProtocolConfig, params: DeviceParams) -> float | np.ndarray:
-    """Click probability with a photon emitted, P(e|1) (see _click_probs)."""
-    return _click_probs(cfg.Tw, cfg, params)[0]
 
 
 def fidelity_metrics(cfg: ProtocolConfig, params: DeviceParams) -> DetectionProbs:
@@ -149,8 +119,12 @@ def theta_sweep(
 def window_sweep(
     cfg: ProtocolConfig, params: DeviceParams, windows: np.ndarray
 ) -> DetectionProbs:
-    """fidelity_metrics evaluated across a grid of window lengths, as arrays."""
-    return fidelity_metrics(cfg.with_window(np.asarray(windows, dtype=float)), params)
+    """fidelity_metrics' figures across a grid of window lengths, as arrays;
+    every window must close after the emission delay t0."""
+    windows = np.asarray(windows, dtype=float)
+    if not np.all(windows > cfg.t0):
+        raise ValueError("detection window must extend past the emission delay")
+    return DetectionProbs.from_probs(*_click_probs(windows, cfg, params))
 
 
 def optimal_window(cfg: ProtocolConfig, params: DeviceParams, objective: str) -> float:

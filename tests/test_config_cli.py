@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 from importlib import resources
 
 import numpy as np
@@ -63,6 +63,24 @@ class TestConfig:
     def test_shipped_fixture_matches_defaults(self):
         cfg = load_config(SHIPPED_CONFIG)
         assert config_digest(cfg) == config_digest(default_config())
+
+    def test_shipped_fixture_names_every_field(self):
+        # a field the YAML omits loads as its default, which the digest
+        # comparison above cannot see; each section lists exactly its fields
+        def unmatched(section, data, path):
+            if isinstance(section, GridSpec):
+                names = {"start", "stop", "step" if "step" in data else "num"}
+            else:
+                names = {f.name for f in fields(section)}
+            found = [f"{path}{key}" for key in sorted(set(data) ^ names)]
+            for name in names & set(data):
+                value = getattr(section, name)
+                if is_dataclass(value):
+                    found += unmatched(value, data[name], f"{path}{name}.")
+            return found
+
+        shipped = yaml.safe_load(SHIPPED_CONFIG.read_text())
+        assert unmatched(default_config(), shipped, "") == []
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown key 'devices'"):
@@ -242,7 +260,7 @@ class TestConfig:
         assert cfg.seed == 9
 
 
-SHIPPED_DIGEST = "ddb96de278f0a1caaef08ac83311be721c53f923f218b999d129f60060294430"
+SHIPPED_DIGEST = "56e35cafe722bc4289596b94bc7f02b624ec88d0a12295166be5b959e8076a8c"
 
 EXPECTED_HEADERS = {
     "spectrum.csv": "nu_MHz,re_rg,im_rg,re_re,im_re,delta_phi_rad",
@@ -522,6 +540,7 @@ class TestExitCodes:
             (r'loss: {components: {"a\"b": 0.08}}', "loss.components"),
             (r'loss: {components: {"a\rb": 0.08}}', "loss.components"),
             (r'loss: {components: {"a\nb": 0.08}}', "loss.components"),
+            ("device: {nu_ro: 4800.0}", "device.nu_ro"),
         ],
     )
     def test_malformed_content_exit_1_without_traceback(self, tmp_path, capsys, text, key):

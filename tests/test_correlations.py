@@ -47,18 +47,10 @@ class TestTwoTimeCorrelation:
         delta = 2 * math.pi * 4.0
         model = decay_model(delta=delta)
         taus = np.linspace(0.0, 18.0 / GAMMA, 2048)
-        corr = two_time_correlation(
-            model, EXCITED, SP, SM, taus, require_stationary=False
-        )
+        corr = two_time_correlation(model, EXCITED, SP, SM, taus)
         np.testing.assert_allclose(np.abs(corr), np.exp(-GAMMA * taus / 2), atol=1e-7)
         phase_step = np.angle(corr[1] / corr[0])
         assert phase_step == pytest.approx(-delta * (taus[1] - taus[0]), rel=1e-6)
-
-    def test_nonstationary_state_rejected(self):
-        with pytest.raises(ValueError, match="stationary"):
-            two_time_correlation(
-                decay_model(), EXCITED, SP, SM, np.linspace(0, 1, 16)
-            )
 
     @pytest.mark.parametrize(
         "seed, match",
@@ -71,18 +63,14 @@ class TestTwoTimeCorrelation:
     )
     def test_invalid_transient_seed_rejected(self, seed, match):
         with pytest.raises(ValueError, match=match):
-            two_time_correlation(
-                decay_model(), seed, SP, SM, np.linspace(0, 1, 16), require_stationary=False
-            )
+            two_time_correlation(decay_model(), seed, SP, SM, np.linspace(0, 1, 16))
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_operator_shape_mismatch_rejected(self, which):
         ops = [SP, SM]
         ops[which] = destroy(3)
         with pytest.raises(ValueError, match="operator shape"):
-            two_time_correlation(
-                decay_model(), EXCITED, *ops, np.linspace(0, 1, 16), require_stationary=False
-            )
+            two_time_correlation(decay_model(), EXCITED, *ops, np.linspace(0, 1, 16))
 
     def test_strong_drive_oscillates_at_rabi_rate(self):
         omega = 5 * GAMMA
@@ -143,6 +131,6 @@ def test_regression_linewidth_consistency(gamma_mhz):
     gamma = 2 * math.pi * gamma_mhz
     model = decay_model(gamma)
     taus = np.linspace(0.0, 48.0 / gamma, 8192)
-    corr = two_time_correlation(model, EXCITED, SP, SM, taus, require_stationary=False)
+    corr = two_time_correlation(model, EXCITED, SP, SM, taus)
     _, fwhm, _ = fit_lorentzian(*psd(corr, taus[1] - taus[0]))
     assert fwhm == pytest.approx(gamma_mhz, rel=0.02)

@@ -120,7 +120,7 @@ def test_lorentzian_matches_reference(captured):
         g_ang = 2 * math.pi * gamma_mhz
         model = LindbladModel(np.zeros((2, 2)), [math.sqrt(g_ang) * sm])
         taus = np.linspace(0.0, 48.0 / g_ang, 8192)
-        corr = two_time_correlation(model, excited, sm.conj().T, sm, taus, require_stationary=False)
+        corr = two_time_correlation(model, excited, sm.conj().T, sm, taus)
         _, fwhm, _ = calibration.fit_lorentzian(*psd(corr, taus[1] - taus[0]))
         assert fwhm == pytest.approx(gamma_mhz, rel=0.02)
     assert all(compare(call) for call in captured)

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -72,6 +73,30 @@ def test_public_names_resolve(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(qndsim.__file__).parent.rglob("*.py")),
+    ids=lambda path: str(path.relative_to(Path(qndsim.__file__).parent)),
+)
+def test_no_unused_imports(path):
+    # an import the module neither references nor re-exports in __all__
+    tree = ast.parse(path.read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in imports
+        if getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    assert sorted(imported - used - exported) == []
 
 
 def test_tracer_layers_resolve(monkeypatch):

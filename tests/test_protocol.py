@@ -13,15 +13,12 @@ from qndsim.protocol import (
     WINDOW_BOUNDS_US,
     DetectionProbs,
     ProtocolConfig,
+    _click_probs,
     _golden_section_max,
-    capture_fraction,
-    dark_count,
-    detection_efficiency,
     fidelity_metrics,
     internal_fidelity,
     loss_deconvolution,
     optimal_window,
-    photon_envelope,
     ramsey_coherence,
     readout_composition,
     theta_sweep,
@@ -31,6 +28,26 @@ from qndsim.protocol import (
 PARAMS = DeviceParams()
 CFG = ProtocolConfig()
 RATE = 2 * math.pi * 1.77
+
+# The paper point at Tw = 250 ns, recomposed from the three error sources:
+# Ramsey contrast, line loss 0.25 and the envelope captured after t0 = 20 ns
+COHERENCE = math.exp(-0.25 / 1.8)
+P_INT = 0.75 * (1 - math.exp(-RATE * 0.23))
+P_E1 = P_INT * (1 + COHERENCE) / 2 + (1 - P_INT) * (1 - COHERENCE) / 2
+P_E0 = (1 - COHERENCE) / 2
+
+
+def envelope(t, cfg):
+    """Emitted wave-packet amplitude xi(t) = sqrt(G) exp(-G (t - t0) / 2) from
+    the delay t0, G = 2 pi gamma_photon, and 0 before it."""
+    rate = 2 * math.pi * cfg.gamma_photon
+    return np.where(t >= cfg.t0, np.sqrt(rate) * np.exp(-rate * (t - cfg.t0) / 2), 0.0)
+
+
+def captured(p_e1, p_e0, params):
+    """The envelope fraction inside the window, p_int / (1 - L), recovered
+    from the click probabilities: P(e|1) - P(e|0) = p_int C, C = 1 - 2 P(e|0)."""
+    return (p_e1 - p_e0) / ((1 - 2 * p_e0) * (1 - params.loss_L))
 
 
 def _design_devices(count: int) -> list[dict]:
@@ -52,10 +69,8 @@ DESIGN_DEVICES = _design_devices(5)
 def reference_optimal_window(cfg, params, objective):
     """The window search evaluated through the public functions, one
     ProtocolConfig per window."""
-    if objective == "efficiency":
-        func = lambda tw: detection_efficiency(cfg.with_window(tw), params)
-    else:
-        func = lambda tw: fidelity_metrics(cfg.with_window(tw), params).fidelity
+    name = "p_e_given_1" if objective == "efficiency" else "fidelity"
+    func = lambda tw: getattr(fidelity_metrics(cfg.with_window(tw), params), name)
     return _golden_section_max(
         lambda tw: func(tw) if tw > cfg.t0 else -math.inf, *WINDOW_BOUNDS_US
     )
@@ -80,9 +95,10 @@ class TestProtocolConfig:
             ProtocolConfig(**kwargs)
 
     def test_list_window_rejected(self):
-        # a configuration file gives one window; arrays come from the sweeps
-        with pytest.raises(TypeError):
-            ProtocolConfig(Tw=[0.1, 0.2])
+        # a configuration holds one window; arrays go to window_sweep
+        for windows in ([0.1, 0.2], np.array([0.1, 0.2])):
+            with pytest.raises(TypeError):
+                ProtocolConfig(Tw=windows)
 
 
 class TestPhotonEnvelope:
@@ -90,36 +106,52 @@ class TestPhotonEnvelope:
         # quadrature over [t0, inf); start exactly at the emission edge so
         # the trapezoid never straddles the discontinuity
         t = np.linspace(CFG.t0, CFG.t0 + 30.0 / RATE, 200_001)
-        norm = np.trapezoid(photon_envelope(t, CFG) ** 2, t)
+        norm = np.trapezoid(envelope(t, CFG) ** 2, t)
         assert norm == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("tw", [0.021, 0.1, 0.25, 0.6])
+    def test_capture_is_the_envelope_inside_the_window(self, tw):
+        t = np.linspace(CFG.t0, tw, 200_001)
+        inside = np.trapezoid(envelope(t, CFG) ** 2, t)
+        assert captured(*_click_probs(tw, CFG, PARAMS), PARAMS) == pytest.approx(
+            inside, abs=1e-8
+        )
+
     def test_initial_amplitude(self):
-        assert photon_envelope(CFG.t0, CFG) == pytest.approx(math.sqrt(RATE), rel=1e-12)
-        assert photon_envelope(CFG.t0, CFG) == pytest.approx(3.335, abs=1e-3)
+        # the captured fraction grows at |xi(t0)|^2 = G just past the emission
+        dt = 1e-7
+        rate = captured(*_click_probs(CFG.t0 + dt, CFG, PARAMS), PARAMS) / dt
+        assert rate == pytest.approx(RATE, rel=1e-5)
+        assert math.sqrt(rate) == pytest.approx(3.335, abs=1e-3)
 
     def test_causal(self):
-        assert photon_envelope(0.0, CFG) == 0.0
-        assert np.all(photon_envelope(np.linspace(0, 0.019, 20), CFG) == 0.0)
+        # nothing arrives before the emission delay
+        assert captured(*_click_probs(CFG.t0, CFG, PARAMS), PARAMS) == 0.0
 
 
 class TestCaptureFraction:
     def test_quarter_microsecond(self):
-        assert capture_fraction(CFG) == pytest.approx(1 - math.exp(-RATE * 0.23), rel=1e-12)
-        assert capture_fraction(CFG) == pytest.approx(0.9226, abs=1e-4)
+        fraction = captured(*_click_probs(CFG.Tw, CFG, PARAMS), PARAMS)
+        assert fraction == pytest.approx(1 - math.exp(-RATE * 0.23), rel=1e-12)
+        assert fraction == pytest.approx(0.9226, abs=1e-4)
 
     def test_long_window_saturates(self):
-        assert capture_fraction(CFG.with_window(1e6)) == pytest.approx(1.0)
+        probs = fidelity_metrics(CFG.with_window(5.0), PARAMS)
+        assert captured(probs.p_e_given_1, probs.p_e_given_0, PARAMS) == pytest.approx(1.0)
 
     def test_window_must_extend_past_emission(self):
-        # the window comes only from the ProtocolConfig, which rejects a
-        # window that closes at or before the emission delay
-        for window in (CFG.t0, 0.01, np.array([0.01, 0.25])):
+        # a ProtocolConfig rejects a window that closes at or before the
+        # emission delay, and holds no array of windows
+        for window in (CFG.t0, 0.01):
             with pytest.raises(ValueError, match="emission delay"):
                 CFG.with_window(window)
+        with pytest.raises(TypeError):
+            CFG.with_window(np.array([0.01, 0.25]))
 
     def test_array_of_windows(self):
-        values = capture_fraction(CFG.with_window(np.array([CFG.t0 + 1e-3, 0.25])))
+        sweep = window_sweep(CFG, PARAMS, np.array([CFG.t0 + 1e-3, 0.25]))
         expected = [1 - math.exp(-RATE * 1e-3), 1 - math.exp(-RATE * 0.23)]
+        values = captured(sweep.p_e_given_1, sweep.p_e_given_0, PARAMS)
         np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0)
 
 
@@ -146,40 +178,36 @@ class TestRamseyCoherence:
 
 class TestDarkCount:
     def test_quarter_microsecond(self):
-        expected = (1 - math.exp(-0.25 / 1.8)) / 2
-        assert dark_count(0.25, PARAMS, "exponential") == pytest.approx(expected, rel=1e-12)
-        assert dark_count(0.25, PARAMS, "exponential") == pytest.approx(0.0649, abs=1e-4)
+        dark = fidelity_metrics(CFG, PARAMS).p_e_given_0
+        assert dark == pytest.approx(P_E0, rel=1e-12)
+        assert dark == pytest.approx(0.0649, abs=1e-4)
 
     def test_limits(self):
-        assert dark_count(0.0, PARAMS, "exponential") == 0.0
-        assert dark_count(10 * 1.8, PARAMS, "exponential") == pytest.approx(0.49998, abs=1e-5)
+        assert _click_probs(0.0, replace(CFG, t0=0.0), PARAMS)[1] == 0.0
+        (dark,) = window_sweep(CFG, PARAMS, np.array([10 * 1.8])).p_e_given_0
+        assert dark == pytest.approx(0.49998, abs=1e-5)
 
     def test_monotone(self):
-        darks = dark_count(np.linspace(0.0, 3.0, 301), PARAMS, "exponential")
+        windows = np.linspace(0.0, 3.0, 301)[1:]
+        darks = window_sweep(replace(CFG, t0=0.0), PARAMS, windows).p_e_given_0
         assert np.all(np.diff(darks) >= 0)
 
 
 class TestDetectionEfficiency:
     def test_paper_point(self):
-        # independent recomposition of the three error sources
-        c = math.exp(-0.25 / 1.8)
-        p_int = 0.75 * (1 - math.exp(-RATE * 0.23))
-        expected = p_int * (1 + c) / 2 + (1 - p_int) * (1 - c) / 2
-        value = detection_efficiency(CFG, PARAMS)
-        assert value == pytest.approx(expected, rel=1e-12)
+        value = fidelity_metrics(CFG, PARAMS).p_e_given_1
+        assert value == pytest.approx(P_E1, rel=1e-12)
         assert value == pytest.approx(0.667, abs=5e-4)
 
     def test_total_loss_reduces_to_dark_count(self):
-        lossy = DeviceParams(loss_L=0.99999999)
-        assert detection_efficiency(CFG, lossy) == pytest.approx(
-            dark_count(CFG.Tw, lossy, CFG.ramsey_law), abs=1e-7
-        )
+        probs = fidelity_metrics(CFG, DeviceParams(loss_L=0.99999999))
+        assert probs.p_e_given_1 == pytest.approx(probs.p_e_given_0, abs=1e-7)
 
     def test_ideal_detector_limit(self):
         ideal = DeviceParams(loss_L=0.0, T1=1e6, T2_star=1e6)
-        cfg = ProtocolConfig(Tw=2.0)
-        assert detection_efficiency(cfg, ideal) > 0.999
-        assert dark_count(cfg.Tw, ideal, cfg.ramsey_law) < 1e-6
+        probs = fidelity_metrics(ProtocolConfig(Tw=2.0), ideal)
+        assert probs.p_e_given_1 > 0.999
+        assert probs.p_e_given_0 < 1e-6
 
 
 class TestFidelityMetrics:
@@ -202,8 +230,8 @@ class TestFidelityMetrics:
 class TestThetaSweep:
     def test_endpoints(self):
         p_e = theta_sweep(CFG, PARAMS, np.array([0.0, math.pi]))
-        assert p_e[0] == pytest.approx(dark_count(CFG.Tw, PARAMS, CFG.ramsey_law), rel=1e-12)
-        assert p_e[1] == pytest.approx(detection_efficiency(CFG, PARAMS), rel=1e-12)
+        assert p_e[0] == pytest.approx(P_E0, rel=1e-12)
+        assert p_e[1] == pytest.approx(P_E1, rel=1e-12)
 
     def test_midpoint(self):
         (p_mid,) = theta_sweep(CFG, PARAMS, np.array([math.pi / 2]))
@@ -250,7 +278,7 @@ class TestWindowOptimum:
     def test_efficiency_peak_location_vs_independent_optimizer(self):
         peak = optimal_window(CFG, PARAMS, "efficiency")
         ref = minimize_scalar(
-            lambda tw: -detection_efficiency(CFG.with_window(tw), PARAMS),
+            lambda tw: -fidelity_metrics(CFG.with_window(tw), PARAMS).p_e_given_1,
             bounds=WINDOW_BOUNDS_US,
             method="bounded",
             options={"xatol": 1e-10},
