@@ -138,7 +138,7 @@ def run_qnd(cfg: RunConfig) -> tuple[Tables, dict]:
         ),
     }
     headline = {
-        "expected_max_deviation": moments.max_power_deviation(on, off, cfg.qnd.floor),
+        "expected_max_deviation": moments.max_power_deviation(on[0], off[0], cfg.qnd.floor),
         "mc_pass_count": int(passed.sum()),
         "mc_seeds": len(seeds),
     }

@@ -213,7 +213,7 @@ class RunConfig(Checked):
 _NESTED = {cls.__name__: cls for cls in Checked.__subclasses__()}
 # YAML's true and false load as Python bools, which are also Integral; no
 # config value is a bool, so each check below rejects them.
-_SCALARS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+_SCALARS = {"int": numbers.Integral, "str": str}
 
 
 def _key(path: str, name) -> str:
@@ -221,9 +221,13 @@ def _key(path: str, name) -> str:
 
 
 def _number(value, path: str) -> float:
+    """A float-typed config value as a float, whatever number YAML read."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"'{path}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer past the float range
+        raise ConfigError(f"'{path}' is an integer too large for a float") from exc
 
 
 def _field_value(kind: str, value, path: str):
@@ -239,9 +243,11 @@ def _field_value(kind: str, value, path: str):
             raise ConfigError(f"'{path}' must be a mapping of name to number")
         return {str(k): _number(v, _key(path, k)) for k, v in value.items()}
     base, _, optional = kind.partition(" | ")
-    if isinstance(value, bool) or (
-        not isinstance(value, _SCALARS[base]) and not (value is None and optional)
-    ):
+    if value is None and optional:
+        return None
+    if base == "float":
+        return _number(value, path)
+    if isinstance(value, bool) or not isinstance(value, _SCALARS[base]):
         raise ConfigError(f"'{path}' must be of type {base}, got {value!r}")
     return value
 

@@ -7,13 +7,11 @@ preparation angle, plus a Monte Carlo of the moment estimation at finite
 shot count. Moments travel as a pair of arrays over the angle grid: the
 mean photon number n_avg and the optimized-quadrature amplitude re_a.
 
-The Monte Carlo draws the estimator's sufficient statistics, Σ Re a and
-Σ|a|² over the shots, from their exact joint law instead of drawing every
-shot: the shots split into groups of equal signal (ON: the two signs, OFF:
-one group), each group's quadrature means are Gaussian, and the spread of
-the shots about their group means is an independent σ²·χ². The estimates
-therefore have exactly the distribution of the per-shot estimator; this is
-not an approximation.
+The Monte Carlo reports power only: each angle's summed power Σ|a|² over
+the shots is drawn from its exact law, a scaled noncentral χ², instead of
+drawing every shot. The estimates therefore have exactly the distribution of
+the per-shot photon-number estimator; this is not an approximation. The
+coherence ⟨a⟩ is reported from the expected moments alone.
 """
 
 from __future__ import annotations
@@ -44,16 +42,12 @@ def expected_moments(
     return n_avg, re_a
 
 
-def max_power_deviation(
-    on: tuple[np.ndarray, np.ndarray],
-    off: tuple[np.ndarray, np.ndarray],
-    floor: float,
-) -> float:
+def max_power_deviation(n_on: np.ndarray, n_off: np.ndarray, floor: float) -> float:
     """Largest relative ON/OFF power deviation over a shared angle grid,
     relative to the OFF power but never to less than floor photons."""
-    n_on, n_off = np.asarray(on[0]), np.asarray(off[0])
+    n_on, n_off = np.asarray(n_on), np.asarray(n_off)
     if n_on.shape != n_off.shape:
-        raise ValueError("moment arrays must share one angle grid")
+        raise ValueError("photon-number arrays must share one angle grid")
     return float(np.max(np.abs(n_on - n_off) / np.maximum(n_off, floor)))
 
 
@@ -65,52 +59,40 @@ def simulate_moment_estimates(
     n_shots: int,
     noise_var: float,
     coherence_offset: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Moment estimates (n_avg, re_a) from n_shots simulated single shots.
+) -> np.ndarray:
+    """Photon-number estimates n_avg from n_shots simulated single shots.
 
     Each shot is the matched-filter output a = s + nu: the signal s has the
     modulus sqrt(n) with the mode's phase statistics (ON randomizes the sign,
     OFF keeps the fixed phase theta/2), and nu is complex amplifier noise
     with the per-quadrature variance σ² = noise_var. coherence_offset adds a
-    constant spurious coherent amplitude to the ON-mode field; OFF ignores it.
-    The estimates are n_avg = mean|a|² - 2σ², clipped at 0, and
-    re_a = mean Re a, clipped to |re_a| <= sqrt(n_avg).
+    constant spurious coherent amplitude c to the ON-mode field; OFF ignores
+    it. The estimate is n_avg = Σ|a|²/N - 2σ², clipped at 0, over the
+    N = n_shots shots.
 
-    The sums over the N = n_shots shots are drawn from their exact joint
-    law, per angle, rather than shot by shot: ON draws
-    the number k of + signs from Binomial(N, 1/2), giving groups of k and
-    N - k shots with mean signal ±amp + coherence_offset; OFF has one group
-    of N shots with mean amp. A non-empty group of m shots has Gaussian
-    quadrature means x̄ ~ N(μ, σ²/m), so Σ Re a = Σ m·Re x̄ and
-    Σ|a|² = Σ m·|x̄|² + σ²·χ²(2N - 2G), with G the number of non-empty
-    groups. The estimates are distributed exactly as the per-shot ones.
+    Σ|a|² is drawn per angle from its exact law, σ²·χ'²(2N, λ): OFF has the
+    noncentrality λ = N·n/σ²; ON first draws the number k of + signs from
+    Binomial(N, 1/2), and then λ = [k|amp + c|² + (N - k)|amp - c|²]/σ².
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if n_shots < 1 or not noise_var >= 0:
-        raise ValueError("n_shots must be at least 1 and noise_var non-negative")
+    if n_shots < 1 or not noise_var > 0:
+        raise ValueError("n_shots must be at least 1 and noise_var positive")
     n_ideal, _ = expected_moments(theta_grid, mode, scale)
-    # field amplitude sqrt(n) exp(i theta/2): its real part is the prepared
-    # coherence sqrt(scale) sin(theta)/2
-    amp = np.sqrt(n_ideal) * np.exp(0.5j * theta_grid)
     if mode == "on":
+        # field amplitude sqrt(n) exp(i theta/2): its real part is the
+        # prepared coherence sqrt(scale) sin(theta)/2
+        amp = np.sqrt(n_ideal) * np.exp(0.5j * theta_grid)
         n_plus = rng.binomial(n_shots, 0.5, theta_grid.shape)
-        sizes = np.stack([n_plus, n_shots - n_plus])
-        means = np.stack([amp, -amp]) + coherence_offset
+        signal = (
+            n_plus * np.abs(amp + coherence_offset) ** 2
+            + (n_shots - n_plus) * np.abs(amp - coherence_offset) ** 2
+        )
     else:
-        sizes = np.full((1,) + theta_grid.shape, n_shots)
-        means = amp[np.newaxis]
-    # an empty group draws a mean too, but its weight m = 0 drops it
-    spread = np.sqrt(noise_var / np.maximum(sizes, 1))
-    mean_re = means.real + spread * rng.standard_normal(sizes.shape)
-    mean_im = means.imag + spread * rng.standard_normal(sizes.shape)
-    dof = 2 * n_shots - 2 * np.count_nonzero(sizes, axis=0)
-    chi2 = rng.gamma(dof / 2, 2.0)  # χ²(dof); gamma returns 0 at dof = 0
-    power = np.sum(sizes * (mean_re**2 + mean_im**2), axis=0) + noise_var * chi2
-    n_avg = np.maximum(power / n_shots - 2 * noise_var, 0.0)
-    re_a = np.sum(sizes * mean_re, axis=0) / n_shots
-    return n_avg, np.clip(re_a, -np.sqrt(n_avg), np.sqrt(n_avg))
+        signal = n_shots * n_ideal
+    power = noise_var * rng.noncentral_chisquare(2 * n_shots, signal / noise_var)
+    return np.maximum(power / n_shots - 2 * noise_var, 0.0)
 
 
 def qnd_monte_carlo(
@@ -122,8 +104,8 @@ def qnd_monte_carlo(
     floor: float,
     coherence_offset: float,
 ) -> np.ndarray:
-    """max_power_deviation of independently simulated ON/OFF estimates,
-    one per seed."""
+    """max_power_deviation of independently simulated ON/OFF photon-number
+    estimates, one per seed."""
     shot_args = (scale, n_shots, noise_var, coherence_offset)
     deviations = np.empty(len(seeds))
     for i, seed in enumerate(seeds):

@@ -19,6 +19,8 @@ from qndsim.config import (
 from qndsim.csvio import write_csv
 
 SHIPPED_CONFIG = resources.files("qndsim").joinpath("data/device_defaults.yaml")
+# A 401-digit integer: YAML loads it as an int that no float can hold.
+HUGE_INT = "9" * 401
 
 
 class TestGridSpec:
@@ -107,6 +109,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="config_version must be 1"):
             from_dict({"config_version": version})
         assert from_dict({"config_version": 1}).config_version == 1
+
+    def test_integer_in_a_float_field_loads_as_a_float(self):
+        # one number, one digest: T1: 3 and T1: 3.0 are the same config
+        as_int, as_float = (from_dict({"device": {"T1": t1}}) for t1 in (3, 3.0))
+        assert type(as_int.device.T1) is float
+        assert config_digest(as_int) == config_digest(as_float)
 
     def test_digest_covers_component_order(self):
         # the budget lists the components, and sums them, in config order
@@ -541,6 +549,18 @@ class TestExitCodes:
             (r'loss: {components: {"a\rb": 0.08}}', "loss.components"),
             (r'loss: {components: {"a\nb": 0.08}}', "loss.components"),
             ("device: {nu_ro: 4800.0}", "device.nu_ro"),
+            # integers past the float range, in a list, a mapping and a scalar
+            pytest.param(
+                f"sweeps: {{drive_ratios: [{HUGE_INT}, 4.0, 6.0]}}",
+                "sweeps.drive_ratios[0]",
+                id="huge-int-drive_ratios",
+            ),
+            pytest.param(
+                f"loss: {{components: {{a: {HUGE_INT}}}}}",
+                "loss.components.a",
+                id="huge-int-components",
+            ),
+            pytest.param(f"device: {{T1: {HUGE_INT}}}", "device.T1", id="huge-int-T1"),
         ],
     )
     def test_malformed_content_exit_1_without_traceback(self, tmp_path, capsys, text, key):

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from test_domains import DETERMINISTIC
 
 from qndsim.config import QndRunConfig
 from qndsim.moments import (
+    MODES,
     expected_moments,
     max_power_deviation,
     qnd_monte_carlo,
@@ -44,9 +48,9 @@ def per_shot_reference(
     noise_var=QND.noise_var,
     coherence_offset=QND.coherence_offset,
 ):
-    """The moment estimator computed from every single shot: the slow
-    reference whose law simulate_moment_estimates draws from sufficient
-    statistics. One row of n_shots shots per angle."""
+    """The photon-number estimator computed from every single shot: the
+    slow reference whose law simulate_moment_estimates draws in closed
+    form. One row of n_shots shots per angle."""
     n_ideal, _ = expected_moments(theta_grid, mode, scale)
     amp = (np.sqrt(n_ideal) * np.exp(0.5j * theta_grid))[:, np.newaxis]
     shape = (len(theta_grid), n_shots)
@@ -56,9 +60,7 @@ def per_shot_reference(
         signal = np.broadcast_to(amp, shape)
     noise = np.sqrt(noise_var) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     shots = signal + noise
-    n_avg = np.maximum(np.mean(np.abs(shots) ** 2, axis=1) - 2 * noise_var, 0.0)
-    re_a = np.mean(shots.real, axis=1)
-    return n_avg, np.clip(re_a, -np.sqrt(n_avg), np.sqrt(n_avg))
+    return np.maximum(np.mean(np.abs(shots) ** 2, axis=1) - 2 * noise_var, 0.0)
 
 
 class TestExpectedMoments:
@@ -105,32 +107,28 @@ class TestExpectedMoments:
 
 class TestMaxPowerDeviation:
     def test_identical_inputs_pass(self):
-        moments = expected_moments(np.linspace(0, math.pi, 9), "off", QND.scale)
-        deviation = max_power_deviation(moments, moments, QND.floor)
+        n_off, _ = expected_moments(np.linspace(0, math.pi, 9), "off", QND.scale)
+        deviation = max_power_deviation(n_off, n_off, QND.floor)
         assert deviation == 0.0 and deviation <= QND.gate
 
     def test_scaled_power_fails(self):
-        n_off, re_off = expected_moments(np.linspace(0, math.pi, 9), "off", QND.scale)
-        scaled = (1.05 * n_off, np.zeros_like(n_off))
-        deviation = max_power_deviation(scaled, (n_off, re_off), QND.floor)
+        n_off, _ = expected_moments(np.linspace(0, math.pi, 9), "off", QND.scale)
+        deviation = max_power_deviation(1.05 * n_off, n_off, QND.floor)
         assert deviation == pytest.approx(0.05, rel=1e-9)
         assert not deviation <= QND.gate
 
     def test_mismatched_grids_rejected(self):
         with pytest.raises(ValueError):
-            max_power_deviation(
-                (np.array([1.0]), np.array([0.0])), (np.array([]), np.array([])), QND.floor
-            )
+            max_power_deviation(np.array([1.0]), np.array([]), QND.floor)
 
 
 class TestMonteCarlo:
     def test_estimates_track_expectation(self, rng):
         thetas = np.array([0.0, math.pi / 2, math.pi])
         for mode in ("on", "off"):
-            n_avg, re_a = simulate(thetas, mode, rng)
-            n_ideal, re_ideal = expected_moments(thetas, mode, QND.scale)
+            n_avg = simulate(thetas, mode, rng)
+            n_ideal, _ = expected_moments(thetas, mode, QND.scale)
             assert np.all(np.abs(n_avg - n_ideal) < 0.05)
-            assert np.all(np.abs(re_a - re_ideal) < 0.05)
 
     def test_deviation_gate_holds_across_seeds(self):
         thetas = np.linspace(0.0, math.pi, 9)
@@ -147,13 +145,18 @@ class TestMonteCarlo:
         assert np.count_nonzero(deviations <= QND.gate) >= 95
 
     def test_coherence_offset_knob(self):
-        # a spurious coherent amplitude shows up in the ON-mode quadrature
-        # even at theta = 0, as an offset of the erased-coherence baseline
+        # a spurious coherent amplitude c adds the power c^2 to the ON mode
+        # even at theta = 0, where no photon is prepared; OFF ignores it
         thetas = np.array([0.0])
-        _, clean = simulate(thetas, "on", np.random.default_rng(0))
-        _, shifted = simulate(thetas, "on", np.random.default_rng(0), coherence_offset=0.1)
-        assert abs(clean[0]) < 0.01
-        assert shifted[0] == pytest.approx(0.1, abs=0.02)
+        clean = simulate(thetas, "on", np.random.default_rng(0))
+        shifted = simulate(thetas, "on", np.random.default_rng(0), coherence_offset=0.1)
+        assert clean[0] < 0.002
+        assert shifted[0] == pytest.approx(0.01, abs=0.002)
+        off = [
+            simulate(thetas, "off", np.random.default_rng(0), coherence_offset=c)
+            for c in (0.0, 0.1)
+        ]
+        np.testing.assert_array_equal(*off)
 
     def test_input_validation(self, rng):
         thetas = np.array([0.0, math.pi])
@@ -161,8 +164,11 @@ class TestMonteCarlo:
             simulate(thetas, "sideways", rng)
         with pytest.raises(ValueError):
             simulate(thetas, "on", rng, n_shots=0)
-        with pytest.raises(ValueError):
-            simulate_moment_estimates(thetas, "off", rng, QND.scale, QND.n_shots, -0.01, 0.0)
+        for noise_var in (-0.01, 0.0):
+            with pytest.raises(ValueError):
+                simulate_moment_estimates(
+                    thetas, "off", rng, QND.scale, QND.n_shots, noise_var, 0.0
+                )
 
 
 class TestExactLaw:
@@ -172,21 +178,22 @@ class TestExactLaw:
 
     THETAS = np.array([0.0, math.pi / 2, math.pi])
     REPS = 4000
-    # Each KS comparison must clear this p-value. Over the 48 comparisons
+    # Each KS comparison must clear this p-value. Over the 36 comparisons
     # below, the chance that a correct law fails any of them stays under
-    # 1e-3, and wrong laws still fail: no sign randomization, a χ² that
-    # ignores empty sign groups or is off by 2 degrees of freedom, its mean
-    # in place of a draw, per-group means with the spread of all N shots,
-    # and the two sums drawn independently.
+    # 1e-3, and wrong laws still fail: no sign randomization, the sign
+    # split replaced by its mean N/2, degrees of freedom off by 2, the
+    # noncentrality without the offset's power, and the law's mean in
+    # place of a draw.
     P_FLOOR = 1e-5
 
     @pytest.mark.parametrize("n_shots", [2, 40])
-    @pytest.mark.parametrize("mode, offset", [("on", 0.0), ("off", 0.0), ("on", 0.1)])
+    @pytest.mark.parametrize(
+        "mode, offset", [("on", 0.0), ("off", 0.0), ("on", 0.1), ("on", 0.3)]
+    )
     def test_matches_per_shot_reference(self, mode, offset, n_shots):
-        # two-sample KS per angle and statistic. theta = 0 exercises the
-        # clips; N = 2 leaves a sign group empty half the time; the offset
-        # makes re_a depend on the sign split, so a law that drew the two
-        # sums independently fails here
+        # two-sample KS per angle. theta = 0 exercises the clip; the offset
+        # makes the power depend on the sign split, at 0.3 enough for a law
+        # that replaced the split by its mean to fail here
         grid = np.repeat(self.THETAS, self.REPS)
         fast = simulate(
             grid, mode, np.random.default_rng(0), n_shots=n_shots, coherence_offset=offset
@@ -195,9 +202,8 @@ class TestExactLaw:
             grid, mode, np.random.default_rng(1), n_shots=n_shots, coherence_offset=offset
         )
         shape = (len(self.THETAS), self.REPS)
-        for fast_stat, slow_stat in zip(fast, slow):
-            for theta, a, b in zip(self.THETAS, fast_stat.reshape(shape), slow_stat.reshape(shape)):
-                assert stats.ks_2samp(a, b).pvalue > self.P_FLOOR, f"theta = {theta:.3f}"
+        for theta, a, b in zip(self.THETAS, fast.reshape(shape), slow.reshape(shape)):
+            assert stats.ks_2samp(a, b).pvalue > self.P_FLOOR, f"theta = {theta:.3f}"
 
     @pytest.mark.parametrize("n_shots", [1, 2, 40])
     @pytest.mark.parametrize("mode", ["on", "off"])
@@ -205,12 +211,11 @@ class TestExactLaw:
         # Σ|a|²/σ² is noncentral χ² with 2N degrees of freedom and
         # noncentrality N·n/σ² in both modes; the random sign leaves it
         # unchanged. At these angles the clip at 0 lies over 5 standard
-        # deviations below n, so n_avg is the unclipped estimate. N = 1 puts
-        # the residual χ² at 0 degrees of freedom.
+        # deviations below n, so n_avg is the unclipped estimate.
         var = QND.noise_var
         rng = np.random.default_rng(2)
         for theta in (2 * math.pi / 3, math.pi):
-            n_avg, _ = simulate(np.full(self.REPS, theta), mode, rng, n_shots=n_shots)
+            n_avg = simulate(np.full(self.REPS, theta), mode, rng, n_shots=n_shots)
             law = stats.ncx2(2 * n_shots, n_shots * math.sin(theta / 2) ** 2 / var)
             pvalue = stats.kstest(n_avg, lambda x: law.cdf((x + 2 * var) * n_shots / var)).pvalue
             assert pvalue > self.P_FLOOR, f"theta = {theta:.3f}"
@@ -218,22 +223,55 @@ class TestExactLaw:
     @pytest.mark.parametrize("n_shots", [1, 2, 3])
     @pytest.mark.parametrize("mode, offset", [("on", 0.0), ("off", 0.0), ("on", 0.1)])
     def test_few_shots_finite_and_physical(self, mode, offset, n_shots):
-        # ON with N = 1 always leaves one sign group empty, and 0 degrees of
-        # freedom for the residual χ²; N = 2 and 3 leave one empty often
+        # N = 1 gives the law its fewest degrees of freedom, 2, and the ON
+        # sign split its fewest outcomes
         grid = np.repeat(np.linspace(0.0, math.pi, 9), 500)
-        n_avg, re_a = simulate(
+        n_avg = simulate(
             grid, mode, np.random.default_rng(3), n_shots=n_shots, coherence_offset=offset
         )
-        assert np.all(np.isfinite(n_avg)) and np.all(np.isfinite(re_a))
-        assert_physical(n_avg, re_a)
+        assert np.all(np.isfinite(n_avg)) and np.all(n_avg >= 0)
+
+    @settings(max_examples=60, **DETERMINISTIC)
+    @given(
+        mode=st.sampled_from(MODES),
+        theta=st.floats(math.pi / 3, math.pi),
+        n_shots=st.integers(1, 10_000),
+        noise_var=st.floats(1e-4, 0.02),
+        offset=st.floats(-0.5, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mean_estimate_is_the_prepared_power(
+        self, mode, theta, n_shots, noise_var, offset, seed
+    ):
+        # Σ|a|²/N - 2σ² is unbiased for the power: n, plus the offset's c²
+        # in ON. Its variance is 4σ²(σ² + n + c²)/N, plus 4c²·(Re amp)²/N in
+        # ON from the binomial sign split. From theta = pi/3, n >= 1/4, and
+        # with σ² <= 0.02 the clip at 0 biases the mean of the draws by less
+        # than 0.1 standard errors.
+        draws = 400
+        n = QND.scale * math.sin(theta / 2) ** 2
+        c2 = offset**2 if mode == "on" else 0.0
+        var = 4 * noise_var * (noise_var + n + c2) / n_shots
+        if mode == "on":
+            var += 4 * c2 * n * math.cos(theta / 2) ** 2 / n_shots
+        n_avg = simulate_moment_estimates(
+            np.full(draws, theta),
+            mode,
+            np.random.default_rng(seed),
+            QND.scale,
+            n_shots,
+            noise_var,
+            offset,
+        )
+        assert abs(n_avg.mean() - (n + c2)) <= 5 * math.sqrt(var / draws)
 
 
 def test_moment_invariants():
     thetas = np.linspace(0.0, math.pi, 33)
     for mode in ("on", "off"):
         assert_physical(*expected_moments(thetas, mode, 0.75))
-        # near vacuum the raw estimates go negative or exceed the bound;
-        # the estimator clips them back into the physical region
+        # near vacuum the raw estimates go negative; the estimator clips
+        # them back to n >= 0
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            assert_physical(*simulate(thetas, mode, rng, 0.75, n_shots=200))
+            assert np.all(simulate(thetas, mode, rng, 0.75, n_shots=200) >= 0)
