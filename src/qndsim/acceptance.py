@@ -231,7 +231,11 @@ def criterion_9(cfg: RunConfig, loss_headline: dict) -> CriterionResult:
         noisy_fit = calibration.stark_fit(*data)
         if abs(noisy_fit.slope - slope_true) > 3 * noisy_fit.slope_err:
             bad += 1
-    # one 3-sigma outlier in 20 draws is within the stated coverage
+    # the slope error has n_points - 2 degrees of freedom, 7 at the default
+    # n_points: 9, so a noisy slope lies beyond 3 standard errors with
+    # P(|t_7| > 3) = 0.020. One outlier is allowed, so the check fails by
+    # chance when 2 or more of 20 slopes do, with probability 0.060 (75 of
+    # 1,000 blocks of 20 seeds did)
     checks.append(_at_most("noisy slopes beyond 3 standard errors, of 20 seeds", bad, 1))
     checks.append(_at_most("loss round-trip error", loss_headline["loss_abs_err"], 0.02))
     checks.append(_near("additive loss budget", loss_headline["total_additive"], 0.20, 1e-12))
@@ -293,7 +297,12 @@ def criterion_11(cfg: RunConfig) -> CriterionResult:
             if err > 3 * fit.stderr[key]:
                 bad += 1
                 break
-    # one 3-sigma outlier in 20 draws is within the stated coverage
+    # a fit counts once if any of its four parameters lies beyond 3 standard
+    # errors: at most 4 * 0.0027 = 0.011 per fit. One outlier is allowed, so
+    # the check fails by chance when 2 or more of 20 fits do, with probability
+    # about 0.02. The rate is approximate: it takes the standard errors as
+    # exact and the errors as Gaussian, and bounds the four correlated
+    # parameters by their sum
     checks = [_at_most("round-trip fits beyond 3 standard errors, of 20 seeds", bad, 1)]
     overlap = readout.overlap_error(readout.GaussianMixture(0.0, 5.75, 1.0, 0.5))
     checks.append(_near("overlap error at d/sigma = 5.75", overlap, 0.002, 0.1 * 0.002))

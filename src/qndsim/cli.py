@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,9 @@ from .errors import SimulationError
 
 
 # The tables a runner returns with its headline: each CSV file name, in write
-# order, mapped to the file's header and columns.
-Tables = dict[str, tuple[list[str], list]]
+# order, mapped to the file's header and columns. Each column is what
+# write_csv takes: a range or a 1-d bool, integer, float or str array.
+Tables = dict[str, tuple[list[str], list[range | np.ndarray]]]
 
 
 def _runner_seed(master: int, name: str) -> int:
@@ -186,9 +187,9 @@ def run_mollow(cfg: RunConfig) -> tuple[Tables, dict]:
         "mollow_fit.csv": (
             ["parameter", "estimate", "truth"],
             [
-                ["gain", "gamma_MHz", *(f"omega_MHz_ratio_{r:g}" for r in ratios)],
-                [fit.gain, fit.gamma, *fit.omegas],
-                [mc.gain_truth, gamma, *(r * gamma for r in ratios)],
+                np.array(["gain", "gamma_MHz", *(f"omega_MHz_ratio_{r:g}" for r in ratios)]),
+                np.array([fit.gain, fit.gamma, *fit.omegas]),
+                np.array([mc.gain_truth, gamma, *(r * gamma for r in ratios)]),
             ],
         ),
     }
@@ -256,17 +257,10 @@ def run_readout(cfg: RunConfig) -> tuple[Tables, dict]:
         tables[f"hist_{name}.csv"] = (["bin_center", "count"], hist)
         fits[name] = readout.fit_double_gaussian(*hist)
         assigned[name] = readout.assigned_fraction(shots, thr)
-    mixtures = [fit.mixture for fit in fits.values()]
+    estimates = np.array([(*astuple(fit.mixture), fit.rss) for fit in fits.values()])
     tables["readout_fits.csv"] = (
         ["dataset", "mu_g", "mu_e", "sigma", "w_e", "rss"],
-        [
-            list(fits),
-            [m.mu_g for m in mixtures],
-            [m.mu_e for m in mixtures],
-            [m.sigma for m in mixtures],
-            [m.w_e for m in mixtures],
-            [fit.rss for fit in fits.values()],
-        ],
+        [np.array(list(fits)), *estimates.T],
     )
 
     pre_mix = readout.GaussianMixture(mix.mu_g, mix.mu_e, mix.sigma, dev.p_thermal)
@@ -300,7 +294,7 @@ def run_loss(cfg: RunConfig) -> tuple[Tables, dict]:
     """Itemized loss budget and the end-to-end loss extraction."""
     components = cfg.loss.components
     budget = calibration.loss_budget(components)
-    fractions = list(components.values())
+    fractions = np.array(list(components.values()))
     pipeline = calibration.loss_calibration_roundtrip(
         cfg.device,
         cfg.sweeps.drive_ratios,
@@ -317,11 +311,11 @@ def run_loss(cfg: RunConfig) -> tuple[Tables, dict]:
     tables = {
         "loss_budget.csv": (
             ["name", "fraction", "cumulative"],
-            [list(components), fractions, np.cumsum(fractions)],
+            [np.array(list(components)), fractions, np.cumsum(fractions)],
         ),
         "loss_pipeline.csv": (
             ["quantity", "value"],
-            [quantities, [pipeline[q] for q in quantities]],
+            [np.array(quantities), np.array([pipeline[q] for q in quantities])],
         ),
     }
     headline = {

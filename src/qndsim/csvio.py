@@ -14,14 +14,6 @@ import numpy as np
 FLOAT_FORMAT = ".12g"
 
 
-def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, FLOAT_FORMAT)
-    return str(value)
-
-
 def write_text_atomic(path: Path, text: str) -> None:
     """Write through a sibling temporary file and rename it into place.
 
@@ -41,47 +33,36 @@ def write_text_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _conversion(kinds: set[type]) -> str | None:
-    """The one %-conversion that prints cells of all these types as
-    format_value does, or None if there is none."""
-    specs = {
-        None if issubclass(kind, bool) else f"%{FLOAT_FORMAT}" if issubclass(kind, float) else "%s"
-        for kind in kinds
-    }
-    return specs.pop() if len(specs) == 1 else None
-
-
-def _typed(column) -> tuple[str | None, list]:
-    """A column's cells, with the %-conversion its dtype gives them: %.12g for
-    a one-dimensional float array, %s for an integer array or a range; None
-    where the cell types decide."""
+def _typed(column) -> tuple[str, list]:
+    """A column's %-conversion, from its dtype alone, and its cells as
+    Python scalars; TypeError for a column that write_csv does not take."""
     if isinstance(column, range):
         return "%s", list(column)
-    if not isinstance(column, np.ndarray):
-        return None, list(column)
-    kind = column.dtype.kind if column.ndim == 1 else None
-    # a longdouble's tolist() keeps numpy scalars, which format_value prints by str()
+    if not isinstance(column, np.ndarray) or column.ndim != 1:
+        what = f"a {column.ndim}-d array" if isinstance(column, np.ndarray) else type(column)
+        raise TypeError(f"a CSV column is a range or a 1-d array, not {what}")
+    kind = column.dtype.kind
     if kind == "f" and column.dtype.itemsize <= 8:
         return f"%{FLOAT_FORMAT}", column.tolist()
-    return ("%s" if kind in ("i", "u") else None), column.tolist()
+    if kind in ("i", "u", "U"):
+        return "%s", column.tolist()
+    if kind == "b":
+        return "%s", np.where(column, "true", "false").tolist()
+    raise TypeError(f"a CSV column is a bool, integer, float or str array, not {column.dtype}")
 
 
-def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
-    """Header plus one line per row from one column per header name, each
-    cell as format_value prints it.
+def write_csv(path: Path, header: Sequence[str], columns: Sequence[range | np.ndarray]) -> None:
+    """Header plus one line per row from one column per header name.
 
-    ndarray columns go through tolist(), so numpy scalars print as Python's.
-    The table goes through one %-template. A float array's dtype gives its
-    column %.12g, and an integer array or a range gives %s. Any other column
-    (a list, a tuple, a bool, complex or object array) takes its conversion
-    from its cell types: %.12g for floats, %s for ints and strings. A bool
-    column, or a column whose types need different conversions, is formatted
-    cell by cell with format_value instead: under %s the floats below an int
-    would print their repr digits, and under %.12g an int of 1e12 or more
-    would print as 1e+12.
+    Each column is a range or a one-dimensional numpy array, and its dtype
+    alone gives every cell's conversion: floats up to float64 print as
+    %.12g, integer and str arrays and ranges as %s (every digit, where %.12g
+    would print 10**12 as 1e+12), and bools as true or false. The table goes
+    through one %-template.
 
-    Raises ValueError unless there is one column per header name and all
-    columns have the same length.
+    Raises TypeError for any other column, and ValueError unless there is
+    one column per header name and all columns have the same length; either
+    way before anything is written.
     """
     typed = [_typed(c) for c in columns]
     n_rows, n_cols = (len(typed[0][1]) if typed else 0), len(typed)
@@ -91,16 +72,9 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) ->
         )
     # row-major cells: column j fills every n_cols-th cell from the j-th
     cells = [None] * (n_rows * n_cols)
-    specs = []
-    for j, (spec, column) in enumerate(typed):
-        if spec is None:
-            spec = _conversion(set(map(type, column)))
-        if spec is None:
-            column = list(map(format_value, column))
-            spec = "%s"
+    for j, (_, column) in enumerate(typed):
         cells[j::n_cols] = column
-        specs.append(spec)
-    line = ",".join(specs) + "\n"
+    line = ",".join(spec for spec, _ in typed) + "\n"
     write_text_atomic(path, ",".join(header) + "\n" + (line * n_rows) % tuple(cells))
 
 

@@ -70,9 +70,12 @@ def simulate_moment_estimates(
     it. The estimate is n_avg = Σ|a|²/N - 2σ², clipped at 0, over the
     N = n_shots shots.
 
-    Σ|a|² is drawn per angle from its exact law, σ²·χ'²(2N, λ): OFF has the
-    noncentrality λ = N·n/σ²; ON first draws the number k of + signs from
-    Binomial(N, 1/2), and then λ = [k|amp + c|² + (N - k)|amp - c|²]/σ².
+    Σ|a|² is drawn per angle from its exact law, σ²·χ'²(2N, S/σ²), where S is
+    the summed signal power: OFF has S = N·n; ON first draws the number k of
+    + signs from Binomial(N, 1/2), and then S = k|amp + c|² + (N - k)|amp - c|².
+    The draw is σ²·χ²(2N - 1) + (σZ + √S)², with Z standard normal: the same
+    law without the division by σ², which overflows for σ² near the float
+    floor.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     if mode not in MODES:
@@ -91,7 +94,8 @@ def simulate_moment_estimates(
         )
     else:
         signal = n_shots * n_ideal
-    power = noise_var * rng.noncentral_chisquare(2 * n_shots, signal / noise_var)
+    power = noise_var * rng.chisquare(2 * n_shots - 1, signal.shape)
+    power += (np.sqrt(noise_var) * rng.standard_normal(signal.shape) + np.sqrt(signal)) ** 2
     return np.maximum(power / n_shots - 2 * noise_var, 0.0)
 
 

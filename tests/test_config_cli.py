@@ -348,6 +348,19 @@ class TestRunners:
         cli.run_mollow(cfg)
         assert calls == cfg.sweeps.drive_ratios
 
+    @pytest.mark.parametrize("subcommand", cli.RUNNERS)
+    def test_every_column_is_one_write_csv_takes(self, cfg, subcommand):
+        # a range, or a 1-d array whose dtype alone gives its conversion
+        tables, _ = cli.RUNNERS[subcommand](cfg)
+        for name, (header, columns) in tables.items():
+            assert len(columns) == len(header), name
+            for column in columns:
+                if isinstance(column, range):
+                    continue
+                assert isinstance(column, np.ndarray) and column.ndim == 1, name
+                kind, size = column.dtype.kind, column.dtype.itemsize
+                assert kind in ("b", "i", "u", "U") or (kind == "f" and size <= 8), name
+
     def test_qnd_mc_passed_column(self, tmp_path):
         # the gate is applied to the array of deviations; the CSV spells the
         # numpy bools true/false and the headline counts them
@@ -609,6 +622,19 @@ class TestExitCodes:
             # 1e-12 of the peak, plus the half unit in the 12th digit of %.12g
             bound = 1e-12 * closed.max() + 5e-12 * closed
             assert np.all(np.abs(written - closed) <= bound)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_noise_var_runs_without_overflow(self, tmp_path, capsys):
+        # the QND law is drawn without dividing by noise_var, so a variance
+        # near the float floor gives finite deviations and no warning
+        path = tmp_path / "run.yaml"
+        path.write_text("qnd: {noise_var: 1.0e-306}\n")
+        assert cli.main(["qnd", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = np.loadtxt(tmp_path / "qnd_mc.csv", delimiter=",", skiprows=1, usecols=1)
+        assert np.all(np.isfinite(rows))
+        report = json.loads((tmp_path / "qnd_report.json").read_text())
+        assert report["headline"]["mc_pass_count"] == report["headline"]["mc_seeds"] == 100
 
     def test_overflow_exit_2(self, tmp_path, capsys):
         # a huge but finite coupling overflows Python float arithmetic in the
