@@ -68,19 +68,6 @@ def _at_most(label: str, value: float, bound: float) -> tuple[bool, str]:
     return value <= bound, f"{label} = {value} <= {bound}"
 
 
-def _at_250ns(cfg: RunConfig) -> protocol.DetectionProbs | None:
-    """fidelity_metrics at the 250 ns reference window of criteria 3 and 5;
-    None when that window ends before the emission delay t0."""
-    if cfg.protocol.t0 >= 0.25:
-        return None
-    return protocol.fidelity_metrics(cfg.protocol.with_window(0.25), cfg.device)
-
-
-def _before_emission(label: str, window: str, cfg: RunConfig) -> tuple[bool, str]:
-    delay = f"the emission delay t0 = {cfg.protocol.t0} us"
-    return False, f"{label} undefined: a {window} window ends before {delay}"
-
-
 def criterion_1(cfg: RunConfig) -> CriterionResult:
     chi = dispersive_shift(cfg.device.alpha, cfg.device.g0, cfg.device.delta_qc)
     return _result(1, "dispersive shift", [_near("chi [MHz]", chi, -2.40, 0.01)])
@@ -112,15 +99,12 @@ def criterion_2(cfg: RunConfig) -> CriterionResult:
 
 
 def criterion_3(cfg: RunConfig) -> CriterionResult:
-    probs = _at_250ns(cfg)
-    if probs is None:
-        checks = [_before_emission("P(e|1), P(e|0) and F", "250 ns", cfg)]
-    else:
-        checks = [
-            _near("P(e|1)", probs.p_e_given_1, 0.658, 0.03),
-            _near("P(e|0)", probs.p_e_given_0, 0.059, 0.015),
-            _near("F", probs.fidelity, 0.599, 0.04),
-        ]
+    probs = protocol.fidelity_metrics(cfg.protocol.with_window(0.25), cfg.device)
+    checks = [
+        _near("P(e|1)", probs.p_e_given_1, 0.658, 0.03),
+        _near("P(e|0)", probs.p_e_given_0, 0.059, 0.015),
+        _near("F", probs.fidelity, 0.599, 0.04),
+    ]
     return _result(3, "detection point at Tw = 250 ns", checks)
 
 
@@ -132,13 +116,10 @@ def criterion_4(cfg: RunConfig, window_headline: dict) -> CriterionResult:
     windows = cfg.sweeps.window_us.to_array()
     darks = protocol.window_sweep(cfg.protocol, cfg.device, windows).p_e_given_0
     monotone = bool(np.all(np.diff(darks) >= 0))
-    ratio = window_headline["ratio_at_100ns"]
     checks = [
         _within("F-optimal window [us]", window_headline["peak_fidelity_window_us"], 0.25, 0.35),
         (monotone, "P(e|0) monotone non-decreasing across the sweep"),
-        _before_emission("ratio(100 ns)", "100 ns", cfg)
-        if ratio is None
-        else _within("ratio(100 ns)", ratio, 13, 20),
+        _within("ratio(100 ns)", window_headline["ratio_at_100ns"], 13, 20),
     ]
     result = _result(4, "window sweep", checks)
     eff_peak = window_headline["peak_efficiency_window_us"]
@@ -151,13 +132,11 @@ def criterion_5(cfg: RunConfig) -> CriterionResult:
     p_meas = protocol.readout_composition(0.658, dev.eps_ge, dev.eps_eg)
     miss = 1.0 - p_meas
     fid_ro = readout.assignment_fidelity(dev.eps_ge, dev.eps_eg)
-    probs = _at_250ns(cfg)
+    probs = protocol.fidelity_metrics(cfg.protocol.with_window(0.25), cfg.device)
     checks = [
         _near("P(g|1)", miss, 0.37, 0.02),
         _near("assignment fidelity", fid_ro, 0.915, 1e-12),
-        _before_emission("composed single-shot F", "250 ns", cfg)
-        if probs is None
-        else _within("composed single-shot F", probs.fidelity * fid_ro, 0.49, 0.56),
+        _within("composed single-shot F", probs.fidelity * fid_ro, 0.49, 0.56),
     ]
     return _result(5, "single-shot composition", checks)
 
@@ -310,7 +289,7 @@ def criterion_11(cfg: RunConfig) -> CriterionResult:
     # sets for the readout runner
     mix = readout.GaussianMixture(0.0, cfg.readout.snr, 1.0, cfg.device.p_thermal)
     shots = readout.sample_shots(mix, n, 314159)
-    discard = readout.preselect(shots, readout.preselect_threshold(mix, 3.0))
+    discard = readout.assigned_fraction(shots, readout.preselect_threshold(mix, 3.0))
     sigma_bin = math.sqrt(0.06 * 0.94 / n)
     checks.append(_near("discard fraction of a 3-sigma preselection", discard, 0.06, 3 * sigma_bin))
     return _result(11, "readout statistics", checks)

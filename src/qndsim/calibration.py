@@ -324,7 +324,6 @@ def loss_calibration_roundtrip(
     drive_ratios: list[float],
     grids: np.ndarray,
     spectra: np.ndarray,
-    true_loss: float,
     detector_gain: float,
     noise_frac: float,
     seed: int,
@@ -332,8 +331,8 @@ def loss_calibration_roundtrip(
     p_max: float,
     n_stark_points: int,
 ) -> dict[str, float]:
-    """End-to-end synthetic loss extraction from the source's true spectra on
-    their grids, one row of each per drive ratio.
+    """End-to-end synthetic extraction of the line loss params.loss_L from
+    the source's true spectra on their grids, one row of each per drive ratio.
 
     The source side is calibrated by the joint fluorescence fit (recovering
     G_s = (1-L) G_d); the detector side by the Stark photon-number meter
@@ -341,7 +340,7 @@ def loss_calibration_roundtrip(
     the gain ratio.
     """
     g_d_true = detector_gain
-    g_s_true = (1.0 - true_loss) * g_d_true
+    g_s_true = (1.0 - params.loss_L) * g_d_true
     dataset = synthetic_mollow_dataset(spectra, g_s_true, noise_frac, seed)
     g_s_est = fit_mollow(drive_ratios, grids, dataset, params.gamma_source).gain
 
@@ -370,6 +369,6 @@ def loss_calibration_roundtrip(
         "g_s_est": g_s_est,
         "g_d_true": g_d_true,
         "g_d_est": g_d_est,
-        "loss_true": true_loss,
+        "loss_true": params.loss_L,
         "loss_est": loss_est,
     }

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from dataclasses import astuple, replace
 from pathlib import Path
@@ -98,12 +99,7 @@ def run_window_sweep(cfg: RunConfig) -> tuple[Tables, dict]:
         "peak_efficiency_window_us": protocol.optimal_window(proto, dev, "efficiency"),
         "peak_fidelity_window_us": protocol.optimal_window(proto, dev, "fidelity"),
         "max_ratio": float(np.max(probs.ratio)),
-        # null when a 100 ns window ends before the emission delay
-        "ratio_at_100ns": (
-            protocol.fidelity_metrics(proto.with_window(0.1), dev).ratio
-            if proto.t0 < 0.1
-            else None
-        ),
+        "ratio_at_100ns": protocol.fidelity_metrics(proto.with_window(0.1), dev).ratio,
     }
     return tables, headline
 
@@ -267,7 +263,7 @@ def run_readout(cfg: RunConfig) -> tuple[Tables, dict]:
     pre_seed = _runner_seed(cfg.seed, "readout:preselect")
     pre_shots = readout.sample_shots(pre_mix, ro.n_shots, pre_seed)
     pre_thr = readout.preselect_threshold(mix, ro.preselect_sigmas)
-    discard = readout.preselect(pre_shots, pre_thr)
+    discard = readout.assigned_fraction(pre_shots, pre_thr)
     tables["hist_preselect.csv"] = (
         ["bin_center", "count"],
         readout.histogram_shots(pre_shots, ro.n_bins),
@@ -299,7 +295,6 @@ def run_loss(cfg: RunConfig) -> tuple[Tables, dict]:
         cfg.device,
         cfg.sweeps.drive_ratios,
         *_true_spectra(cfg),
-        cfg.device.loss_L,
         cfg.loss.detector_gain,
         cfg.loss.noise_frac,
         _runner_seed(cfg.seed, "loss"),
@@ -343,11 +338,28 @@ RUNNERS = {
 def _emit(cfg: RunConfig, subcommand: str, out_dir: Path, digest: str) -> dict:
     """Run one subcommand, write its tables and its report into out_dir, and
     return its headline. digest is config_digest(cfg), computed by the caller
-    once for all the reports it writes."""
+    once for all the reports it writes.
+
+    Raises SimulationError, before anything is written, if a float column or
+    a non-null headline value is not finite."""
     tables, headline = RUNNERS[subcommand](cfg)
-    for name, (header, columns) in tables.items():
-        write_csv(out_dir / name, header, columns)
     name = subcommand.replace("-", "_")
+    for file, (header, columns) in tables.items():
+        for key, column in zip(header, columns):
+            if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+                if not np.isfinite(column).all():
+                    raise SimulationError(
+                        f"the {subcommand} runner gave a non-finite value in column "
+                        f"{key!r} of {file}"
+                    )
+    for key, value in headline.items():
+        if value is not None and not math.isfinite(value):
+            raise SimulationError(
+                f"the {subcommand} runner gave a non-finite headline value {key!r} "
+                f"for {name}_report.json"
+            )
+    for file, (header, columns) in tables.items():
+        write_csv(out_dir / file, header, columns)
     report = {
         "subcommand": name,
         "config_digest": digest,

@@ -194,11 +194,6 @@ class RunConfig(Checked):
                 f"config_version must be {CONFIG_VERSION}, got {self.config_version!r}"
             )
         super().__post_init__()
-        # ProtocolConfig rejects a window that ends at or before the emission delay
-        if self.sweeps.window_us.start <= self.protocol.t0:
-            raise ConfigError(
-                f"sweeps.window_us.start must exceed protocol.t0 ({self.protocol.t0:g} us)"
-            )
         # device.phase_difference_spectrum takes frequencies near nu_ef only
         nu, nu_ef = self.sweeps.nu_mhz, self.device.nu_ef
         if not max(abs(nu.start - nu_ef), abs(nu.stop - nu_ef)) <= SPECTRUM_HALF_SPAN_MHZ:

@@ -39,8 +39,6 @@ class ProtocolConfig(Checked):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.Tw <= self.t0:
-            raise ValueError("detection window must extend past the emission delay")
         if self.ramsey_law not in RAMSEY_LAWS:
             raise ValueError(f"ramsey_law must be one of {RAMSEY_LAWS}")
 
@@ -86,11 +84,14 @@ def _click_probs(
     A captured photon (probability p_int = (1-L) * capture) flips the Ramsey
     phase, succeeding with the coherence-limited probability (1+C)/2; a lost
     or uncaptured photon leaves the interferometer undisturbed and the
-    outcome reverts to dark-count statistics, P(e|0) = (1 - C) / 2.
+    outcome reverts to dark-count statistics, P(e|0) = (1 - C) / 2. The
+    envelope starts at t0, so a window that closes by then captures nothing
+    and clicks at the dark count.
     """
     tw = np.asarray(tw, dtype=float)
     rate = TWO_PI * cfg.gamma_photon
-    p_int = (1.0 - params.loss_L) * (1.0 - np.exp(-rate * (tw - cfg.t0)))
+    capture = 1.0 - np.exp(-rate * np.maximum(tw - cfg.t0, 0.0))
+    p_int = (1.0 - params.loss_L) * capture
     c = ramsey_coherence(tw, params.T2_star, cfg.ramsey_law)
     p_dark = (1.0 - c) / 2.0
     return p_int * (1.0 + c) / 2.0 + (1.0 - p_int) * p_dark, p_dark
@@ -119,18 +120,17 @@ def theta_sweep(
 def window_sweep(
     cfg: ProtocolConfig, params: DeviceParams, windows: np.ndarray
 ) -> DetectionProbs:
-    """fidelity_metrics' figures across a grid of window lengths, as arrays;
-    every window must close after the emission delay t0."""
+    """fidelity_metrics' figures across a grid of window lengths, as arrays."""
     windows = np.asarray(windows, dtype=float)
-    if not np.all(windows > cfg.t0):
-        raise ValueError("detection window must extend past the emission delay")
     return DetectionProbs.from_probs(*_click_probs(windows, cfg, params))
 
 
 def optimal_window(cfg: ProtocolConfig, params: DeviceParams, objective: str) -> float:
     """Window length in WINDOW_BOUNDS_US maximizing P(e|1) (objective
     "efficiency") or F ("fidelity"), by golden-section search. A window that
-    closes by the emission delay t0 scores -inf, so the search never builds one."""
+    closes by the emission delay t0 has F = 0 and P(e|1) at the dark count,
+    so the search climbs out of that flat stretch; with t0 at or past the top
+    of the range, F vanishes on all of it and there is no optimum."""
     if objective not in ("efficiency", "fidelity"):
         raise ValueError("objective must be 'efficiency' or 'fidelity'")
     if cfg.t0 >= WINDOW_BOUNDS_US[1]:
@@ -140,8 +140,6 @@ def optimal_window(cfg: ProtocolConfig, params: DeviceParams, objective: str) ->
         )
 
     def score(tw: float) -> float:
-        if tw <= cfg.t0:
-            return -math.inf
         p1, p0 = _click_probs(tw, cfg, params)
         return p1 if objective == "efficiency" else p1 - p0
 

@@ -67,14 +67,9 @@ def preselect_threshold(mix: GaussianMixture, n_sigmas: float) -> float:
 
 
 def assigned_fraction(shots: np.ndarray, q_star: float) -> float:
-    """Fraction of shots assigned to the excited state, those above q_star."""
+    """Fraction of shots above q_star: those assigned to the excited state,
+    or, at a preselection threshold, those the heralding cut discards."""
     return float(np.mean(shots > q_star))
-
-
-def preselect(shots: np.ndarray, q_star: float) -> float:
-    """Fraction of shots discarded as excited-assigned by the heralding cut."""
-    kept = np.count_nonzero(shots <= q_star)
-    return 1.0 - kept / shots.size
 
 
 def histogram_shots(shots: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:

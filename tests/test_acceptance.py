@@ -133,7 +133,8 @@ WINDOW_HEADLINE = {
     [
         ("peak_fidelity_window_us", 0.36, "FAIL: F-optimal window [us] = 0.36 in [0.25, 0.35]"),
         ("ratio_at_100ns", 12.9, "FAIL: ratio(100 ns) = 12.9 in [13, 20]"),
-        ("ratio_at_100ns", None, "FAIL: ratio(100 ns) undefined"),
+        # the ratio of a 100 ns window that closes before the emission
+        ("ratio_at_100ns", 1.0, "FAIL: ratio(100 ns) = 1.0 in [13, 20]"),
     ],
 )
 def test_criterion_04_reads_the_window_sweep_headline(key, value, fail):

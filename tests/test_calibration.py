@@ -374,7 +374,6 @@ class TestLoss:
             RATIOS,
             TRUE_GRIDS,
             TRUE_SPECTRA,
-            true_loss=0.25,
             detector_gain=1.6,
             noise_frac=0.01,
             seed=seed,
@@ -382,4 +381,5 @@ class TestLoss:
             p_max=STARK.p_max,
             n_stark_points=STARK.n_points,
         )
+        assert result["loss_true"] == PARAMS.loss_L == 0.25
         assert abs(result["loss_est"] - 0.25) <= 0.02

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from qndsim import calibration, cli
+from qndsim import calibration, cli, protocol
 from qndsim.config import (
     ConfigError,
     GridSpec,
@@ -229,10 +229,16 @@ class TestConfig:
             {"protocol": {"t0": 0.05}},
         ],
     )
-    def test_window_grid_must_start_after_emission_delay(self, data):
-        with pytest.raises(ConfigError, match="sweeps.window_us.start must exceed protocol.t0"):
-            from_dict(data)
-        from_dict({"sweeps": {"window_us": {"start": 0.0201, "stop": 0.5, "num": 11}}})
+    def test_window_grid_may_start_by_the_emission_delay(self, data):
+        # the windows that close by t0 click at the dark count, and the ones
+        # after it detect the photon
+        cfg = from_dict(data)
+        windows = cfg.sweeps.window_us.to_array()
+        assert windows[0] <= cfg.protocol.t0
+        fidelity = protocol.window_sweep(cfg.protocol, cfg.device, windows).fidelity
+        early = windows <= cfg.protocol.t0
+        np.testing.assert_array_equal(fidelity[early], 0.0)
+        assert np.all(fidelity[~early] > 0)
 
     def test_libyaml_and_pure_python_loaders_agree(self, tmp_path, monkeypatch):
         loaders = []
@@ -415,9 +421,9 @@ class TestRunners:
         headline = json.loads((tmp_path / "spectrum_report.json").read_text())["headline"]
         assert headline["delta_phi_at_cavity"] is None
 
-    def test_window_sweep_100ns_before_the_emission_is_null(self, tmp_path):
-        # with t0 past 100 ns there is no 100 ns window, but both optima are
-        # defined
+    def test_window_sweep_100ns_before_the_emission_is_dark(self, tmp_path):
+        # with t0 past 100 ns a 100 ns window captures nothing, so its click
+        # ratio is 1; both optima lie after the emission
         path = tmp_path / "run.yaml"
         path.write_text(
             "protocol: {t0: 0.15, Tw: 0.4}\n"
@@ -425,7 +431,7 @@ class TestRunners:
         )
         assert cli.main(["window-sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
         headline = json.loads((tmp_path / "window_sweep_report.json").read_text())["headline"]
-        assert headline["ratio_at_100ns"] is None
+        assert headline["ratio_at_100ns"] == 1.0
         assert headline["peak_fidelity_window_us"] == pytest.approx(0.424, abs=1e-3)
         assert headline["peak_efficiency_window_us"] == pytest.approx(0.523, abs=1e-3)
 
@@ -493,7 +499,6 @@ class TestExitCodes:
             ("sweeps: {drive_ratios: 5}", "sweeps.drive_ratios"),
             ("sweeps: {drive_ratios: [a]}", "sweeps.drive_ratios[0]"),
             ("sweeps: {drive_ratios: [3.0]}", "sweeps.drive_ratios"),
-            ("sweeps: {window_us: {start: 0.005, stop: 0.5, step: 0.0495}}", "sweeps.window_us.start"),
             ("sweeps: {theta_rad: {start: 0, stop: 1, step: 0.3}}", "sweeps.theta_rad"),
             ("sweeps: {nu_mhz: {start: 5985, stop: 6285, num: 30.5}}", "sweeps.nu_mhz.num"),
             ("sweeps: {theta_rad: {start: 0, stop: 4, num: 5}}", "sweeps.theta_rad"),
@@ -636,6 +641,18 @@ class TestExitCodes:
         report = json.loads((tmp_path / "qnd_report.json").read_text())
         assert report["headline"]["mc_pass_count"] == report["headline"]["mc_seeds"] == 100
 
+    def test_non_finite_table_exit_2_before_any_file(self, tmp_path, capsys):
+        # an e-f linewidth near the float range turns the reflection
+        # coefficients into nan: the run names the column and writes nothing
+        path = tmp_path / "run.yaml"
+        path.write_text("spectroscopy: {gamma_atom_mhz: 1.4594540347131608e+308}\n")
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert cli.main(["spectrum", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite value in column 're_re' of spectrum.csv" in err
+        assert not out.exists()
+
     def test_overflow_exit_2(self, tmp_path, capsys):
         # a huge but finite coupling overflows Python float arithmetic in the
         # spectrum runner: a numeric error, not a traceback
@@ -676,7 +693,7 @@ class TestExitCodes:
                     "sweeps": {"window_us": {"start": 0.2, "stop": 0.6, "step": 0.01}},
                 },
                 4,
-                "FAIL: ratio(100 ns) undefined: a 100 ns window ends before the emission delay",
+                "FAIL: ratio(100 ns) = 1.0 in [13, 20]",
             ),
             (
                 {"device": {"g0": 10.0}},
@@ -689,7 +706,7 @@ class TestExitCodes:
                     "sweeps": {"window_us": {"start": 0.35, "stop": 0.6, "step": 0.01}},
                 },
                 3,
-                "FAIL: P(e|1), P(e|0) and F undefined: a 250 ns window ends before the emission",
+                "FAIL: P(e|1) = 0.0648",
             ),
         ],
     )
@@ -697,7 +714,8 @@ class TestExitCodes:
         self, tmp_path, capsys, data, number, fail
     ):
         # every runner runs on these configs, but a reference point of one
-        # criterion lies outside them: that criterion fails, not the run
+        # criterion lies outside them or before the emission: that criterion
+        # fails, not the run
         path = tmp_path / "run.yaml"
         path.write_text(
             yaml.safe_dump({**data, "qnd": {"mc_seeds": 20}, "readout": {"n_shots": 2000}})
@@ -709,3 +727,26 @@ class TestExitCodes:
         criterion = {c["number"]: c for c in report["criteria"]}[number]
         assert not criterion["passed"]
         assert fail in criterion["details"]
+
+    def test_window_closing_before_the_emission_runs(self, tmp_path, capsys):
+        # the operating window closes 100 ns before the photon is emitted: it
+        # clicks at the dark count, the window search still finds the optima
+        # after the emission, and only the criteria read at 100 and 250 ns fail
+        path = tmp_path / "run.yaml"
+        path.write_text("protocol: {t0: 0.3, Tw: 0.2}\n")
+        load_config(path)
+        assert cli.main(["window-sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert cli.main(["theta-sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+        out = tmp_path / "out"
+        assert cli.main(["check", "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ""
+        window = json.loads((tmp_path / "window_sweep_report.json").read_text())["headline"]
+        assert window["ratio_at_100ns"] == 1.0
+        assert window["peak_fidelity_window_us"] == pytest.approx(0.574, abs=1e-3)
+        assert window["peak_efficiency_window_us"] == pytest.approx(0.673, abs=1e-3)
+        theta = json.loads((tmp_path / "theta_sweep_report.json").read_text())["headline"]
+        assert theta["p_e_given_1"] == theta["p_e_given_0"]
+        assert theta["fidelity"] == 0.0
+        report = json.loads((out / "acceptance_report.json").read_text())
+        failed = [c["number"] for c in report["criteria"] if not c["passed"]]
+        assert failed == [3, 4, 5]

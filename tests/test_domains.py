@@ -11,6 +11,7 @@ import io
 import math
 import tempfile
 from dataclasses import asdict, fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,10 +198,19 @@ def test_loaded_config_runs_or_fails_with_its_exit_code(data):
             yaml.safe_dump(data, fh)
         for subcommand in ("spectrum", "theta-sweep", "window-sweep"):
             err = io.StringIO()
+            out = Path(tmp, subcommand)
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main([subcommand, "--config", path, "--out", f"{tmp}/out"])
+                code = cli.main([subcommand, "--config", path, "--out", str(out)])
             assert code in (0, 2, 3), (subcommand, err.getvalue())
             assert "Traceback" not in err.getvalue()
+            if code == 0:
+                # every cell of these tables is a number
+                for table in out.glob("*.csv"):
+                    cells = np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2)
+                    assert np.isfinite(cells).all(), (subcommand, table.name)
+            else:
+                # a failed run writes no file
+                assert not out.exists(), (subcommand, err.getvalue())
 
 
 @settings(max_examples=40, suppress_health_check=[HealthCheck.filter_too_much], **DETERMINISTIC)

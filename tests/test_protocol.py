@@ -68,7 +68,9 @@ DESIGN_DEVICES = _design_devices(5)
 
 def reference_optimal_window(cfg, params, objective):
     """The window search evaluated through the public functions, one
-    ProtocolConfig per window."""
+    ProtocolConfig per window. A window that closes by t0 scores -inf here,
+    where the search itself reads F = 0 or the rising dark count: the search
+    takes the same branch either way, and its optimum keeps every bit."""
     name = "p_e_given_1" if objective == "efficiency" else "fidelity"
     func = lambda tw: getattr(fidelity_metrics(cfg.with_window(tw), params), name)
     return _golden_section_max(
@@ -80,7 +82,7 @@ class TestProtocolConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"Tw": 0.01},
+            {"Tw": 0.0},
             {"theta": -0.1},
             {"theta": 4.0},
             {"gamma_photon": 0.0},
@@ -139,12 +141,24 @@ class TestCaptureFraction:
         probs = fidelity_metrics(CFG.with_window(5.0), PARAMS)
         assert captured(probs.p_e_given_1, probs.p_e_given_0, PARAMS) == pytest.approx(1.0)
 
-    def test_window_must_extend_past_emission(self):
-        # a ProtocolConfig rejects a window that closes at or before the
-        # emission delay, and holds no array of windows
-        for window in (CFG.t0, 0.01):
-            with pytest.raises(ValueError, match="emission delay"):
-                CFG.with_window(window)
+    @pytest.mark.parametrize("law", ["exponential", "gaussian"])
+    @pytest.mark.parametrize("t0", [0.0, 0.02, 0.3, 2.0])
+    def test_window_closing_by_the_emission_captures_nothing(self, t0, law):
+        # the envelope starts at t0: a window that closes by then clicks at
+        # the dark count, for every loss and coherence
+        cfg = replace(CFG, t0=t0, ramsey_law=law)
+        windows = np.linspace(0.0, t0, 101)
+        for params in (PARAMS, DeviceParams(loss_L=0.0, T1=50.0, T2_star=50.0)):
+            sweep = window_sweep(cfg, params, windows)
+            np.testing.assert_array_equal(sweep.p_e_given_1, sweep.p_e_given_0)
+            np.testing.assert_array_equal(sweep.fidelity, np.zeros_like(windows))
+        if t0 > 0:
+            point = fidelity_metrics(cfg.with_window(t0), PARAMS)
+            assert point.p_e_given_1 == point.p_e_given_0
+            assert point.fidelity == 0.0
+            assert point.ratio == 1.0
+
+    def test_one_window_per_config(self):
         with pytest.raises(TypeError):
             CFG.with_window(np.array([0.01, 0.25]))
 
@@ -261,9 +275,20 @@ class TestWindowSweep:
                     getattr(point, name), rel=1e-14, abs=0
                 )
 
-    def test_window_at_emission_delay_rejected(self):
-        with pytest.raises(ValueError, match="emission delay"):
-            window_sweep(CFG, PARAMS, np.array([0.1, CFG.t0]))
+    @pytest.mark.parametrize("t0", [0.02, 0.3])
+    def test_continuous_across_the_emission_delay(self, t0):
+        # every figure closes its gap across t0 in proportion to the distance
+        # from it; the steepest, the ratio, rises at about 1,500 per us just
+        # after a 20 ns emission
+        cfg = replace(CFG, t0=t0)
+        at = window_sweep(cfg, PARAMS, np.array([t0]))
+        for h in (1e-3, 1e-6, 1e-9):
+            sweep = window_sweep(cfg, PARAMS, np.array([t0 - h, t0 + h]))
+            for name in ("p_e_given_1", "p_e_given_0", "fidelity", "ratio"):
+                before, after = getattr(sweep, name)
+                (value,) = getattr(at, name)
+                assert abs(before - value) <= 1.0 * h, name
+                assert abs(after - value) <= 2e3 * h, name
 
 
 class TestWindowOptimum:
@@ -320,7 +345,7 @@ class TestWindowOptimum:
 
     def test_optima_past_a_late_emission(self):
         # the search range starts before t0 = 0.6 us; windows that close by
-        # the emission are never built, and the optima keep their closed forms
+        # the emission give F = 0, and the optima keep their closed forms
         cfg = replace(CFG, t0=0.6, Tw=0.9)
         growth = 1.0 + RATE * PARAMS.T2_star
         a = 1.0 - PARAMS.loss_L

@@ -14,7 +14,6 @@ from qndsim.readout import (
     histogram_shots,
     midpoint_threshold,
     overlap_error,
-    preselect,
     preselect_threshold,
     sample_shots,
 )
@@ -76,13 +75,13 @@ class TestPreselect:
     def test_thermal_discard_fraction(self):
         mix = GaussianMixture(0.0, 5.75, 1.0, 0.06)
         shots = sample_shots(mix, N, seed=21)
-        discard = preselect(shots, preselect_threshold(mix, RO.preselect_sigmas))
+        discard = assigned_fraction(shots, preselect_threshold(mix, RO.preselect_sigmas))
         assert abs(discard - 0.06) <= 3 * math.sqrt(0.06 * 0.94 / N)
 
     def test_ground_only_population(self):
         mix = GaussianMixture(0.0, 5.75, 1.0, 0.0)
         shots = sample_shots(mix, N, seed=22)
-        discard = preselect(shots, preselect_threshold(mix, RO.preselect_sigmas))
+        discard = assigned_fraction(shots, preselect_threshold(mix, RO.preselect_sigmas))
         # only the 3-sigma tail of the ground Gaussian is lost
         assert discard <= 0.00135 + 3 * math.sqrt(0.00135 / N)
 
@@ -90,8 +89,8 @@ class TestPreselect:
         shots = sample_shots(MIX, 2000, seed=23)
         thr = preselect_threshold(MIX, RO.preselect_sigmas)
         # the kept shots are exactly those at or below the threshold
-        discard = preselect(shots, thr)
-        assert round(discard * shots.size) == np.count_nonzero(shots > thr)
+        discard = assigned_fraction(shots, thr)
+        assert discard == (shots.size - np.count_nonzero(shots <= thr)) / shots.size
 
 
 class TestDoubleGaussianFit:
