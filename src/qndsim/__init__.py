@@ -4,12 +4,12 @@ of itinerant microwave photons with a cavity-coupled artificial atom."""
 import os as _os
 import sys as _sys
 
-# Every matrix qndsim hands to BLAS or LAPACK is tiny (4x4 Liouvillians,
-# fit Jacobians, 8192x3 at most), so OpenBLAS worker threads never help and
-# their start-up spin costs CPU. The first submodule import loads numpy's
-# OpenBLAS, which reads OPENBLAS_NUM_THREADS once, as it loads. Pin it to 1
-# for that import only, unless numpy is already loaded (too late to act) or
-# the caller set it.
+# qndsim's one LAPACK call is the eigvalsh of core.check_states, a
+# validation gate on small density matrices; it still wakes OpenBLAS's
+# worker threads, which never help there and whose start-up spin costs CPU.
+# The first submodule import loads numpy's OpenBLAS, which reads
+# OPENBLAS_NUM_THREADS once, as it loads. Pin it to 1 for that import only,
+# unless numpy is already loaded (too late to act) or the caller set it.
 _pin_blas = "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ
 if _pin_blas:
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"

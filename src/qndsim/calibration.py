@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core._smallmat import lu_solve
-from .core.dynamics import LindbladModel, liouvillian_matrix, steady_state
+from .core.dynamics import LindbladModel, bordered_liouvillian, liouvillian_matrix, steady_state
 from .core.operators import destroy, pauli
 from .device import DeviceParams, dispersive_shift
 from .errors import FitError
@@ -58,8 +58,9 @@ def mollow_spectrum(omega_ratio: float, gamma: float, grid: np.ndarray) -> np.nd
         X = sigma- rho_ss - <sigma-> rho_ss,
 
     where subtracting <sigma-> rho_ss removes the coherent (elastic) part.
-    The rank-one term |rho_ss><1| (<1| the trace) keeps w = 0 solvable and
-    leaves every solution on the traceless X unchanged. One 4 x 4 system per
+    The rank-one border |rho_ss><1| (<1| the trace), the same bordered
+    Liouvillian that steady_state solves, keeps w = 0 solvable and leaves
+    every solution on the traceless X unchanged. One 4 x 4 system per
     detuning, solved by the stack LU of core._smallmat.
     """
     if omega_ratio <= 0:
@@ -78,7 +79,7 @@ def mollow_spectrum(omega_ratio: float, gamma: float, grid: np.ndarray) -> np.nd
     seed = (sm_rho - np.trace(sm_rho) * rho_ss).reshape(-1)
     # vec(sigma-) is the row that traces a row-major vec(Z) against sigma+
     weight = sm.reshape(-1)
-    base = np.outer(rho_ss.reshape(-1), np.eye(2).reshape(-1)) - liouvillian_matrix(model)
+    base = bordered_liouvillian(liouvillian_matrix(model), rho_ss)
     n, delta = base.shape[0], grid.ravel()
     stack = np.repeat(base[:, :, None], delta.size, axis=2)
     stack[np.arange(n), np.arange(n)] += 1j * TWO_PI * delta
@@ -157,7 +158,7 @@ def _fluorescence_fit(grids, spectra, gamma_init, omegas0):
         return out.reshape(targets.size, p.size)
 
     base = inelastic_spectrum_model(np.asarray(omegas0)[:, None], gamma_init, grids).ravel()
-    gain0 = float(base @ targets / (base @ base))
+    gain0 = float(np.sum(base * targets) / np.sum(base * base))
     if not gain0 > 0:
         raise FitError(f"fluorescence data project onto a non-positive gain ({gain0:.3e})")
     x0 = np.array([gain0, gamma_init, *omegas0])
@@ -266,18 +267,25 @@ class StarkFit:
 
 
 def stark_fit(p_in: np.ndarray, nu_q: np.ndarray) -> StarkFit:
-    """Ordinary least-squares line through the power-shift data."""
-    if len(p_in) < 3:
+    """Ordinary least-squares line through the power-shift data, in closed
+    form from centred sums: slope = Sxy / Sxx, intercept = mean(nu_q) -
+    slope mean(p_in), and the slope's standard error sqrt(s^2 / Sxx) with
+    s^2 the residual sum of squares over n - 2."""
+    p_in, nu_q = np.asarray(p_in, dtype=float), np.asarray(nu_q, dtype=float)
+    n = len(p_in)
+    if n < 3:
         raise ValueError("need at least three calibration points")
     if np.ptp(p_in) == 0:
         raise ValueError("all input powers equal; the line is undetermined")
-    x = np.column_stack([p_in, np.ones_like(p_in)])
-    coef, *_ = np.linalg.lstsq(x, nu_q, rcond=None)
-    resid = nu_q - x @ coef
-    sigma2 = float(resid @ resid) / (len(p_in) - 2)
-    cov = sigma2 * np.linalg.inv(x.T @ x)
+    x_mean, y_mean = np.sum(p_in) / n, np.sum(nu_q) / n
+    dx = p_in - x_mean
+    sxx = np.sum(dx * dx)
+    slope = np.sum(dx * (nu_q - y_mean)) / sxx
+    intercept = y_mean - slope * x_mean
+    resid = nu_q - (slope * p_in + intercept)
+    sigma2 = np.sum(resid * resid) / (n - 2)
     return StarkFit(
-        slope=float(coef[0]), intercept=float(coef[1]), slope_err=float(np.sqrt(cov[0, 0]))
+        slope=float(slope), intercept=float(intercept), slope_err=float(np.sqrt(sigma2 / sxx))
     )
 
 
@@ -362,7 +370,7 @@ def loss_calibration_roundtrip(
     measured = g_d_true * TWO_PI * params.kappa * n_p_true
     measured = measured * (1.0 + noise_frac * rng.standard_normal(measured.size))
     expected = TWO_PI * params.kappa * n_p_est
-    g_d_est = float(measured @ expected / (expected @ expected))
+    g_d_est = float(np.sum(measured * expected) / np.sum(expected * expected))
     loss_est = extract_loss(g_s_est, g_d_est)
     return {
         "g_s_true": g_s_true,

@@ -1,12 +1,17 @@
-"""Stack-vectorised routines for many small matrices, in elementwise numpy.
+"""Small linear algebra in a fixed order: the one route for every solve on
+qndsim's output path.
 
-A stack of W n x n matrices is laid out structure-of-arrays, shape
-(n, n, W): each matrix entry is one contiguous array over the stack, so
-every step below is a ufunc over W values. No np.linalg, no @ and no BLAS
-call, so the arithmetic is the same under every OpenBLAS kernel.
+lu_solve takes a stack of W n x n systems laid out structure-of-arrays, shape
+(n, n, W): each matrix entry is one contiguous array over the stack, so every
+step is a ufunc over W values. cholesky, cho_forward, cho_solve and
+cho_inverse take one small symmetric positive-definite matrix in plain
+floats. No np.linalg, no @ and no BLAS call, so the arithmetic is the same
+under every OpenBLAS kernel.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -45,3 +50,69 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             acc -= aug[k, j] * x[j]
         x[k] = acc / aug[k, k]
     return x
+
+
+# One small symmetric positive-definite system (the normal equations of a
+# fit, one row per parameter) in plain Python floats: each entry is one IEEE
+# operation in a fixed order, and for a single system these loops beat the
+# elementwise-numpy stack routine at W = 1.
+
+
+def cholesky(a) -> list[list[float]] | None:
+    """Lower factor l, as rows of floats, with a = l l^T; reads the lower
+    triangle of the n x n matrix a. None when a pivot is not positive: a is
+    not positive definite to working precision."""
+    rows = np.asarray(a, dtype=float).tolist()
+    low = [[0.0] * len(rows) for _ in rows]
+    for i, (row, li) in enumerate(zip(rows, low)):
+        for j in range(i + 1):
+            lj = low[j]
+            acc = row[j]
+            for k in range(j):
+                acc -= li[k] * lj[k]
+            if j < i:
+                li[j] = acc / lj[j]
+            elif acc > 0:
+                li[i] = math.sqrt(acc)
+            else:
+                return None
+    return low
+
+
+def cho_forward(low: list[list[float]], b) -> np.ndarray:
+    """y with l y = b, forward substitution on the factor of cholesky."""
+    y: list[float] = []
+    for li, bi in zip(low, np.asarray(b, dtype=float).tolist()):
+        acc = bi
+        for lik, yk in zip(li, y):
+            acc -= lik * yk
+        y.append(acc / li[len(y)])
+    return np.array(y)
+
+
+def cho_solve(low: list[list[float]], b) -> np.ndarray:
+    """x with a x = b for a = l l^T: forward, then back substitution."""
+    y = cho_forward(low, b).tolist()
+    n = len(y)
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        acc = y[i]
+        for k in range(i + 1, n):
+            acc -= low[k][i] * x[k]
+        x[i] = acc / low[i][i]
+    return np.array(x)
+
+
+def cho_inverse(low: list[list[float]]) -> np.ndarray:
+    """a^-1 = l^-T l^-1 for a = l l^T; its diagonal entries are sums of
+    squares, so never negative."""
+    n = len(low)
+    inv_low = [cho_forward(low, col).tolist() for col in np.eye(n)]  # columns of l^-1
+    out = np.empty((n, n))
+    for i in range(n):
+        for j in range(i + 1):
+            acc = 0.0
+            for k in range(i, n):
+                acc += inv_low[i][k] * inv_low[j][k]
+            out[i, j] = out[j, i] = acc
+    return out

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TruncationError
-from .dynamics import LindbladModel, _evolve_matrix
+from .dynamics import LindbladModel, _evolve_matrix, _mm
 from .operators import check_states
 
 DECAY_FRACTION = 1e-4
@@ -30,7 +30,7 @@ def two_time_correlation(
         raise ValueError("operator shape does not match the model")
     rho0 = check_states(rho0, d)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    seeded = _evolve_matrix(model, b_op @ rho0, tau_grid)
+    seeded = _evolve_matrix(model, _mm(b_op, rho0), tau_grid)
     return np.einsum("ij,tji->t", a_op, seeded)
 
 

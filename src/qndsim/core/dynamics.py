@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import NonUniqueSteadyStateError, NumericsError
+from ._smallmat import lu_solve
 from .operators import _kron, check_states
 
 DEGENERACY_RATIO = 1e-10
@@ -68,6 +69,12 @@ class LindbladModel:
         return self.hamiltonian.shape[0]
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # einsum without optimize, not @: the matmul path hands the product to
+    # BLAS, whose kernel choice would reach the bytes
+    return np.einsum("ij,jk->ik", a, b)
+
+
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     """Time derivative of rho under the model, in 1/us."""
     mat = np.asarray(rho, dtype=complex)
@@ -75,10 +82,11 @@ def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     if mat.shape != (d, d):
         raise ValueError("state dimension does not match the model")
     h = model.hamiltonian
-    out = -1j * (h @ mat - mat @ h)
+    out = -1j * (_mm(h, mat) - _mm(mat, h))
     for l in model.collapse_ops:
-        ldl = l.conj().T @ l
-        out += l @ mat @ l.conj().T - 0.5 * (ldl @ mat + mat @ ldl)
+        l_dag = l.conj().T
+        ldl = _mm(l_dag, l)
+        out += _mm(_mm(l, mat), l_dag) - 0.5 * (_mm(ldl, mat) + _mm(mat, ldl))
     return out
 
 
@@ -89,16 +97,9 @@ def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     h = model.hamiltonian
     sup = -1j * (_kron(h, eye) - _kron(eye, h.T))
     for l in model.collapse_ops:
-        ldl = l.conj().T @ l
+        ldl = _mm(l.conj().T, l)
         sup += _kron(l, l.conj()) - 0.5 * (_kron(ldl, eye) + _kron(eye, ldl.T))
     return sup
-
-
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # einsum, not @: the matmul path wakes BLAS worker threads. Importing
-    # qndsim first pins OpenBLAS to one thread, but not for a caller that
-    # loaded numpy before qndsim, so the products stay off BLAS
-    return np.einsum("ij,jk->ik", a, b)
 
 
 def _pade(a: np.ndarray, m: int) -> np.ndarray:
@@ -112,7 +113,9 @@ def _pade(a: np.ndarray, m: int) -> np.ndarray:
         powers.append(_mm(powers[-1], a2))
     u = _mm(a, sum(b[2 * k + 1] * p for k, p in enumerate(powers)))
     v = sum(b[2 * k] * p for k, p in enumerate(powers))
-    return np.linalg.solve(v - u, v + u)
+    n = len(a)
+    # one matrix against n right-hand sides: the stack holds n views of it
+    return lu_solve(np.broadcast_to((v - u)[:, :, None], (n, n, n)), v + u)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -152,12 +155,9 @@ def _evolve_matrix(model: LindbladModel, m0: np.ndarray, times: np.ndarray) -> n
 
     P comes from Higham's scaling-and-squaring Pade (_expm), not from an
     eigendecomposition, since L can be defective (the driven emitter at
-    Omega = Gamma/4). It replaces scipy.linalg.expm, whose LAPACK solve wakes
-    OpenBLAS worker threads that keep spinning after it returns; the Pade
-    uses einsum products and np.linalg.solve, which stay on one core.
-    The package's one-thread OpenBLAS default (qndsim/__init__.py) acts only
-    when qndsim loads numpy; einsum keeps callers that imported numpy first
-    off the BLAS threads too.
+    Omega = Gamma/4). It replaces scipy.linalg.expm: the Pade uses einsum
+    products and core._smallmat.lu_solve, which make no BLAS call, so
+    neither OpenBLAS's kernel nor its threads reach the propagator.
     """
     times = np.asarray(times, dtype=float)
     _validate_axis(times)
@@ -182,23 +182,49 @@ def evolve(model: LindbladModel, rho0: np.ndarray, times: np.ndarray) -> np.ndar
     return check_states(_evolve_matrix(model, rho0, times), model.dim)
 
 
+def bordered_liouvillian(sup: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """|x><1| - L for the superoperator matrix sup of L, with <1| the trace
+    of a row-major vec. For every traceful x it is regular exactly when L
+    has a unique steady state: L preserves the trace, so a null vector of
+    the bordered matrix is a traceless null vector of L."""
+    d = math.isqrt(len(sup))
+    return np.outer(x.reshape(-1), np.eye(d).reshape(-1)) - sup
+
+
 def steady_state(model: LindbladModel) -> np.ndarray:
-    """Unique stationary state of the Liouvillian, from its null vector."""
+    """Unique stationary state of the Liouvillian L.
+
+    With L scaled to unit 1-norm and x = vec(1)/d, the bordered system
+    (|x><1| - L) v = x has the steady state v = rho as its solution: the
+    trace row gives tr v = 1, and then L v = 0. lu_solve solves it in one
+    stack with a second right-hand side, a fixed probe of unit entries,
+    whose solution bounds the inverse from below. A null space of L that is
+    degenerate, or nearly so, makes the bordered matrix singular: a
+    non-finite solution, or a probe solution above 1 / DEGENERACY_RATIO
+    (the inverse of the second-smallest singular value of the scaled L,
+    up to a factor of order d), raises NonUniqueSteadyStateError.
+    """
     sup = liouvillian_matrix(model)
-    _, s, vh = np.linalg.svd(sup)
-    if s[0] == 0 or s[-2] < DEGENERACY_RATIO * s[0]:
-        raise NonUniqueSteadyStateError(
-            f"degenerate Liouvillian null space (second singular value {s[-2]:.3e})"
-        )
+    norm = np.abs(sup).sum(axis=0).max()
+    if norm == 0:
+        raise NonUniqueSteadyStateError("the Liouvillian is zero; every state is stationary")
     d = model.dim
-    rho = vh[-1].conj().reshape(d, d)
-    tr = np.trace(rho)
-    if abs(tr) < 1e-12 * np.linalg.norm(rho):
-        raise NumericsError("null vector of the Liouvillian is traceless")
-    rho = rho / tr  # fixes the arbitrary phase and the normalization at once
+    x = np.eye(d).reshape(-1) / d
+    probe = np.exp(2j * np.arange(d * d))
+    bordered = bordered_liouvillian(sup / norm, x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sol = lu_solve(np.broadcast_to(bordered[:, :, None], (d * d, d * d, 2)),
+                       np.stack([x, probe], axis=1))
+    growth = np.max(np.abs(sol[:, 1])) if np.isfinite(sol).all() else np.inf
+    if growth > 1.0 / DEGENERACY_RATIO:
+        raise NonUniqueSteadyStateError(
+            f"degenerate Liouvillian null space (bordered-system growth {growth:.3e})"
+        )
+    rho = sol[:, 0].reshape(d, d)
+    rho = rho / np.trace(rho)
     rho = (rho + rho.conj().T) / 2
     # relative to the Liouvillian's norm, with which the rounding error scales
-    residual = np.max(np.abs(lindblad_rhs(model, rho))) / s[0]
+    residual = np.max(np.abs(lindblad_rhs(model, rho))) / norm
     if residual > 1e-10:
         raise NumericsError(f"steady-state relative residual {residual:.3e} exceeds 1e-10")
     return check_states(rho, d)

@@ -19,7 +19,9 @@ def check_states(rho: np.ndarray, dim: int) -> np.ndarray:
     unit trace, Hermiticity and positive semidefiniteness, each to 1e-9.
 
     Returns rho as a complex array; raises ValueError naming the first
-    violated property.
+    violated property. The eigvalsh here is the package's one LAPACK call:
+    a validation gate whose value only decides pass or raise, against a
+    tolerance far above rounding, and never reaches an output.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (dim, dim):

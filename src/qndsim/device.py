@@ -98,14 +98,29 @@ def reflection_coefficient(
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     det = TWO_PI * (params.nu_ef - nu)
     d_cav = 1j * det + TWO_PI * params.kappa / 2
-    g_eff_sq = 2 * (TWO_PI * params.g0) ** 2 if qubit_state == "e" else 0.0
+    g_eff_sq = 0.0
+    if qubit_state == "e":
+        try:
+            g_eff_sq = 2 * (TWO_PI * params.g0) ** 2
+        except OverflowError:
+            g_eff_sq = math.inf
     if g_eff_sq == 0:
         # bare cavity, also where the coupling underflows: the atomic factor
         # cancels (removable 0/0 on resonance)
         r = 1 - TWO_PI * params.kappa / d_cav
+    elif math.isinf(g_eff_sq):
+        # a coupling past the float range splits the dressed states out of
+        # any band: g_eff -> inf gives r_e -> 1
+        r = np.ones_like(d_cav)
     else:
         d_atom = 1j * det + TWO_PI * gamma_atom / 2
-        r = 1 - TWO_PI * params.kappa * d_atom / (d_cav * d_atom + g_eff_sq)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = 1 - TWO_PI * params.kappa * d_atom / (d_cav * d_atom + g_eff_sq)
+            # where a product overflowed (an atom wide near the float range),
+            # the same r with d_atom divided out: g_eff^2 / d_atom -> 0 as
+            # gamma_atom -> inf, the atom decouples and leaves the bare cavity
+            lost = ~np.isfinite(r)
+            r[lost] = 1 - TWO_PI * params.kappa / (d_cav[lost] + g_eff_sq / d_atom[lost])
     return complex(r[0]) if scalar else r
 
 

@@ -10,13 +10,20 @@ parameter approaches the bound by a shrinking fraction of v, so an optimum
 on a bound is reached quadratically and one just inside it is not skipped.
 A parameter the step would still carry out of the box is held at STEP_BACK
 of the way to its bound, and the step is re-solved for the others.
+
+Each damped step comes from Cholesky factors of the scaled normal
+equations (core._smallmat, in plain floats), and every product and norm is
+an einsum without optimize, so no BLAS kernel reaches a fit's bytes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core._smallmat import cho_forward, cho_solve, cholesky
 
 # stopping tolerances, see _lsq
 FTOL = 1e-12
@@ -35,32 +42,54 @@ class LsqResult:
     success: bool
 
 
-def _damping(e, b2, radius):
-    """Smallest damping lam >= 0 with ||s(lam)|| <= radius, where
-    ||s(lam)||^2 = sum(b2 / (e + lam)^2) in the eigenbasis of the step
-    matrix: Newton's method on 1/||s(lam)|| (Moré & Sorensen)."""
-    lam = max(0.0, -e[0])
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(_dot(v, v))
+
+
+def _damping(m, g, radius):
+    """(lam, p): the smallest damping lam >= 0 with ||p|| <= radius, where
+    (m + lam I) p = -g and m is symmetric positive semidefinite. Moré &
+    Sorensen's Newton iteration on 1/||p(lam)|| (SIAM J. Sci. Stat. Comput.
+    4, 553 (1983)) over Cholesky factors l of m + lam I:
+    lam += (||p|| / radius - 1) ||p||^2 / ||l^-1 p||^2. A lam at which the
+    factor fails is doubled, from 1e-12 of m's largest diagonal entry."""
+    rows = m.tolist()
+    diag = [row[i] for i, row in enumerate(rows)]
+    lam = 0.0
     for _ in range(30):
-        den = e + lam
-        if np.all(den > 0):
-            norm = np.sqrt(np.sum(b2 / den**2))
-            if norm <= radius * 1.01:
-                break
-            lam += (norm / radius - 1.0) * norm**2 / np.sum(b2 / den**3)
-        else:
-            lam = max(lam * 2.0, 1e-12 * max(1.0, abs(e[-1])))
-    return lam
+        low = cholesky([[v + lam if i == k else v for k, v in enumerate(row)]
+                        for i, row in enumerate(rows)])
+        if low is None:
+            lam = max(lam * 2.0, 1e-12 * max(1.0, *diag))
+            continue
+        p = -cho_solve(low, g)
+        found = lam, p
+        norm = _norm(p)
+        if norm <= radius * 1.01:
+            break
+        q = cho_forward(low, p)
+        lam += (norm / radius - 1.0) * norm**2 / _dot(q, q)
+    return found
 
 
 def _step(h, g, x, lower, upper):
     """Solution s of h s = -g, with each parameter that s would carry out of
     the box held at STEP_BACK of the way to its bound and s re-solved for
-    the others."""
+    the others. h is symmetric positive definite; should a re-solve's factor
+    fail to working precision, the parameters still free stay where they are."""
     s = np.zeros_like(x)
     free = np.ones(x.size, dtype=bool)
     while free.any():
-        rhs = -(g[free] + h[np.ix_(free, ~free)] @ s[~free])
-        s[free] = np.linalg.solve(h[np.ix_(free, free)], rhs)
+        rhs = -(g[free] + np.einsum("ij,j->i", h[np.ix_(free, ~free)], s[~free]))
+        low = cholesky(h[np.ix_(free, free)])
+        if low is None:
+            s[free] = 0.0
+            break
+        s[free] = cho_solve(low, rhs)
         out = free & ((x + s <= lower) | (x + s >= upper))
         if not out.any():
             break
@@ -99,7 +128,7 @@ def _lsq(fun, x0, jac, bounds=(-np.inf, np.inf), x_scale=1.0, max_nfev=None) -> 
     nfev = 1
     if not np.all(np.isfinite(f)):
         return LsqResult(x, np.full((f.size, n), np.nan), np.inf, nfev, -1, False)
-    cost = 0.5 * float(f @ f)
+    cost = 0.5 * _dot(f, f)
     j = np.asarray(jac(x), dtype=float)
     radius = None
     status = None
@@ -107,7 +136,7 @@ def _lsq(fun, x0, jac, bounds=(-np.inf, np.inf), x_scale=1.0, max_nfev=None) -> 
         if not np.all(np.isfinite(j)):
             status = -1
             break
-        g = j.T @ f
+        g = np.einsum("ij,i->j", j, f)
         # distance to the bound the descent direction -g points at
         dist = np.where(g < 0, upper - x, np.where(g > 0, x - lower, np.inf))
         v = np.where(np.isfinite(dist), dist / x_scale, 1.0)  # Coleman-Li scaling
@@ -117,21 +146,20 @@ def _lsq(fun, x0, jac, bounds=(-np.inf, np.inf), x_scale=1.0, max_nfev=None) -> 
             status = 1
             break
         d = x_scale * np.sqrt(v)  # s = d * s_hat
-        a = j.T @ j
+        a = np.einsum("ki,kj->ij", j, j)
         curv = np.abs(g) / dist
-        e, q = np.linalg.eigh(d[:, None] * a * d + np.diag(curv * d**2))
-        gq = q.T @ (d * g)
+        m = d[:, None] * a * d + np.diag(curv * d**2)
         if radius is None:
-            radius = float(np.linalg.norm(x / d)) or 1.0
+            radius = _norm(x / d) or 1.0
         while True:
-            lam = _damping(e, gq**2, radius)
-            s = -d * (q @ (gq / (e + lam)))
+            lam, p = _damping(m, d * g, radius)
+            s = d * p
             if np.any((x + s <= lower) | (x + s >= upper)):
                 s = _step(a + np.diag(curv + lam / d**2), g, x, lower, upper)
                 # a parameter within rounding of its bound stays off it
                 s = np.clip(x + s, inside_lower, inside_upper) - x
-            step_norm = float(np.linalg.norm(s / d))
-            small = np.linalg.norm(s / x_scale) <= XTOL * (XTOL + np.linalg.norm(x / x_scale))
+            step_norm = _norm(s / d)
+            small = _norm(s / x_scale) <= XTOL * (XTOL + _norm(x / x_scale))
             if nfev >= max_nfev:
                 status = 0
                 break
@@ -144,9 +172,10 @@ def _lsq(fun, x0, jac, bounds=(-np.inf, np.inf), x_scale=1.0, max_nfev=None) -> 
                     break
                 radius = 0.25 * step_norm
                 continue
-            cost_new = 0.5 * float(f_new @ f_new)
+            cost_new = 0.5 * _dot(f_new, f_new)
             actual = cost - cost_new
-            predicted = -float(g @ s) - 0.5 * float(s @ a @ s + curv @ s**2)
+            curvature = float(np.einsum("i,ij,j->", s, a, s)) + _dot(curv, s**2)
+            predicted = -_dot(g, s) - 0.5 * curvature
             ratio = actual / predicted if predicted > 0 else float(actual == predicted == 0)
             if ratio < 0.25:
                 radius = 0.25 * step_norm

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core._smallmat import cho_inverse, cholesky
 from .errors import FitError
 from .fitting import _lsq
 
@@ -167,11 +168,9 @@ def fit_double_gaussian(q: np.ndarray, counts: np.ndarray) -> DoubleGaussianFit:
     mu_g, mu_e, sigma, w_e = result.x
     model = _mixture_counts(q, total, width, mu_g, mu_e, sigma, w_e)
     rss = float(np.sum((model - counts) ** 2))
-    try:
-        cov = np.linalg.inv(result.jac.T @ result.jac)
-        err = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    except np.linalg.LinAlgError:
-        err = np.full(4, np.nan)
+    # nan where J^T J is not positive definite to working precision
+    low = cholesky(np.einsum("ki,kj->ij", result.jac, result.jac))
+    err = np.full(4, np.nan) if low is None else np.sqrt(np.diag(cho_inverse(low)))
     stderr = dict(zip(("mu_g", "mu_e", "sigma", "w_e"), err.tolist()))
     if mu_e < mu_g:  # enforce the g-below-e labeling
         mu_g, mu_e, w_e = mu_e, mu_g, 1.0 - w_e

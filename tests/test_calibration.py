@@ -322,6 +322,22 @@ class TestStark:
                 bad += 1
         assert bad <= 1
 
+    @pytest.mark.parametrize("n", [3, 9, 50])
+    def test_closed_form_matches_lstsq(self, rng, n):
+        # the textbook design-matrix route: lstsq for the line, the slope's
+        # variance from s^2 (X^T X)^-1
+        for _ in range(20):
+            p_in = np.sort(rng.uniform(0.0, 4.0, n))
+            nu_q = 6475.0 - 4.8 * p_in + rng.standard_normal(n)
+            x = np.column_stack([p_in, np.ones(n)])
+            coef, *_ = np.linalg.lstsq(x, nu_q, rcond=None)
+            resid = nu_q - x @ coef
+            cov = (resid @ resid) / (n - 2) * np.linalg.inv(x.T @ x)
+            fit = stark_fit(p_in, nu_q)
+            assert fit.slope == pytest.approx(coef[0], rel=1e-10)
+            assert fit.intercept == pytest.approx(coef[1], rel=1e-13)
+            assert fit.slope_err == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-8)
+
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError, match="undetermined"):
             stark_fit(np.full(5, 2.0), np.linspace(0, 1, 5))

@@ -642,25 +642,51 @@ class TestExitCodes:
         assert report["headline"]["mc_pass_count"] == report["headline"]["mc_seeds"] == 100
 
     def test_non_finite_table_exit_2_before_any_file(self, tmp_path, capsys):
-        # an e-f linewidth near the float range turns the reflection
-        # coefficients into nan: the run names the column and writes nothing
+        # a cavity linewidth near the float range turns the bare reflection
+        # coefficient into nan: the run names the column and writes nothing
         path = tmp_path / "run.yaml"
-        path.write_text("spectroscopy: {gamma_atom_mhz: 1.4594540347131608e+308}\n")
+        path.write_text("device: {kappa: 1.0e+308}\n")
         out = tmp_path / "out"
         with pytest.warns(RuntimeWarning, match="invalid value"):
             assert cli.main(["spectrum", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "non-finite value in column 're_re' of spectrum.csv" in err
+        assert "non-finite value in column 're_rg' of spectrum.csv" in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "spectroscopy: {gamma_atom_mhz: 1.4594540347131608e+308}",
+            "spectroscopy: {gamma_atom_mhz: 1.0e+307}",
+            "device: {g0: 1.0e+160}",
+            "device: {g0: 1.0e+200}",
+        ],
+        ids=["gamma-atom-past-range", "gamma-atom-1e307", "g0-1e160", "g0-1e200"],
+    )
+    def test_reflection_at_the_float_range_runs(self, tmp_path, capsys, text):
+        # an atom wide near the float range decouples (r_e is the bare
+        # cavity's r_g), and a coupling past it reflects fully (r_e = 1)
+        path = tmp_path / "run.yaml"
+        path.write_text(text + "\n")
+        assert cli.main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        cells = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)
+        assert np.isfinite(cells).all()
+        r_g, r_e = cells[:, 1] + 1j * cells[:, 2], cells[:, 3] + 1j * cells[:, 4]
+        if text.startswith("spectroscopy"):
+            assert np.array_equal(r_e, r_g)
+        else:
+            assert np.all(r_e == 1)
 
     def test_overflow_exit_2(self, tmp_path, capsys):
         # a huge but finite coupling overflows Python float arithmetic in the
-        # spectrum runner: a numeric error, not a traceback
+        # dispersive shift: a numeric error, not a traceback
         path = tmp_path / "run.yaml"
         path.write_text("device: {g0: 1.0e+200}\n")
-        assert cli.main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert cli.main(["stark", "--config", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "spectrum: " in err
+        assert "stark: " in err
         assert "Traceback" not in err
 
     def test_check_exit_3_on_failing_criterion(self, tmp_path, capsys):

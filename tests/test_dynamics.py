@@ -42,12 +42,14 @@ def two_site_model():
 
 def kron_liouvillian_reference(model):
     """The superoperator spelled out with np.kron, which liouvillian_matrix
-    must match bit for bit."""
+    must match bit for bit. L^dag L is the fixed-order einsum product that
+    liouvillian_matrix forms, not @, whose BLAS kernel may sum in another
+    order."""
     eye = np.eye(model.dim, dtype=complex)
     h = model.hamiltonian
     sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for l in model.collapse_ops:
-        ldl = l.conj().T @ l
+        ldl = np.einsum("ij,jk->ik", l.conj().T, l)
         sup += np.kron(l, l.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
     return sup
 
@@ -324,3 +326,36 @@ class TestSteadyState:
     def test_degenerate_null_space_rejected(self):
         with pytest.raises(NonUniqueSteadyStateError):
             steady_state(LindbladModel(H_ZERO, []))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "model",
+        [
+            LindbladModel(pauli("z"), []),
+            LindbladModel(pauli("x"), []),
+            LindbladModel(pauli("z"), [0.5 * pauli("z")]),
+            # a decay into level 0 leaves level 2 stationary as well
+            LindbladModel(np.zeros((3, 3)), [np.outer(np.eye(3)[0], np.eye(3)[1])]),
+        ],
+        ids=["sigma_z", "sigma_x", "dephasing", "two_sinks"],
+    )
+    def test_degenerate_null_space_of_a_nonzero_liouvillian_rejected(self, model):
+        # the bordered matrix is singular: its solve gives no finite state
+        with pytest.raises(NonUniqueSteadyStateError, match="growth inf"):
+            steady_state(model)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "rate, unique", [(1e-14, False), (1e-12, False), (1e-8, True), (1e-6, True)]
+    )
+    def test_near_degenerate_null_space(self, rate, unique):
+        # sigma_z with a decay `rate` times its splitting: the Liouvillian's
+        # second-smallest singular value is ~ rate relative to its norm, so
+        # the bordered-system growth, ~ 1/rate, crosses 1 / DEGENERACY_RATIO
+        # between the two pairs of rates
+        model = LindbladModel(pauli("z"), [math.sqrt(rate) * SM])
+        if unique:
+            np.testing.assert_allclose(steady_state(model), GROUND, atol=1e-12)
+        else:
+            with pytest.raises(NonUniqueSteadyStateError, match="growth"):
+                steady_state(model)

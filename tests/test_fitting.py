@@ -247,6 +247,60 @@ class TestLsq:
         assert not result.success and result.status == -1
 
 
+def eigenbasis_damping(m, g, radius):
+    """The same Newton iteration on 1/||p(lam)|| in m's eigenbasis, the way
+    _lsq ran it before its Cholesky route: the reference for _damping."""
+    e, q = np.linalg.eigh(m)
+    gq = q.T @ g
+    lam = max(0.0, -e[0])
+    for _ in range(30):
+        den = e + lam
+        if np.all(den > 0):
+            norm = np.sqrt(np.sum(gq**2 / den**2))
+            if norm <= radius * 1.01:
+                break
+            lam += (norm / radius - 1.0) * norm**2 / np.sum(gq**2 / den**3)
+        else:
+            lam = max(lam * 2.0, 1e-12 * max(1.0, abs(e[-1])))
+    return lam, -(q @ (gq / (e + lam)))
+
+
+class TestDamping:
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_matches_the_eigenbasis_iteration(self, rng, n):
+        for _ in range(50):
+            # columns spread over two decades: condition numbers up to ~1e5
+            j = rng.standard_normal((3 * n, n)) * 10.0 ** rng.uniform(-1, 1, n)
+            m, g = j.T @ j, rng.standard_normal(n)
+            gauss_newton = np.linalg.norm(np.linalg.solve(m, g))
+            radius = 10.0 ** rng.uniform(-3, 1) * gauss_newton
+            lam, p = fitting._damping(m, g, radius)
+            ref_lam, ref_p = eigenbasis_damping(m, g, radius)
+            assert lam == pytest.approx(ref_lam, rel=1e-9, abs=1e-14 * np.abs(m).max())
+            np.testing.assert_allclose(p, ref_p, rtol=0, atol=1e-9 * np.abs(ref_p).max())
+            assert np.linalg.norm(p) <= 1.01 * radius * (1 + 1e-12)
+
+    @pytest.mark.parametrize("rank", [0, 1, 3])
+    def test_singular_matrix_is_damped_to_the_radius(self, rng, rank):
+        # a failed factor doubles lam until m + lam I factors; the Newton
+        # iteration then ends with ||p|| in [radius, 1.01 radius]
+        for _ in range(20):
+            j = rng.standard_normal((rank, 4))
+            m, g = j.T @ j, rng.standard_normal(4)
+            lam, p = fitting._damping(m, g, 0.5)
+            assert lam > 0
+            np.testing.assert_allclose((m + lam * np.eye(4)) @ p, -g, atol=1e-10)
+            assert 0.5 * (1 - 1e-12) <= np.linalg.norm(p) <= 0.505 * (1 + 1e-12)
+
+    def test_step_that_cannot_be_factored_leaves_the_parameters(self):
+        # a re-solve whose matrix is not positive definite to working
+        # precision moves no parameter that is still free
+        h = np.array([[1.0, 1.0], [1.0, 1.0]])
+        bounds = np.full(2, -10.0), np.full(2, 10.0)
+        s = fitting._step(h, np.array([1.0, -1.0]), np.zeros(2), *bounds)
+        np.testing.assert_array_equal(s, np.zeros(2))
+
+
 def failed(fun, x0, jac, **options):
     return LsqResult(np.asarray(x0, dtype=float), jac(x0), 1.0, 7, 0, False)
 

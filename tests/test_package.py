@@ -99,6 +99,85 @@ def test_no_unused_imports(path):
     assert sorted(imported - used - exported) == []
 
 
+# Calls that hand a product or a solve to BLAS or LAPACK, whose kernel choice
+# would reach the bytes: small linear algebra goes through core._smallmat,
+# einsum without optimize, or np.sum. The one exception is the eigvalsh that
+# check_states uses as a validation gate.
+BLAS_ATTRIBUTES = {"dot", "matmul", "inner", "vdot", "tensordot"}
+LINALG_ALLOWED = {("core/operators.py", "check_states", "np.linalg.eigvalsh")}
+
+
+def blas_routes(tree, name):
+    """(module, enclosing function, expression) of each BLAS or LAPACK route."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        text = None
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            text = "@"
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_ATTRIBUTES:
+            text = ast.unparse(node)
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            outer = getattr(node, "parent", None)  # np.linalg.<name>, or np.linalg alone
+            text = ast.unparse(outer if isinstance(outer, ast.Attribute) else node)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+            if any("linalg" in n.split(".") for n in names):
+                text = ast.unparse(node)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("einsum") and any(
+            kw.arg == "optimize" for kw in node.keywords
+        ):
+            text = ast.unparse(node)
+        if text is not None:
+            found.append((name, function, text))
+        for child in ast.iter_child_nodes(node):
+            child.parent = node
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(qndsim.__file__).parent.rglob("*.py")),
+    ids=lambda path: str(path.relative_to(Path(qndsim.__file__).parent)),
+)
+def test_small_linear_algebra_has_one_route(path):
+    name = path.relative_to(Path(qndsim.__file__).parent).as_posix()
+    found = blas_routes(ast.parse(path.read_text()), name)
+    assert [route for route in found if route not in LINALG_ALLOWED] == []
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "x = a @ b",
+        "x @= b",
+        "x = a.dot(b)",
+        "x = np.dot(a, b)",
+        "x = np.matmul(a, b)",
+        "x = np.inner(a, b)",
+        "x = np.vdot(a, b)",
+        "x = np.linalg.solve(a, b)",
+        "x = np.linalg.norm(a)",
+        "from numpy import linalg",
+        "import numpy.linalg",
+        "x = np.einsum('ij,jk->ik', a, b, optimize=True)",
+        "def check_states(rho):\n    return np.linalg.eigh(rho)",
+    ],
+)
+def test_route_guard_flags(code):
+    assert blas_routes(ast.parse(code), "core/operators.py")
+
+
+def test_route_guard_allows_the_validation_gate():
+    code = "def check_states(rho):\n    return np.linalg.eigvalsh(rho)"
+    assert set(blas_routes(ast.parse(code), "core/operators.py")) <= LINALG_ALLOWED
+    assert blas_routes(ast.parse(code), "core/dynamics.py")
+
+
 def test_tracer_layers_resolve(monkeypatch):
     # perfbench/tracer.py times each layer by rebinding a function by module
     # and name, so a moved or renamed function would leave its layer
