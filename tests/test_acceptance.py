@@ -8,12 +8,19 @@ error model) is reported ungated (see README, "Window-sweep optimum
 (criterion 4)").
 """
 
+import hashlib
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qndsim import acceptance, cli, protocol
 from qndsim.config import default_config, from_dict
+
+# SHA-256 of every file of the default check tree, in sha256sum's format,
+# and the numpy version the digests were made with on its first line
+MANIFEST = Path(__file__).parent / "data" / "check_tree.sha256"
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +90,36 @@ def test_report_files_written(report):
     assert (out / "acceptance_report.json").exists()
     text = (out / "acceptance_report.txt").read_text()
     assert text.count("criterion") == 12
+
+
+def test_check_tree_matches_the_manifest(report):
+    # run_a and both acceptance reports keep the manifest's bytes; a change
+    # that moves output on purpose updates the manifest with it
+    _, out = report
+    version_line, *lines = MANIFEST.read_text().splitlines()
+    made_with = version_line.removeprefix("# numpy ")
+    expected = dict(reversed(line.split("  ", 1)) for line in lines)
+    files = [out / "acceptance_report.json", out / "acceptance_report.txt"]
+    files += sorted((out / "run_a").iterdir())
+    actual = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in files
+    }
+    moved = sorted(name for name in expected.keys() & actual.keys() if expected[name] != actual[name])
+    problems = [
+        f"{what}: {', '.join(names)}"
+        for what, names in [
+            ("moved", moved),
+            ("added", sorted(actual.keys() - expected.keys())),
+            ("vanished", sorted(expected.keys() - actual.keys())),
+        ]
+        if names
+    ]
+    if np.__version__ != made_with:
+        # the last digits of %.12g and of the sampled shots may differ
+        # between numpy versions, so the manifest holds for its own version
+        problems.append(f"manifest made with numpy {made_with}, this run has numpy {np.__version__}")
+    assert not problems, "; ".join(problems)
 
 
 def test_criterion_04_evaluates_the_configured_ramsey_law(monkeypatch):
