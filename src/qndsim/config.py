@@ -163,16 +163,6 @@ class LossRunConfig(Checked):
 
 
 @dataclass
-class ReferenceValues(Checked):
-    """Quoted single-shot reference measurements, reported next to the
-    composed model predictions (see README on the known bookkeeping gap)."""
-
-    single_shot_fidelity: float = number(0.496, ge=-1, le=1)  # P(e|1) - P(e|0)
-    single_shot_dark: float = number(0.134, ge=0, le=1)
-    single_shot_miss: float = number(0.37, ge=0, le=1)
-
-
-@dataclass
 class RunConfig(Checked):
     device: DeviceParams = field(default_factory=DeviceParams)
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
@@ -183,7 +173,6 @@ class RunConfig(Checked):
     mollow: MollowRunConfig = field(default_factory=MollowRunConfig)
     stark: StarkRunConfig = field(default_factory=StarkRunConfig)
     loss: LossRunConfig = field(default_factory=LossRunConfig)
-    reference: ReferenceValues = field(default_factory=ReferenceValues)
     seed: int = number(0, kind=int, ge=0, lt=2**64)  # an unsigned 64-bit integer
     output_dir: str = "out"
     config_version: int = number(CONFIG_VERSION, kind=int)

@@ -73,7 +73,7 @@ def dressed_frequencies(params: DeviceParams, n: int) -> tuple[float, float]:
     """Split resonances of the n-photon manifold: nu_ef -/+ sqrt(n)*sqrt(2)*g0."""
     if n < 1:
         raise ValueError("manifold index must be a positive integer")
-    split = np.sqrt(n) * np.sqrt(2.0) * params.g0
+    split = math.sqrt(2.0 * n) * params.g0  # Python floats: inf past the range, no warning
     return params.nu_ef - split, params.nu_ef + split
 
 
@@ -97,30 +97,35 @@ def reflection_coefficient(
     scalar = np.ndim(nu) == 0
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     det = TWO_PI * (params.nu_ef - nu)
-    d_cav = 1j * det + TWO_PI * params.kappa / 2
+    kappa_ang = TWO_PI * params.kappa
+    d_cav = 1j * det + kappa_ang / 2
     g_eff_sq = 0.0
     if qubit_state == "e":
         try:
             g_eff_sq = 2 * (TWO_PI * params.g0) ** 2
         except OverflowError:
             g_eff_sq = math.inf
-    if g_eff_sq == 0:
-        # bare cavity, also where the coupling underflows: the atomic factor
-        # cancels (removable 0/0 on resonance)
-        r = 1 - TWO_PI * params.kappa / d_cav
-    elif math.isinf(g_eff_sq):
+    if math.isinf(g_eff_sq):
         # a coupling past the float range splits the dressed states out of
         # any band: g_eff -> inf gives r_e -> 1
         r = np.ones_like(d_cav)
+    elif math.isinf(kappa_ang):
+        # a linewidth past the float range: kappa D_a / (D_c D_a + g_eff^2)
+        # -> 2 as kappa -> inf, so r -> -1
+        r = -np.ones_like(d_cav)
+    elif g_eff_sq == 0:
+        # bare cavity, also where the coupling underflows: the atomic factor
+        # cancels (removable 0/0 on resonance)
+        r = 1 - kappa_ang / d_cav
     else:
         d_atom = 1j * det + TWO_PI * gamma_atom / 2
         with np.errstate(over="ignore", invalid="ignore"):
-            r = 1 - TWO_PI * params.kappa * d_atom / (d_cav * d_atom + g_eff_sq)
+            r = 1 - kappa_ang * d_atom / (d_cav * d_atom + g_eff_sq)
             # where a product overflowed (an atom wide near the float range),
             # the same r with d_atom divided out: g_eff^2 / d_atom -> 0 as
             # gamma_atom -> inf, the atom decouples and leaves the bare cavity
             lost = ~np.isfinite(r)
-            r[lost] = 1 - TWO_PI * params.kappa / (d_cav[lost] + g_eff_sq / d_atom[lost])
+            r[lost] = 1 - kappa_ang / (d_cav[lost] + g_eff_sq / d_atom[lost])
     return complex(r[0]) if scalar else r
 
 

@@ -20,9 +20,6 @@ TWO_PI = 2.0 * math.pi
 
 RAMSEY_LAWS = ("exponential", "gaussian")
 
-# optimal_window searches window lengths in this range, in microseconds
-WINDOW_BOUNDS_US = (0.03, 1.5)
-
 
 @dataclass
 class ProtocolConfig(Checked):
@@ -72,7 +69,9 @@ def ramsey_coherence(Tw: float | np.ndarray, T2_star: float, law: str) -> float 
     if law == "exponential":
         return np.exp(-Tw / T2_star)
     if law == "gaussian":
-        return np.exp(-((Tw / T2_star) ** 2))
+        # a ratio past the float range squares to inf, and C to its limit 0
+        with np.errstate(over="ignore"):
+            return np.exp(-((Tw / T2_star) ** 2))
     raise ValueError(f"unknown ramsey law {law!r}")
 
 
@@ -125,43 +124,97 @@ def window_sweep(
     return DetectionProbs.from_probs(*_click_probs(windows, cfg, params))
 
 
-def optimal_window(cfg: ProtocolConfig, params: DeviceParams, objective: str) -> float:
-    """Window length in WINDOW_BOUNDS_US maximizing P(e|1) (objective
-    "efficiency") or F ("fidelity"), by golden-section search. A window that
-    closes by the emission delay t0 has F = 0 and P(e|1) at the dark count,
-    so the search climbs out of that flat stretch; with t0 at or past the top
-    of the range, F vanishes on all of it and there is no optimum."""
+def optimal_window(cfg: ProtocolConfig, params: DeviceParams, objective: str) -> float | None:
+    """Window length maximizing P(e|1) (objective "efficiency") or F
+    ("fidelity"); None where P(e|1) has no maximum, at loss_L >= 1/2.
+
+    Write G = 2 pi gamma_photon, T2 = T2_star, L = loss_L, s = T - t0 and
+    x = exp(-G s) for a window T past the emission, so that F = (1-L)(1-x)C
+    and P(e|1) = (1-C)/2 + (1-L)(1-x)C. Up to t0, F = 0 and P(e|1) = (1-C)/2
+    rises, so each maximum lies after t0.
+
+    Exponential law, C = exp(-T/T2): d ln F/dT = G x/(1-x) - 1/T2 vanishes
+    at x = 1/(1 + G T2), and dP(e|1)/dT at x* = (1/2 - L)/((1-L)(1 + G T2)),
+    so T_F = t0 + ln(1 + G T2)/G and T_E = t0 - ln(x*)/G = T_c + T_F - t0,
+    with T_c below.
+
+    Gaussian law, C = exp(-(T/T2)^2), by bisection on the derivative's sign:
+    - fidelity: d ln F/dT = G x/(1-x) - 2T/T2^2. The first term falls from
+      +inf and the second rises, so there is one root. As e^y - 1 >= y, the
+      first term is at most 1/s, which puts the root in
+      (t0, (t0 + sqrt(t0^2 + 2 T2^2))/2].
+    - efficiency: dP(e|1)/dT = C h with h = (1-L) G x + (T/T2^2) m and
+      m = 1 - 2(1-L)(1-x), which falls monotonically from 1 to 2L - 1. So
+      h > 0 until x_c = 1 - 1/(2(1-L)), and after that both terms of h fall
+      strictly, to -inf when L < 1/2: one root, past T_c = t0 - ln(x_c)/G.
+      The bracket's top doubles from T_c until h < 0.
+
+    Where L >= 1/2, m >= 0 under either law, so h > 0 and P(e|1) rises toward
+    1/2 with no maximum. Products with G multiply by gamma_photon first,
+    each delay divides by G in two steps and ln G is a sum of logs, so that
+    none passes the float range before the result does; an optimum past that
+    range reads inf."""
     if objective not in ("efficiency", "fidelity"):
         raise ValueError("objective must be 'efficiency' or 'fidelity'")
-    if cfg.t0 >= WINDOW_BOUNDS_US[1]:
-        raise ValueError(
-            f"emission delay t0 = {cfg.t0:g} us leaves no window in the search "
-            f"range {WINDOW_BOUNDS_US} us"
-        )
-
-    def score(tw: float) -> float:
-        p1, p0 = _click_probs(tw, cfg, params)
-        return p1 if objective == "efficiency" else p1 - p0
-
-    return _golden_section_max(score, *WINDOW_BOUNDS_US)
-
-
-def _golden_section_max(func, lo: float, hi: float, tol: float = 1e-9) -> float:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = func(c), func(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = func(c)
+    loss, t2, t0, gamma = params.loss_L, params.T2_star, cfg.t0, cfg.gamma_photon
+    if objective == "efficiency":
+        if loss >= 0.5:
+            return None
+        t_c = t0 + math.log((1.0 - loss) / (0.5 - loss)) / TWO_PI / gamma
+    log_rate = math.log(TWO_PI) + math.log(gamma)
+    if cfg.ramsey_law == "exponential":
+        # ln(1 + y)/G as T2 ln(1 + y)/y with y = G T2, or from logs where y
+        # passes the float range
+        y = TWO_PI * (gamma * t2)
+        if math.isinf(y):
+            delay = (log_rate + math.log(t2)) / TWO_PI / gamma
         else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = func(d)
-    return (a + b) / 2.0
+            delay = t2 * (math.log1p(y) / y) if y > 0 else t2
+        return t0 + delay if objective == "fidelity" else t_c + delay
+    log_t2 = math.log(t2)
+
+    if objective == "fidelity":
+
+        def rising(t: float) -> bool:
+            # ln(G x/(1-x)) against ln(2T/T2^2); G x/(1-x) -> 1/s where G s
+            # underflows
+            u = TWO_PI * (gamma * (t - t0))
+            captured = -math.expm1(-u)
+            if captured > 0.0:
+                log_capture_rate = log_rate - u - math.log(captured)
+            else:
+                log_capture_rate = -math.log(t - t0)
+            return log_capture_rate > math.log(2.0 * t) - 2 * log_t2
+
+        return _bisect(rising, t0, t0 / 2 + math.hypot(t0 / 2, t2 / math.sqrt(2.0)))
+
+    def rising(t: float) -> bool:
+        # h > 0, as ln((1-L) G x T2^2) against ln(T (-m)) where m < 0;
+        # -m = (1 - 2L) - 2(1-L)x keeps the digits of L near 1/2
+        u = TWO_PI * (gamma * (t - t0))
+        minus_m = (1.0 - 2.0 * loss) - 2.0 * (1.0 - loss) * math.exp(-u)
+        if minus_m <= 0.0:
+            return True
+        return math.log(1.0 - loss) + log_rate - u + 2 * log_t2 > math.log(t) + math.log(minus_m)
+
+    top = 2.0 * t_c
+    while math.isfinite(top) and rising(top):
+        top *= 2.0
+    return _bisect(rising, t_c, top) if math.isfinite(top) else math.inf
+
+
+def _bisect(rising, lo: float, hi: float) -> float:
+    """The point of [lo, hi] where rising turns from True to False, halved
+    until the midpoint equals an end: the float where the sign changes, with
+    no tolerance to choose."""
+    while True:
+        mid = lo + (hi - lo) / 2.0
+        if mid in (lo, hi):
+            return mid
+        if rising(mid):
+            lo = mid
+        else:
+            hi = mid
 
 
 def readout_composition(p_true: float, eps_ge: float, eps_eg: float) -> float:

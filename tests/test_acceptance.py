@@ -105,7 +105,7 @@ def test_check_tree_matches_the_manifest(report):
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in files
     }
-    moved = sorted(name for name in expected.keys() & actual.keys() if expected[name] != actual[name])
+    moved = sorted(name for name in expected if actual.get(name, expected[name]) != expected[name])
     problems = [
         f"{what}: {', '.join(names)}"
         for what, names in [
@@ -116,9 +116,9 @@ def test_check_tree_matches_the_manifest(report):
         if names
     ]
     if np.__version__ != made_with:
-        # the last digits of %.12g and of the sampled shots may differ
-        # between numpy versions, so the manifest holds for its own version
-        problems.append(f"manifest made with numpy {made_with}, this run has numpy {np.__version__}")
+        # numpy promises neither its random streams nor its float
+        # formatting across versions, so the manifest holds for its own
+        problems.append(f"manifest made with numpy {made_with}, this run with {np.__version__}")
     assert not problems, "; ".join(problems)
 
 
@@ -179,6 +179,18 @@ def test_criterion_04_reads_the_window_sweep_headline(key, value, fail):
     assert not result.passed
     assert fail in result.details
     assert acceptance.criterion_4(default_config(), WINDOW_HEADLINE).passed
+
+
+def test_criterion_04_reports_a_missing_efficiency_optimum():
+    # from loss_L = 1/2 on, P(e|1) has no maximum and the headline holds null
+    result = acceptance.criterion_4(
+        default_config(), {**WINDOW_HEADLINE, "peak_efficiency_window_us": None}
+    )
+    assert result.passed
+    assert result.details.endswith(
+        "info: P(e|1)-optimal window [us] = null (P(e|1) has no maximum at loss_L >= 1/2)"
+        " (not gated)"
+    )
 
 
 def test_criterion_07_reads_the_qnd_headline():

@@ -274,7 +274,7 @@ class TestConfig:
         assert cfg.seed == 9
 
 
-SHIPPED_DIGEST = "56e35cafe722bc4289596b94bc7f02b624ec88d0a12295166be5b959e8076a8c"
+SHIPPED_DIGEST = "e3b176ba9b8914787459af8c3b572a50fc31e98063afd744634fd0aa79f2a554"
 
 EXPECTED_HEADERS = {
     "spectrum.csv": "nu_MHz,re_rg,im_rg,re_re,im_re,delta_phi_rad",
@@ -435,6 +435,35 @@ class TestRunners:
         assert headline["peak_fidelity_window_us"] == pytest.approx(0.424, abs=1e-3)
         assert headline["peak_efficiency_window_us"] == pytest.approx(0.523, abs=1e-3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text, fidelity_peak, efficiency_peak",
+        [
+            # a slow photon: the closed forms put both optima past 1.5 us
+            ("protocol: {gamma_photon: 0.02}", 1.6427088687, 10.3851876829),
+            # from half the photons lost, P(e|1) has no maximum
+            ("device: {loss_L: 0.6}", 0.2938355282, None),
+            # an emission 2 us after the opening pulse
+            ("protocol: {t0: 2.0}", 2.2738355282, 2.3726205995),
+        ],
+        ids=["slow-photon", "loss-0.6", "t0-2us"],
+    )
+    def test_window_sweep_optima_anywhere(
+        self, tmp_path, capsys, text, fidelity_peak, efficiency_peak
+    ):
+        path = tmp_path / "run.yaml"
+        path.write_text(text + "\n")
+        assert cli.main(["window-sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        headline = json.loads((tmp_path / "window_sweep_report.json").read_text())["headline"]
+        assert headline["peak_fidelity_window_us"] == pytest.approx(fidelity_peak, abs=1e-9)
+        if efficiency_peak is None:
+            assert headline["peak_efficiency_window_us"] is None
+        else:
+            assert headline["peak_efficiency_window_us"] == pytest.approx(
+                efficiency_peak, abs=1e-9
+            )
+
     def test_loss_uses_the_mollow_grid(self, tmp_path, monkeypatch):
         # the source side of the loss round trip is fitted on the grid of
         # the mollow section, as the mollow runner's fit is
@@ -561,7 +590,8 @@ class TestExitCodes:
             ("qnd: {floor: .inf}", "qnd.floor"),
             ("qnd: {gate: .inf}", "qnd.gate"),
             ("readout: {preselect_sigmas: .inf}", "readout.preselect_sigmas"),
-            ("reference: {single_shot_dark: 7.0}", "reference.single_shot_dark"),
+            # the quoted figures live in acceptance.PAPER_VALUES, not in a config
+            ("reference: {single_shot_dark: 0.134}", "unknown key 'reference'"),
             ('loss: {components: {"circulator, isolator": 0.08}}', "loss.components"),
             (r'loss: {components: {"a\"b": 0.08}}', "loss.components"),
             (r'loss: {components: {"a\rb": 0.08}}', "loss.components"),
@@ -641,17 +671,29 @@ class TestExitCodes:
         report = json.loads((tmp_path / "qnd_report.json").read_text())
         assert report["headline"]["mc_pass_count"] == report["headline"]["mc_seeds"] == 100
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_table_exit_2_before_any_file(self, tmp_path, capsys):
-        # a cavity linewidth near the float range turns the bare reflection
-        # coefficient into nan: the run names the column and writes nothing
+        # a qubit that keeps its coherence and a photon emitted at once never
+        # click dark, so the click ratio P(e|1)/P(e|0) is infinite: the run
+        # names the column and writes nothing
+        path = tmp_path / "run.yaml"
+        path.write_text("device: {T1: 1.0e+300, T2_star: 1.0e+300}\nprotocol: {t0: 0.0}\n")
+        out = tmp_path / "out"
+        assert cli.main(["window-sweep", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite value in column 'ratio' of window_sweep.csv" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_linewidth_past_the_float_range_reflects_at_minus_one(self, tmp_path, capsys):
+        # 2 pi kappa passes the float range: both states reflect as a cavity
+        # infinitely wider than any detuning, r = -1, and carry no phase
         path = tmp_path / "run.yaml"
         path.write_text("device: {kappa: 1.0e+308}\n")
-        out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            assert cli.main(["spectrum", "--config", str(path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "non-finite value in column 're_rg' of spectrum.csv" in err
-        assert not out.exists()
+        assert cli.main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        cells = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(cells[:, 1:], [[-1.0, 0.0, -1.0, 0.0, 0.0]] * len(cells))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

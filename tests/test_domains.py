@@ -10,7 +10,7 @@ import contextlib
 import io
 import math
 import tempfile
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
+from scipy.optimize import minimize_scalar
 
 from qndsim import cli
 from qndsim.calibration import driven_atom_model, steady_population
@@ -26,7 +27,13 @@ from qndsim.config import ConfigError, default_config, from_dict
 from qndsim.core import steady_state
 from qndsim.device import DeviceParams, reflection_coefficient
 from qndsim.domain import DomainError
-from qndsim.protocol import ProtocolConfig, fidelity_metrics
+from qndsim.protocol import (
+    ProtocolConfig,
+    fidelity_metrics,
+    optimal_window,
+    ramsey_coherence,
+    window_sweep,
+)
 
 DETERMINISTIC = dict(derandomize=True, database=None, deadline=None)
 
@@ -183,6 +190,7 @@ def test_in_domain_config_loads_or_breaks_a_cross_field_rule(data):
         assert not isinstance(exc.__cause__, DomainError), exc
 
 
+@pytest.mark.filterwarnings("error")
 @settings(
     max_examples=15, suppress_health_check=[HealthCheck.filter_too_much], **DETERMINISTIC
 )
@@ -245,3 +253,65 @@ def test_steady_state_is_a_density_matrix(gamma, ratio):
     rho = steady_state(driven_atom_model(omega_ang, gamma_ang))  # checks the state
     assert rho[1, 1].real == pytest.approx(steady_population(ratio, 1.0), abs=1e-9)
     assert np.all(np.linalg.eigvalsh(rho) >= -1e-12)
+
+
+def window_slope(cfg, params, objective, t):
+    """d ln F/dT (objective "fidelity"), or dP(e|1)/dT divided by the Ramsey
+    contrast C ("efficiency"), at a window t past the emission: from
+    F = (1-L)(1-x)C and P(e|1) = 1/2 + C((1-L)(1-x) - 1/2) with
+    x = exp(-G (t - t0)), G = 2 pi gamma_photon."""
+    rate, delay = 2 * math.pi * cfg.gamma_photon, t - cfg.t0
+    loss, t2 = params.loss_L, params.T2_star
+    x = math.exp(-rate * delay)
+    dlog_c = -1 / t2 if cfg.ramsey_law == "exponential" else -2 * t / t2 / t2
+    if objective == "fidelity":
+        # G x/(1-x), which tends to 1/delay where G delay underflows
+        capture_rate = rate * x / -math.expm1(-rate * delay) if rate * delay > 0 else 1 / delay
+        return capture_rate + dlog_c
+    return (1 - loss) * rate * x + dlog_c * ((1 - loss) * (1 - x) - 0.5)
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.filter_too_much], **DETERMINISTIC)
+@given(
+    instances(DeviceParams, PHYSICAL_LIMIT),
+    instances(ProtocolConfig, PHYSICAL_LIMIT),
+    st.sampled_from(["exponential", "gaussian"]),
+)
+def test_window_optima_are_the_maxima(params, cfg, law):
+    # the slope changes sign across each optimum, within 1e-9 of its delay
+    # after the emission (or 4 ulp of the window) to either side. Where the
+    # contrast C there is 1e-8 or more, the optimum is also the largest
+    # objective, to rounding, on a grid of +-1e-3 of its delay, and agrees
+    # with minimize_scalar to 1e-9 relative in the objective's value: the
+    # objective is quadratic at its maximum, so a search reading its values
+    # places the maximum only to about sqrt(eps) of the delay. Below
+    # C = 1e-8 the objective is flat to rounding, and the slope alone decides.
+    cfg = replace(cfg, ramsey_law=law)
+    for objective, name in (("efficiency", "p_e_given_1"), ("fidelity", "fidelity")):
+        peak = optimal_window(cfg, params, objective)
+        if objective == "efficiency" and params.loss_L >= 0.5:
+            assert peak is None
+            continue
+        delay = peak - cfg.t0
+        assert math.isfinite(peak) and delay >= 0
+        step = max(1e-9 * delay, 4 * math.ulp(peak))
+        assert window_slope(cfg, params, objective, peak + step) < 0
+        if peak - step > cfg.t0:
+            assert window_slope(cfg, params, objective, peak - step) > 0
+        if ramsey_coherence(peak, params.T2_star, law) < 1e-8:
+            continue
+
+        def value(t):
+            return getattr(window_sweep(cfg, params, np.atleast_1d(t)), name)
+
+        (top,) = value(peak)
+        grid = value(peak + delay * np.linspace(-1e-3, 1e-3, 201))
+        assert top >= grid.max() - 2e-15 * abs(top)
+        ref = minimize_scalar(
+            lambda d: -value(cfg.t0 + d)[0],
+            bounds=(delay / 2, 2 * delay),
+            method="bounded",
+            options={"xatol": 1e-12 * delay},
+        )
+        assert abs(top + ref.fun) <= 1e-9 * abs(top)
+        assert top >= -ref.fun - 2e-15 * abs(top)
