@@ -30,6 +30,7 @@ from .core import (
 )
 from .csvio import write_json, write_text_atomic
 from .device import (
+    SPECTRUM_HALF_SPAN_MHZ,
     count_pi_crossings,
     dispersive_shift,
     phase_difference_spectrum,
@@ -88,9 +89,12 @@ def criterion_1(cfg: RunConfig) -> CriterionResult:
 def criterion_2(cfg: RunConfig) -> CriterionResult:
     dev = cfg.device
     gamma_atom = cfg.spectroscopy.gamma_atom_mhz
-    span = 2 * math.sqrt(2) * dev.g0
+    # within the band phase_difference_spectrum accepts (less an end rounded
+    # past it): dressed states split beyond it fail the criterion
+    span = min(2 * math.sqrt(2) * dev.g0, SPECTRUM_HALF_SPAN_MHZ)
     n = int(round(2 * span / 0.1)) + 1
     grid = np.linspace(dev.nu_ef - span, dev.nu_ef + span, n)
+    grid = grid[np.abs(grid - dev.nu_ef) <= SPECTRUM_HALF_SPAN_MHZ]
     r_g, r_e, dphi = phase_difference_spectrum(dev, grid, gamma_atom)
     center = float(phase_difference_spectrum(dev, np.array([dev.nu_ef]), gamma_atom)[2][0])
     checks = [_near(f"delta_phi({dev.nu_ef:g} MHz) [rad]", center, math.pi, 1e-6)]

@@ -8,7 +8,6 @@ Powers are carried as photon fluxes (photons/us).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,8 +309,6 @@ def extract_loss(g_s: float, g_d: float) -> float:
     """Line loss between source and detector: L = 1 - G_s / G_d."""
     if g_d <= 0:
         raise ValueError("detector-chain gain must be positive")
-    if g_s > g_d:
-        warnings.warn("source gain exceeds detector gain; negative loss is unphysical")
     return 1.0 - g_s / g_d
 
 

@@ -9,15 +9,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .device import SPECTRUM_HALF_SPAN_MHZ, DeviceParams
-from .domain import Checked, DomainError, number
+from .domain import Checked, DomainError, DomainTypeError, number
 from .protocol import ProtocolConfig
 
 CONFIG_VERSION = 1
@@ -43,16 +42,14 @@ class GridSpec(Checked):
     def __post_init__(self):
         super().__post_init__()
         if (self.step is None) == (self.num is None):
-            raise ConfigError("grid needs exactly one of step or num")
+            raise DomainError("step", "or num must be given, not both")
         if self.stop <= self.start:
-            raise ConfigError("grid stop must exceed start")
+            raise DomainError("stop", f"must exceed start {self.start!r}, got {self.stop!r}")
         if self.step is not None:
             steps = (self.stop - self.start) / self.step
             if not math.isfinite(steps) or abs(steps - round(steps)) > GRID_STEPS_RTOL * steps:
-                raise ConfigError(
-                    f"grid step {self.step:g} does not divide the span "
-                    f"{self.stop - self.start:g} ({steps:.6g} steps)"
-                )
+                rule = f"{self.step:g} does not divide the span {self.stop - self.start:g}"
+                raise DomainError("step", f"{rule} ({steps:.6g} steps)")
 
     def to_array(self) -> np.ndarray:
         if self.num is not None:
@@ -72,10 +69,15 @@ class SweepConfig(Checked):
         super().__post_init__()
         # calibration.fit_mollow fits the spectra jointly and needs three
         if len(self.drive_ratios) < 3:
-            raise ConfigError("sweeps.drive_ratios needs at least three ratios")
+            raise DomainError("drive_ratios", "needs at least three ratios")
         # protocol.theta_sweep takes preparation angles in [0, pi]
         if not (0 <= self.theta_rad.start and self.theta_rad.stop <= math.pi):
-            raise ConfigError("sweeps.theta_rad must lie in [0, pi]")
+            raise DomainError("theta_rad", "must lie in [0, pi]")
+        # protocol.ramsey_coherence takes window lengths, which are non-negative
+        if self.window_us.start < 0:
+            raise DomainError(
+                "window_us.start", f"must be non-negative, got {self.window_us.start!r}"
+            )
 
 
 @dataclass
@@ -156,10 +158,8 @@ class LossRunConfig(Checked):
         # each name is one field of loss_budget.csv, which quotes nothing
         for name in self.components:
             if any(char in name for char in ',"\r\n'):
-                raise ConfigError(
-                    f"loss.components name {name!r} must not contain a comma, "
-                    "a double quote, CR or LF"
-                )
+                rule = f"name {name!r} must not contain a comma, a double quote, CR or LF"
+                raise DomainError("components", rule)
 
 
 @dataclass
@@ -179,78 +179,46 @@ class RunConfig(Checked):
 
     def __post_init__(self):
         if self.config_version != CONFIG_VERSION:
-            raise ConfigError(
-                f"config_version must be {CONFIG_VERSION}, got {self.config_version!r}"
+            raise DomainError(
+                "config_version", f"must be {CONFIG_VERSION}, got {self.config_version!r}"
             )
         super().__post_init__()
+        if not isinstance(self.output_dir, str):
+            raise DomainTypeError("output_dir", f"must be a string, got {self.output_dir!r}")
         # device.phase_difference_spectrum takes frequencies near nu_ef only
         nu, nu_ef = self.sweeps.nu_mhz, self.device.nu_ef
         if not max(abs(nu.start - nu_ef), abs(nu.stop - nu_ef)) <= SPECTRUM_HALF_SPAN_MHZ:
-            raise ConfigError(
-                f"sweeps.nu_mhz must stay within +-{SPECTRUM_HALF_SPAN_MHZ:g} MHz "
-                f"of device.nu_ef ({nu_ef:g} MHz)"
-            )
+            band = f"+-{SPECTRUM_HALF_SPAN_MHZ:g} MHz of device.nu_ef ({nu_ef:g} MHz)"
+            raise DomainError("sweeps.nu_mhz", f"must stay within {band}")
 
 
 # Dataclasses a config mapping nests, by the field annotation naming them:
 # every config dataclass, as each one checks its domains through Checked.
 _NESTED = {cls.__name__: cls for cls in Checked.__subclasses__()}
-# YAML's true and false load as Python bools, which are also Integral; no
-# config value is a bool, so each check below rejects them.
-_SCALARS = {"int": numbers.Integral, "str": str}
 
 
 def _key(path: str, name) -> str:
     return f"{path}.{name}" if path else str(name)
 
 
-def _number(value, path: str) -> float:
-    """A float-typed config value as a float, whatever number YAML read."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"'{path}' must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as exc:  # an integer past the float range
-        raise ConfigError(f"'{path}' is an integer too large for a float") from exc
-
-
-def _field_value(kind: str, value, path: str):
-    """One config value checked against its field annotation."""
-    if kind in _NESTED:
-        return _build(_NESTED[kind], value, path)
-    if kind == "list[float]":
-        if not isinstance(value, list):
-            raise ConfigError(f"'{path}' must be a list of numbers")
-        return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    if kind == "dict[str, float]":
-        if not isinstance(value, dict):
-            raise ConfigError(f"'{path}' must be a mapping of name to number")
-        return {str(k): _number(v, _key(path, k)) for k, v in value.items()}
-    base, _, optional = kind.partition(" | ")
-    if value is None and optional:
-        return None
-    if base == "float":
-        return _number(value, path)
-    if isinstance(value, bool) or not isinstance(value, _SCALARS[base]):
-        raise ConfigError(f"'{path}' must be of type {base}, got {value!r}")
-    return value
-
-
 def _build(cls, data, path: str = ""):
-    """A config dataclass from a mapping; nested sections and grids recurse."""
+    """A config dataclass from a mapping; nested sections and grids recurse,
+    and the dataclass checks and converts its own values."""
     if not isinstance(data, dict):
         raise ConfigError(f"section '{path or 'top-level'}' must be a mapping")
-    kinds = {f.name: f.type for f in fields(cls)}
-    unknown = set(data) - set(kinds)
+    nested = {f.name: _NESTED.get(f.type) for f in fields(cls)}
+    unknown = set(data) - set(nested)
     if unknown:
-        raise ConfigError(f"unknown key '{_key(path, sorted(unknown)[0])}'")
-    kwargs = {name: _field_value(kinds[name], v, _key(path, name)) for name, v in data.items()}
+        raise ConfigError(f"unknown key '{_key(path, sorted(unknown, key=str)[0])}'")
+    # a field with no default, as a grid's start and stop, must be given
+    for f in fields(cls):
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"'{_key(path, f.name)}' must be given")
+    kwargs = {k: _build(nested[k], v, _key(path, k)) if nested[k] else v for k, v in data.items()}
     try:
         return cls(**kwargs)
     except DomainError as exc:
         raise ConfigError(f"'{_key(path, exc.key)}' {exc.rule}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid section '{path}': {exc}" if path else str(exc)) from exc
 
 
 def from_dict(data: dict) -> RunConfig:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Checked, number
+from .domain import Checked, DomainError, number
 
 TWO_PI = 2.0 * np.pi
 
@@ -53,11 +53,14 @@ class DeviceParams(Checked):
         if self.nu_ef is None:
             self.nu_ef = nu_ef
         elif not math.isclose(self.nu_ef, nu_ef, rel_tol=NU_EF_RTOL):
-            raise ValueError(f"nu_ef must equal nu_ge + alpha = {nu_ef!r}")
+            raise DomainError("nu_ef", f"must equal nu_ge + alpha = {nu_ef!r}")
         if not self.eps_ge + self.eps_eg < 1:
-            raise ValueError("readout error rates must sum below 1")
+            raise DomainError("eps_eg", "plus eps_ge must be below 1")
         if self.T2_star > 2 * self.T1:
-            raise ValueError("T2_star cannot exceed 2*T1")
+            raise DomainError("T2_star", "cannot exceed 2*T1")
+        # dispersive_shift is resonant, and its formula invalid, at these detunings
+        if self.delta_qc in (0.0, self.alpha):
+            raise DomainError("delta_qc", "must differ from 0 and from alpha")
 
 
 def dispersive_shift(alpha: float, g: float, delta: float) -> float:

@@ -2,8 +2,8 @@
 
 Each numeric field of a config dataclass states its domain once, through
 number(), and Checked.__post_init__ enforces every declared domain when the
-dataclass is built. A value is always finite; an omitted bound leaves that
-side unbounded.
+dataclass is built, storing each value as a number of its domain's kind. A
+value is always finite; an omitted bound leaves that side unbounded.
 """
 
 from __future__ import annotations
@@ -14,11 +14,16 @@ from dataclasses import MISSING, dataclass, field, fields
 
 
 class DomainError(ValueError):
-    """A field value outside its declared domain; key names the field."""
+    """A field value outside its declared domain, or one that breaks a rule
+    tying it to other fields; key names the field."""
 
     def __init__(self, key: str, rule: str):
         super().__init__(f"{key} {rule}")
         self.key, self.rule = key, rule
+
+
+class DomainTypeError(DomainError, TypeError):
+    """A field value of the wrong type; key names the field."""
 
 
 @dataclass(frozen=True)
@@ -36,17 +41,24 @@ class Domain:
         left, right = "(" if self.lo_open else "[", ")" if self.hi_open else "]"
         return f"{kind} in {left}{self.lo!r}, {self.hi!r}{right}"
 
-    def check(self, key: str, value) -> None:
-        """Raise unless value is a number lying inside."""
+    def check(self, key: str, value) -> int | float:
+        """value as a number of kind; raises unless it is a number lying inside."""
         # float and int first: isinstance tries them before the slower ABC
         if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
-            raise TypeError(f"{key} must be a number, got {value!r}")
-        # an infinite end is open, so these comparisons also reject inf and nan
-        inside = (value > self.lo if self.lo_open else value >= self.lo) and (
-            value < self.hi if self.hi_open else value <= self.hi
-        )
-        if not inside or (self.kind is int and not isinstance(value, (int, numbers.Integral))):
+            raise DomainTypeError(key, f"must be a number, got {value!r}")
+        if self.kind is int and not isinstance(value, (int, numbers.Integral)):
             raise DomainError(key, f"must be {self}, got {value!r}")
+        try:
+            checked = self.kind(value)
+        except OverflowError:  # an integer past the float range
+            raise DomainError(key, "is an integer too large for a float") from None
+        # an infinite end is open, so these comparisons also reject inf and nan
+        inside = (checked > self.lo if self.lo_open else checked >= self.lo) and (
+            checked < self.hi if self.hi_open else checked <= self.hi
+        )
+        if not inside:
+            raise DomainError(key, f"must be {self}, got {value!r}")
+        return checked
 
 
 def number(default=MISSING, *, factory=MISSING, kind=float, gt=None, ge=None, lt=None, le=None):
@@ -60,18 +72,23 @@ def number(default=MISSING, *, factory=MISSING, kind=float, gt=None, ge=None, lt
 
 class Checked:
     """Base of the config dataclasses: building one checks every declared
-    domain, and a subclass checks its cross-field rules after this."""
+    domain and stores the checked numbers, and a subclass checks its
+    cross-field rules after this, raising DomainError with the field's key."""
 
     def __post_init__(self):
         for f in fields(self):
             domain, value = f.metadata.get("domain"), getattr(self, f.name)
             if domain is None or (value is None and f.default is None):
                 continue
-            if not str(f.type).startswith(("list", "dict")):
-                domain.check(f.name, value)
-            elif isinstance(value, dict):
-                for key, item in value.items():
-                    domain.check(f"{f.name}.{key}", item)
+            kind = str(f.type)
+            if kind.startswith("list"):
+                if not isinstance(value, list):
+                    raise DomainTypeError(f.name, f"must be a list of numbers, got {value!r}")
+                value = [domain.check(f"{f.name}[{i}]", v) for i, v in enumerate(value)]
+            elif kind.startswith("dict"):
+                if not isinstance(value, dict):
+                    raise DomainTypeError(f.name, f"must be a mapping to numbers, got {value!r}")
+                value = {str(k): domain.check(f"{f.name}.{k}", v) for k, v in value.items()}
             else:
-                for i, item in enumerate(value):
-                    domain.check(f"{f.name}[{i}]", item)
+                value = domain.check(f.name, value)
+            setattr(self, f.name, value)

@@ -113,8 +113,9 @@ def _lsq(fun, x0, jac, bounds=(-np.inf, np.inf), x_scale=1.0, max_nfev=None) -> 
     by at least a quarter of the predicted reduction (2); or when the scaled
     step shrinks below XTOL of the scaled parameter vector (3). Stops
     without success at max_nfev (0), or on non-finite residuals or Jacobian
-    at the start or at an accepted point, or when trial steps kept giving
-    non-finite residuals until the step vanished (-1).
+    at the start or at an accepted point, on scaled normal equations that
+    overflow there, or when trial steps kept giving non-finite residuals
+    until the step vanished (-1).
     """
     x0 = np.asarray(x0, dtype=float)
     lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), x0.shape) for b in bounds)
@@ -148,7 +149,11 @@ def _lsq(fun, x0, jac, bounds=(-np.inf, np.inf), x_scale=1.0, max_nfev=None) -> 
         d = x_scale * np.sqrt(v)  # s = d * s_hat
         a = np.einsum("ki,kj->ij", j, j)
         curv = np.abs(g) / dist
-        m = d[:, None] * a * d + np.diag(curv * d**2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = d[:, None] * a * d + np.diag(curv * d**2)
+        if not np.all(np.isfinite(m)):  # J^T J or d overflowed: nothing to factor
+            status = -1
+            break
         if radius is None:
             radius = _norm(x / d) or 1.0
         while True:

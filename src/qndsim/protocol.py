@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .device import DeviceParams
-from .domain import Checked, number
+from .domain import Checked, DomainError, number
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,7 +37,9 @@ class ProtocolConfig(Checked):
     def __post_init__(self):
         super().__post_init__()
         if self.ramsey_law not in RAMSEY_LAWS:
-            raise ValueError(f"ramsey_law must be one of {RAMSEY_LAWS}")
+            raise DomainError(
+                "ramsey_law", f"must be one of {RAMSEY_LAWS}, got {self.ramsey_law!r}"
+            )
 
     def with_window(self, window_us: float) -> "ProtocolConfig":
         return replace(self, Tw=window_us)

@@ -122,6 +122,37 @@ def test_check_tree_matches_the_manifest(report):
     assert not problems, "; ".join(problems)
 
 
+@pytest.mark.parametrize(
+    "device, points",
+    [
+        ({"g0": 40.0}, 2264),
+        ({"g0": 200.0}, 10001),
+        ({"g0": 1e7}, 10001),
+        # nu_ef - 500 rounds to a grid end just past the band, which is dropped
+        ({"g0": 200.0, "nu_ge": 16323.4}, 10000),
+    ],
+)
+def test_criterion_02_grid_stays_in_the_band(monkeypatch, device, points):
+    # the grid spans +-2 sqrt(2) g0 around nu_ef, clipped to the band
+    # phase_difference_spectrum accepts: a coupling of 1e7 MHz gives 10001
+    # points, not 5.7e8, and splits the dressed states out of it
+    grids = []
+    spectrum = acceptance.phase_difference_spectrum
+
+    def spy(params, grid, gamma_atom):
+        grids.append(grid)
+        return spectrum(params, grid, gamma_atom)
+
+    monkeypatch.setattr(acceptance, "phase_difference_spectrum", spy)
+    nu_ef = device.get("nu_ge", 6475.0) - 340.0
+    sweep = {"start": nu_ef - 100.0, "stop": nu_ef + 100.0, "num": 11}
+    cfg = from_dict({"device": device, "sweeps": {"nu_mhz": sweep}})
+    result = acceptance.criterion_2(cfg)
+    assert len(grids[0]) == points
+    assert np.all(np.abs(grids[0] - cfg.device.nu_ef) <= 500.0)
+    assert result.passed == (device == {"g0": 40.0})
+
+
 def test_criterion_04_evaluates_the_configured_ramsey_law(monkeypatch):
     # the dark-count monotonicity check reads P(e|0) under protocol.ramsey_law
     laws = []

@@ -11,12 +11,19 @@ from qndsim import calibration, cli, protocol
 from qndsim.config import (
     ConfigError,
     GridSpec,
+    LossRunConfig,
+    QndRunConfig,
+    RunConfig,
+    SweepConfig,
     config_digest,
     default_config,
     from_dict,
     load_config,
 )
 from qndsim.csvio import write_csv
+from qndsim.device import DeviceParams
+from qndsim.domain import DomainError
+from qndsim.protocol import ProtocolConfig
 
 SHIPPED_CONFIG = resources.files("qndsim").joinpath("data/device_defaults.yaml")
 # A 401-digit integer: YAML loads it as an int that no float can hold.
@@ -33,10 +40,10 @@ class TestGridSpec:
         assert len(grid) == 5 and grid[-1] == math.pi
 
     def test_exactly_one_of_step_num(self):
-        with pytest.raises(ConfigError):
-            GridSpec(0.0, 1.0)
-        with pytest.raises(ConfigError):
-            GridSpec(0.0, 1.0, step=0.1, num=5)
+        for kwargs in ({}, {"step": 0.1, "num": 5}):
+            with pytest.raises(DomainError, match="step or num") as exc:
+                GridSpec(0.0, 1.0, **kwargs)
+            assert exc.value.key == "step"
 
     @pytest.mark.parametrize(
         "start, stop, step",
@@ -48,12 +55,14 @@ class TestGridSpec:
         np.testing.assert_allclose(np.diff(grid), step, rtol=1e-9)
 
     def test_step_must_divide_span(self):
-        with pytest.raises(ConfigError, match="does not divide"):
+        with pytest.raises(DomainError, match="does not divide") as exc:
             GridSpec(0.0, 1.0, step=0.3)
+        assert exc.value.key == "step"
 
     def test_ordering_enforced(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError, match="must exceed start") as exc:
             GridSpec(1.0, 0.0, step=0.1)
+        assert exc.value.key == "stop"
 
 
 class TestConfig:
@@ -106,7 +115,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("version", [0, 2, 7])
     def test_unknown_config_version(self, version):
-        with pytest.raises(ConfigError, match="config_version must be 1"):
+        with pytest.raises(ConfigError, match="'config_version' must be 1"):
             from_dict({"config_version": version})
         assert from_dict({"config_version": 1}).config_version == 1
 
@@ -115,6 +124,47 @@ class TestConfig:
         as_int, as_float = (from_dict({"device": {"T1": t1}}) for t1 in (3, 3.0))
         assert type(as_int.device.T1) is float
         assert config_digest(as_int) == config_digest(as_float)
+
+    def test_direct_construction_converts_numbers_as_yaml_does(self):
+        # the declared domain converts a value on both routes
+        device = DeviceParams(g0=40)
+        assert type(device.g0) is float and device.g0 == 40.0
+        qnd = QndRunConfig(n_shots=np.int64(500))
+        assert type(qnd.n_shots) is int
+        direct = RunConfig(
+            device=device,
+            qnd=qnd,
+            sweeps=SweepConfig(drive_ratios=[2, 4, np.float64(6)]),
+            loss=LossRunConfig(components={"a": 0, "b": np.float64(0.5)}),
+        )
+        loaded = from_dict(
+            {
+                "device": {"g0": 40.0},
+                "qnd": {"n_shots": 500},
+                "sweeps": {"drive_ratios": [2.0, 4.0, 6.0]},
+                "loss": {"components": {"a": 0.0, "b": 0.5}},
+            }
+        )
+        assert direct == loaded
+        assert config_digest(direct) == config_digest(loaded)
+        assert [type(r) for r in direct.sweeps.drive_ratios] == [float] * 3
+        assert [type(v) for v in direct.loss.components.values()] == [float] * 2
+
+    def test_non_number_is_a_type_error_naming_its_key(self):
+        for build, key in (
+            (lambda: ProtocolConfig(Tw="0.25"), "Tw"),
+            (lambda: SweepConfig(drive_ratios=(2.0, 4.0, 6.0)), "drive_ratios"),
+            (lambda: LossRunConfig(components=[0.1]), "components"),
+            (lambda: SweepConfig(drive_ratios=[2.0, None, 6.0]), "drive_ratios[1]"),
+        ):
+            with pytest.raises(TypeError) as exc:
+                build()
+            assert isinstance(exc.value, DomainError) and exc.value.key == key
+
+    def test_integer_past_the_float_range_names_its_key(self):
+        with pytest.raises(DomainError, match="too large for a float") as exc:
+            DeviceParams(T1=int(HUGE_INT))
+        assert exc.value.key == "T1"
 
     def test_digest_covers_component_order(self):
         # the budget lists the components, and sums them, in config order
@@ -503,6 +553,18 @@ class TestRunners:
         assert pipeline["g_d_est"] == pytest.approx(1.0e-6, rel=0.02)
         assert pipeline["g_s_est"] == pytest.approx(pipeline["g_s_true"], rel=0.02)
 
+    @pytest.mark.filterwarnings("error")
+    def test_lossless_line_estimates_a_negative_loss_quietly(self, tmp_path, capsys):
+        # at zero true loss the round trip scatters to both signs; seed 1
+        # estimates a loss below 0, which the runner reports as it is
+        path = tmp_path / "run.yaml"
+        path.write_text("device: {loss_L: 0.0}\n")
+        args = ["loss", "--config", str(path), "--seed", "1", "--out", str(tmp_path)]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().err == ""
+        headline = json.loads((tmp_path / "loss_report.json").read_text())["headline"]
+        assert -0.01 < headline["loss_est"] < 0
+
     def test_custom_config_file(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump({"device": {"loss_L": 0.4}, "seed": 3}))
@@ -609,6 +671,16 @@ class TestExitCodes:
                 id="huge-int-components",
             ),
             pytest.param(f"device: {{T1: {HUGE_INT}}}", "device.T1", id="huge-int-T1"),
+            # runner preconditions, checked at load time
+            (
+                "sweeps: {window_us: {start: -0.1, stop: 0.5, step: 0.005}}",
+                "sweeps.window_us.start",
+            ),
+            ("device: {delta_qc: 0.0}", "device.delta_qc"),
+            ("device: {delta_qc: -340.0}", "device.delta_qc"),
+            # a grid has no defaults for its ends
+            ("sweeps: {nu_mhz: {start: 5985, step: 0.1}}", "sweeps.nu_mhz.stop"),
+            ("sweeps: {window_us: {stop: 0.5, step: 0.005}}", "sweeps.window_us.start"),
         ],
     )
     def test_malformed_content_exit_1_without_traceback(self, tmp_path, capsys, text, key):
@@ -619,6 +691,40 @@ class TestExitCodes:
         assert "config error" in err
         assert key in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("device: {T2_star: 7.0}", "'device.T2_star' cannot exceed 2*T1"),
+            ("device: {delta_qc: -340.0}", "'device.delta_qc' must differ from 0 and from alpha"),
+            ("sweeps: {drive_ratios: [2.0, 4.0]}", "'sweeps.drive_ratios' needs at least three"),
+            ("protocol: {ramsey_law: cubic}", "'protocol.ramsey_law' must be one of"),
+            ("sweeps: {nu_mhz: {start: 5985, stop: 6285}}", "'sweeps.nu_mhz.step' or num"),
+            ("sweeps: {nu_mhz: {start: 6285, stop: 5985, num: 5}}", "'sweeps.nu_mhz.stop' must"),
+            ("sweeps: {nu_mhz: {start: 5985, step: 0.1}}", "'sweeps.nu_mhz.stop' must be given"),
+            ("sweeps: {window_us: {stop: 0.5, num: 5}}", "'sweeps.window_us.start' must be given"),
+            (
+                "sweeps: {window_us: {start: -0.1, stop: 0.5, step: 0.005}}",
+                "'sweeps.window_us.start' must be non-negative, got -0.1",
+            ),
+            ("qnd: {noise_var: x}", "'qnd.noise_var' must be a number, got 'x'"),
+            ("sweeps: {drive_ratios: 5}", "'sweeps.drive_ratios' must be a list of numbers"),
+            ("loss: {components: {'a,b': 0.1}}", "'loss.components' name 'a,b' must not"),
+            ("output_dir: 5", "'output_dir' must be a string, got 5"),
+            ("config_version: 7", "'config_version' must be 1, got 7"),
+            ("device: {nu_ef: 6000.0}", "'device.nu_ef' must equal nu_ge + alpha"),
+            ("device: {eps_ge: 0.6, eps_eg: 0.5}", "'device.eps_eg' plus eps_ge must be below 1"),
+        ],
+    )
+    def test_load_error_names_its_key_then_its_rule(self, tmp_path, capsys, text, message):
+        # every rule, a declared domain or one tying fields together, reads
+        # "'<section>.<field>' <rule>" on one line
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text + "\n")
+        assert cli.main(["spectrum", "--config", str(bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert err.count("\n") == 1
 
     def test_missing_config_exit_1(self, tmp_path):
         assert (
@@ -775,6 +881,13 @@ class TestExitCodes:
                 },
                 3,
                 "FAIL: P(e|1) = 0.0648",
+            ),
+            # the dressed states split past the +-500 MHz band that the
+            # criterion's grid stays inside
+            (
+                {"device": {"g0": 200.0}},
+                2,
+                "FAIL: |delta_phi - pi| near the - dressed frequency",
             ),
         ],
     )

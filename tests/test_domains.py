@@ -9,6 +9,7 @@ deterministic.
 import contextlib
 import io
 import math
+import re
 import tempfile
 from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
@@ -23,10 +24,10 @@ from scipy.optimize import minimize_scalar
 
 from qndsim import cli
 from qndsim.calibration import driven_atom_model, steady_population
-from qndsim.config import ConfigError, default_config, from_dict
+from qndsim.config import ConfigError, LossRunConfig, SweepConfig, default_config, from_dict
 from qndsim.core import steady_state
 from qndsim.device import DeviceParams, reflection_coefficient
-from qndsim.domain import DomainError
+from qndsim.domain import Domain, DomainError
 from qndsim.protocol import (
     ProtocolConfig,
     fidelity_metrics,
@@ -61,6 +62,30 @@ def _leaves(obj, path=()):
 
 LEAVES = list(_leaves(default_config()))
 DOMAINS = {path: domain for path, domain, _, _ in LEAVES}
+
+
+def _rule(call):
+    with pytest.raises(DomainError) as exc:
+        call()
+    return exc.value.rule
+
+
+# How the rule of each DomainError that Domain.check or Checked raises begins,
+# up to the domain's interval or the offending value, drawn from domain.py
+# itself so that both change together; a rule tying fields together reads
+# otherwise
+_UNIT, _COUNT = Domain(float, 0.0, 1.0, False, False), Domain(int, 0, 1, False, False)
+DOMAIN_RULES = tuple(
+    re.split(r"[\[(]|, got", _rule(call))[0]
+    for call in (
+        lambda: _UNIT.check("key", "x"),
+        lambda: _UNIT.check("key", 2.0),
+        lambda: _COUNT.check("key", 0.5),
+        lambda: _UNIT.check("key", 10**400),
+        lambda: SweepConfig(drive_ratios=5),
+        lambda: LossRunConfig(components=5),
+    )
+)
 
 
 def inside(domain, limit=math.inf):
@@ -174,20 +199,25 @@ def test_one_field_outside_its_domain_names_its_key(leaf, data):
     key = ".".join(path)
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
         from_dict(config)
-    # direct construction checks the same domains
-    cls = {"device": DeviceParams, "protocol": ProtocolConfig}.get(path[0])
-    if cls is not None:
-        with pytest.raises(ValueError):
-            cls(**{path[1]: bad})
+    # direct construction checks the same domains and names the same field
+    section = default_config()
+    for name in path[:-1]:
+        section = getattr(section, name)
+    with pytest.raises(DomainError) as exc:
+        replace(section, **{path[-1]: bad_field})
+    assert exc.value.key.startswith(path[-1])
 
 
 @settings(max_examples=60, **DETERMINISTIC)
 @given(configs())
 def test_in_domain_config_loads_or_breaks_a_cross_field_rule(data):
+    # every rule raises a keyed DomainError, and an in-domain value breaks
+    # none of the declared domains
     try:
         from_dict(data)
     except ConfigError as exc:
-        assert not isinstance(exc.__cause__, DomainError), exc
+        assert isinstance(exc.__cause__, DomainError), exc
+        assert not exc.__cause__.rule.startswith(DOMAIN_RULES), exc
 
 
 @pytest.mark.filterwarnings("error")

@@ -246,6 +246,14 @@ class TestLsq:
         result = _lsq(rosenbrock, [-1.2, 1.0], lambda p: np.full((2, 2), np.nan))
         assert not result.success and result.status == -1
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_normal_equations(self):
+        # a parameter scale whose square passes the float range overflows the
+        # scaled normal equations: no damping factors them, so the fit stops
+        result = _lsq(lambda p: p - 1.0, [2.0], lambda p: np.array([[1.0]]), x_scale=1e200)
+        assert not result.success and result.status == -1
+        assert result.nfev == 1
+
 
 def eigenbasis_damping(m, g, radius):
     """The same Newton iteration on 1/||p(lam)|| in m's eigenbasis, the way
@@ -326,6 +334,18 @@ class TestFitFailures:
         axis = np.linspace(-5.0, 5.0, 101)
         with pytest.raises(FitError, match="Lorentzian fit failed"):
             calibration.fit_lorentzian(axis, 1.0 / (1.0 + axis**2))
+
+    @pytest.mark.filterwarnings("error")
+    def test_gain_past_the_float_range_exit_2(self, tmp_path, capsys):
+        # in the gain_truth domain, but the fit's normal equations overflow:
+        # one line on stderr, no warning and no traceback
+        path = tmp_path / "run.yaml"
+        path.write_text("mollow: {gain_truth: 1.0e+300}\n")
+        assert cli.main(["mollow", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mollow: joint fluorescence fit failed")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("subcommand, module", [("readout", readout), ("mollow", calibration)])
     def test_cli_exit_code(self, monkeypatch, tmp_path, capsys, subcommand, module):
