@@ -170,8 +170,8 @@ def criterion_6(cfg: RunConfig) -> CriterionResult:
 
 
 def criterion_7(qnd_headline: dict) -> CriterionResult:
-    # the deviation is relative to max(n_off, floor) with floor > 0, so it is
-    # zero exactly when the expected ON and OFF power curves are identical
+    # the deviation is relative to max(n_off, moments.POWER_FLOOR) > 0, so it
+    # is zero exactly when the expected ON and OFF power curves are identical
     pass_count = qnd_headline["mc_pass_count"]
     n_seeds = qnd_headline["mc_seeds"]
     checks = [

@@ -21,6 +21,11 @@ from .fitting import _lsq
 
 TWO_PI = 2.0 * math.pi
 
+# The itemized line losses between source and detector, as fractions, in the
+# order loss_budget.csv lists them and the additive total sums them. Criterion
+# 9 checks that total against 0.20; no model reads the items.
+LOSS_COMPONENTS = {"circulator": 0.08, "switch": 0.05, "connectors": 0.05, "cables": 0.02}
+
 
 @dataclass
 class LossBudget:

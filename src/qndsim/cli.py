@@ -2,7 +2,8 @@
 CSV/JSON emission, and the acceptance check.
 
 Exit codes: 0 success, 1 configuration error or unwritable output, 2 numeric
-or fit error, 3 acceptance failure under check.
+or fit error (a numpy floating-point fault among them), 3 acceptance failure
+under check.
 """
 
 from __future__ import annotations
@@ -112,19 +113,12 @@ def run_qnd(cfg: RunConfig) -> tuple[Tables, dict]:
     off = moments.expected_moments(thetas, "off", cfg.qnd.scale)
     base = _runner_seed(cfg.seed, "qnd")
     seeds = [
-        int(s)
-        for s in np.random.SeedSequence(base).generate_state(cfg.qnd.mc_seeds, np.uint64)
+        int(s) for s in np.random.SeedSequence(base).generate_state(moments.MC_SEEDS, np.uint64)
     ]
     deviations = moments.qnd_monte_carlo(
-        thetas,
-        seeds,
-        cfg.qnd.scale,
-        cfg.qnd.n_shots,
-        cfg.qnd.noise_var,
-        cfg.qnd.floor,
-        cfg.qnd.coherence_offset,
+        thetas, seeds, cfg.qnd.scale, cfg.qnd.n_shots, cfg.qnd.noise_var, cfg.qnd.coherence_offset
     )
-    passed = deviations <= cfg.qnd.gate
+    passed = deviations <= moments.POWER_GATE
     tables = {
         "qnd_expected.csv": (
             ["theta_rad", "n_on", "n_off", "re_a_on", "re_a_off"],
@@ -136,7 +130,7 @@ def run_qnd(cfg: RunConfig) -> tuple[Tables, dict]:
         ),
     }
     headline = {
-        "expected_max_deviation": moments.max_power_deviation(on[0], off[0], cfg.qnd.floor),
+        "expected_max_deviation": moments.max_power_deviation(on[0], off[0]),
         "mc_pass_count": int(passed.sum()),
         "mc_seeds": len(seeds),
     }
@@ -291,7 +285,7 @@ def run_readout(cfg: RunConfig) -> tuple[Tables, dict]:
 
 def run_loss(cfg: RunConfig) -> tuple[Tables, dict]:
     """Itemized loss budget and the end-to-end loss extraction."""
-    components = cfg.loss.components
+    components = calibration.LOSS_COMPONENTS
     budget = calibration.loss_budget(components)
     fractions = np.array(list(components.values()))
     pipeline = calibration.loss_calibration_roundtrip(
@@ -402,11 +396,15 @@ def main(argv: list[str] | None = None) -> int:
 
     out_dir = args.out if args.out else Path(cfg.output_dir)
     try:
-        if args.subcommand == "check":
-            results = acceptance.run_check(cfg, out_dir)
-            print(acceptance.render_report(results))
-            return 0 if all(r.passed for r in results) else 3
-        headline = _emit(cfg, args.subcommand, out_dir, config_digest(cfg))
+        # a numpy overflow, division by zero or invalid operation raises a
+        # FloatingPointError, an ArithmeticError, instead of warning; an
+        # underflow rounds to zero as it should
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.subcommand == "check":
+                results = acceptance.run_check(cfg, out_dir)
+                print(acceptance.render_report(results))
+                return 0 if all(r.passed for r in results) else 3
+            headline = _emit(cfg, args.subcommand, out_dir, config_digest(cfg))
         for key, value in headline.items():
             print(f"{key}: {value}")
         return 0

@@ -111,14 +111,6 @@ class QndRunConfig(Checked):
     noise_var: float = number(0.016, gt=0)
     n_theta: int = number(9, kind=int, ge=2)  # the angle grid runs from 0 to pi
     scale: float = number(1.0, gt=0, le=1)  # line transmission
-    mc_seeds: int = number(100, kind=int, ge=1)
-    # Relative ON/OFF power deviation allowed; at 1 or more the gate would
-    # pass an erased or a doubled photon.
-    gate: float = number(0.02, gt=0, lt=1)
-    # Photons; keeps the relative deviation finite near vacuum.
-    # moments.expected_moments puts the OFF power at scale * sin^2(theta/2)
-    # <= 1 photon, so a floor of 1 or more would replace it as the divisor.
-    floor: float = number(0.25, gt=0, lt=1)
     coherence_offset: float = number(0.0)  # spurious ON-state amplitude, off by default
 
 
@@ -143,23 +135,8 @@ class StarkRunConfig(Checked):
 
 @dataclass
 class LossRunConfig(Checked):
-    # fractions by name, in the order the budget lists them; calibration.loss_budget
-    # takes each in [0, 1)
-    components: dict[str, float] = number(
-        factory=lambda: {"circulator": 0.08, "switch": 0.05, "connectors": 0.05, "cables": 0.02},
-        ge=0,
-        lt=1,
-    )
     detector_gain: float = number(1.6, gt=0)
     noise_frac: float = number(0.01, ge=0)
-
-    def __post_init__(self):
-        super().__post_init__()
-        # each name is one field of loss_budget.csv, which quotes nothing
-        for name in self.components:
-            if any(char in name for char in ',"\r\n'):
-                rule = f"name {name!r} must not contain a comma, a double quote, CR or LF"
-                raise DomainError("components", rule)
 
 
 @dataclass
@@ -246,8 +223,7 @@ def default_config() -> RunConfig:
 
 
 def config_digest(cfg: RunConfig) -> str:
-    """Stable content hash of the resolved configuration: its fields in
-    declaration order, and loss.components in config order, which sets the
-    order of the loss budget and of its sum."""
+    """Stable content hash of the resolved configuration, its fields in
+    declaration order."""
     canonical = json.dumps(asdict(cfg), separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

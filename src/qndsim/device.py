@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Checked, DomainError, number
+from .errors import NumericsError
 
 TWO_PI = 2.0 * np.pi
 
@@ -64,12 +65,20 @@ class DeviceParams(Checked):
 
 
 def dispersive_shift(alpha: float, g: float, delta: float) -> float:
-    """Transmon dispersive pull chi = alpha g^2 / (delta (delta - alpha)), MHz."""
+    """Transmon dispersive pull chi = alpha g^2 / (delta (delta - alpha)), MHz.
+
+    Raises NumericsError where g^2 or chi passes the float range."""
     if delta == 0 or delta == alpha:
         raise ValueError(
             "dispersive formula invalid at delta=0 or delta=alpha (resonant)"
         )
-    return alpha * g**2 / (delta * (delta - alpha))
+    try:
+        chi = alpha * g**2 / (delta * (delta - alpha))
+    except OverflowError:  # g**2 of a Python float
+        chi = math.inf
+    if not math.isfinite(chi):
+        raise NumericsError(f"dispersive shift chi passes the float range at g = {g!r} MHz")
+    return chi
 
 
 def dressed_frequencies(params: DeviceParams, n: int) -> tuple[float, float]:

@@ -63,7 +63,7 @@ class Domain:
 
 def number(default=MISSING, *, factory=MISSING, kind=float, gt=None, ge=None, lt=None, le=None):
     """A dataclass field holding finite numbers of kind within the bounds;
-    a list or mapping field bounds each element or value."""
+    a list field bounds each element."""
     lo, hi = (gt if ge is None else ge), (lt if le is None else le)
     lo, hi = (-math.inf if lo is None else lo), (math.inf if hi is None else hi)
     domain = Domain(kind, lo, hi, ge is None, le is None)
@@ -80,15 +80,10 @@ class Checked:
             domain, value = f.metadata.get("domain"), getattr(self, f.name)
             if domain is None or (value is None and f.default is None):
                 continue
-            kind = str(f.type)
-            if kind.startswith("list"):
+            if str(f.type).startswith("list"):
                 if not isinstance(value, list):
                     raise DomainTypeError(f.name, f"must be a list of numbers, got {value!r}")
                 value = [domain.check(f"{f.name}[{i}]", v) for i, v in enumerate(value)]
-            elif kind.startswith("dict"):
-                if not isinstance(value, dict):
-                    raise DomainTypeError(f.name, f"must be a mapping to numbers, got {value!r}")
-                value = {str(k): domain.check(f"{f.name}.{k}", v) for k, v in value.items()}
             else:
                 value = domain.check(f.name, value)
             setattr(self, f.name, value)

@@ -20,6 +20,18 @@ import numpy as np
 
 MODES = ("on", "off")
 
+# Criterion 7's gate, its divisor floor and its sample size: fixed reference
+# values of the acceptance check, not properties of the measurement.
+# Relative ON/OFF power deviation allowed per seed; at 1 or more the gate
+# would pass an erased or a doubled photon.
+POWER_GATE = 0.02
+# Photons; keeps the relative deviation finite near vacuum. expected_moments
+# puts the OFF power at scale * sin^2(theta/2) <= 1 photon, so a floor of 1
+# or more would replace it as the divisor.
+POWER_FLOOR = 0.25
+# Independent Monte Carlo runs the gate is counted over.
+MC_SEEDS = 100
+
 
 def expected_moments(
     theta: float | np.ndarray, mode: str, scale: float
@@ -42,13 +54,13 @@ def expected_moments(
     return n_avg, re_a
 
 
-def max_power_deviation(n_on: np.ndarray, n_off: np.ndarray, floor: float) -> float:
+def max_power_deviation(n_on: np.ndarray, n_off: np.ndarray) -> float:
     """Largest relative ON/OFF power deviation over a shared angle grid,
-    relative to the OFF power but never to less than floor photons."""
+    relative to the OFF power but never to less than POWER_FLOOR photons."""
     n_on, n_off = np.asarray(n_on), np.asarray(n_off)
     if n_on.shape != n_off.shape:
         raise ValueError("photon-number arrays must share one angle grid")
-    return float(np.max(np.abs(n_on - n_off) / np.maximum(n_off, floor)))
+    return float(np.max(np.abs(n_on - n_off) / np.maximum(n_off, POWER_FLOOR)))
 
 
 def simulate_moment_estimates(
@@ -105,7 +117,6 @@ def qnd_monte_carlo(
     scale: float,
     n_shots: int,
     noise_var: float,
-    floor: float,
     coherence_offset: float,
 ) -> np.ndarray:
     """max_power_deviation of independently simulated ON/OFF photon-number
@@ -116,5 +127,5 @@ def qnd_monte_carlo(
         rng = np.random.default_rng(seed)
         on = simulate_moment_estimates(theta_grid, "on", rng, *shot_args)
         off = simulate_moment_estimates(theta_grid, "off", rng, *shot_args)
-        deviations[i] = max_power_deviation(on, off, floor)
+        deviations[i] = max_power_deviation(on, off)
     return deviations

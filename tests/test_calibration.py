@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from qndsim.calibration import (
+    LOSS_COMPONENTS,
     driven_atom_model,
     extract_loss,
     fit_mollow,
@@ -22,7 +23,7 @@ from qndsim.calibration import (
     synthetic_stark_dataset,
     true_mollow_spectrum,
 )
-from qndsim.config import LossRunConfig, MollowRunConfig, StarkRunConfig
+from qndsim.config import MollowRunConfig, StarkRunConfig
 from qndsim.core import destroy, liouvillian_matrix, steady_state
 from qndsim.device import DeviceParams, dispersive_shift
 from qndsim.errors import FitError
@@ -369,7 +370,7 @@ class TestLoss:
             extract_loss(1.0, 0.0)
 
     def test_budget_totals(self):
-        budget = loss_budget(LossRunConfig().components)
+        budget = loss_budget(LOSS_COMPONENTS)
         assert budget.total_additive == pytest.approx(0.20, abs=1e-12)
         assert budget.total_multiplicative == pytest.approx(
             1 - 0.92 * 0.95 * 0.95 * 0.98, rel=1e-12

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from qndsim import calibration, cli, protocol
+from qndsim import calibration, cli, moments, protocol
 from qndsim.config import (
     ConfigError,
     GridSpec,
@@ -28,6 +28,8 @@ from qndsim.protocol import ProtocolConfig
 SHIPPED_CONFIG = resources.files("qndsim").joinpath("data/device_defaults.yaml")
 # A 401-digit integer: YAML loads it as an int that no float can hold.
 HUGE_INT = "9" * 401
+# The one line that device: {g0: 1.0e+200} prints after the subcommand name
+CHI_PAST_THE_RANGE = "dispersive shift chi passes the float range at g = 1e+200 MHz"
 
 
 class TestGridSpec:
@@ -135,26 +137,25 @@ class TestConfig:
             device=device,
             qnd=qnd,
             sweeps=SweepConfig(drive_ratios=[2, 4, np.float64(6)]),
-            loss=LossRunConfig(components={"a": 0, "b": np.float64(0.5)}),
+            loss=LossRunConfig(detector_gain=np.float64(2)),
         )
         loaded = from_dict(
             {
                 "device": {"g0": 40.0},
                 "qnd": {"n_shots": 500},
                 "sweeps": {"drive_ratios": [2.0, 4.0, 6.0]},
-                "loss": {"components": {"a": 0.0, "b": 0.5}},
+                "loss": {"detector_gain": 2.0},
             }
         )
         assert direct == loaded
         assert config_digest(direct) == config_digest(loaded)
         assert [type(r) for r in direct.sweeps.drive_ratios] == [float] * 3
-        assert [type(v) for v in direct.loss.components.values()] == [float] * 2
+        assert type(direct.loss.detector_gain) is float
 
     def test_non_number_is_a_type_error_naming_its_key(self):
         for build, key in (
             (lambda: ProtocolConfig(Tw="0.25"), "Tw"),
             (lambda: SweepConfig(drive_ratios=(2.0, 4.0, 6.0)), "drive_ratios"),
-            (lambda: LossRunConfig(components=[0.1]), "components"),
             (lambda: SweepConfig(drive_ratios=[2.0, None, 6.0]), "drive_ratios[1]"),
         ):
             with pytest.raises(TypeError) as exc:
@@ -165,15 +166,6 @@ class TestConfig:
         with pytest.raises(DomainError, match="too large for a float") as exc:
             DeviceParams(T1=int(HUGE_INT))
         assert exc.value.key == "T1"
-
-    def test_digest_covers_component_order(self):
-        # the budget lists the components, and sums them, in config order
-        cfg = default_config()
-        names = list(cfg.loss.components)
-        reordered = from_dict(
-            {"loss": {"components": {k: cfg.loss.components[k] for k in reversed(names)}}}
-        )
-        assert config_digest(reordered) != config_digest(cfg)
 
     @pytest.mark.parametrize(
         "section, match",
@@ -193,7 +185,6 @@ class TestConfig:
     @pytest.mark.parametrize(
         "section, match",
         [
-            ({"mc_seeds": 0}, "qnd.mc_seeds"),
             ({"n_shots": 0}, "qnd.n_shots"),
             ({"n_theta": 1}, "qnd.n_theta"),
             ({"noise_var": -0.01}, "qnd.noise_var"),
@@ -201,15 +192,13 @@ class TestConfig:
             ({"noise_var": math.inf}, "qnd.noise_var"),
             ({"scale": 0.0}, "qnd.scale"),
             ({"scale": 1.5}, "qnd.scale"),
-            ({"gate": 0.0}, "qnd.gate"),
-            ({"floor": -0.25}, "qnd.floor"),
             ({"coherence_offset": math.nan}, "qnd.coherence_offset"),
         ],
     )
     def test_qnd_limits(self, section, match):
         with pytest.raises(ConfigError, match=match):
             from_dict({"qnd": section})
-        from_dict({"qnd": {"mc_seeds": 1, "n_shots": 1, "n_theta": 2, "scale": 1.0}})
+        from_dict({"qnd": {"n_shots": 1, "n_theta": 2, "scale": 1.0}})
 
     @pytest.mark.parametrize(
         "data, match",
@@ -224,8 +213,6 @@ class TestConfig:
             ({"mollow": {"gain_truth": math.nan}}, "mollow.gain_truth"),
             ({"loss": {"detector_gain": 0.0}}, "loss.detector_gain"),
             ({"loss": {"detector_gain": -1.6}}, "loss.detector_gain"),
-            ({"loss": {"components": {"a": 1.0}}}, "loss.components.a"),
-            ({"loss": {"components": {"a": -0.1}}}, "loss.components.a"),
             ({"mollow": {"span": math.inf}}, "mollow.span"),
             ({"stark": {"p_max": math.inf}}, "stark.p_max"),
             ({"mollow": {"gain_truth": math.inf}}, "mollow.gain_truth"),
@@ -257,7 +244,6 @@ class TestConfig:
                     "display_offset": -1.0,
                 },
                 "loss": {
-                    "components": {"a": 0.0, "b": 0.99},
                     "detector_gain": 1e-3,
                     "noise_frac": 0.0,
                 },
@@ -324,7 +310,7 @@ class TestConfig:
         assert cfg.seed == 9
 
 
-SHIPPED_DIGEST = "e3b176ba9b8914787459af8c3b572a50fc31e98063afd744634fd0aa79f2a554"
+SHIPPED_DIGEST = "1a52d598fabb6c8357aeca8ced47aa54090d6ebde8b888f28a4fad898418348c"
 
 EXPECTED_HEADERS = {
     "spectrum.csv": "nu_MHz,re_rg,im_rg,re_re,im_re,delta_phi_rad",
@@ -417,20 +403,38 @@ class TestRunners:
                 kind, size = column.dtype.kind, column.dtype.itemsize
                 assert kind in ("b", "i", "u", "U") or (kind == "f" and size <= 8), name
 
-    def test_qnd_mc_passed_column(self, tmp_path):
+    def test_qnd_mc_passed_column(self, tmp_path, monkeypatch):
         # the gate is applied to the array of deviations; the CSV spells the
-        # numpy bools true/false and the headline counts them
-        cfg = default_config()
-        cfg.qnd.gate = 0.005
-        tables, headline = cli.run_qnd(cfg)
+        # numpy bools true/false and the headline counts them. A gate a
+        # quarter as wide passes some seeds and fails others.
+        monkeypatch.setattr(moments, "POWER_GATE", 0.005)
+        tables, headline = cli.run_qnd(default_config())
         write_csv(tmp_path / "qnd_mc.csv", *tables["qnd_mc.csv"])
         rows = [row.split(",") for row in (tmp_path / "qnd_mc.csv").read_text().splitlines()[1:]]
-        assert [int(index) for index, _, _ in rows] == list(range(cfg.qnd.mc_seeds))
+        assert [int(index) for index, _, _ in rows] == list(range(moments.MC_SEEDS))
         passed = [flag for _, _, flag in rows]
         assert {"true", "false"} == set(passed)
         assert passed == ["true" if float(dev) <= 0.005 else "false" for _, dev, _ in rows]
         assert headline["mc_pass_count"] == passed.count("true")
-        assert headline["mc_seeds"] == cfg.qnd.mc_seeds
+        assert headline["mc_seeds"] == moments.MC_SEEDS
+
+    def test_loss_budget_lists_and_sums_the_components_in_order(self, tmp_path):
+        # one row per component of calibration.LOSS_COMPONENTS, in its order,
+        # and the additive total summed in that order: 0.19999999999999998,
+        # where the reverse order sums to 0.2
+        components = calibration.LOSS_COMPONENTS
+        assert cli.main(["loss", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "loss_budget.csv").read_text().splitlines()
+        assert lines[0] == "name,fraction,cumulative"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [name for name, _, _ in rows] == list(components)
+        assert [float(f) for _, f, _ in rows] == list(components.values())
+        np.testing.assert_allclose(
+            [float(c) for _, _, c in rows], np.cumsum(list(components.values())), rtol=1e-12
+        )
+        total = json.loads((tmp_path / "loss_report.json").read_text())["headline"]
+        assert total["total_additive"] == sum(components.values()) == 0.19999999999999998
+        assert sum(reversed(components.values())) == 0.2
 
     def test_subcommands_one_by_one_give_the_run_all_tree(self, tmp_path):
         # each subcommand alone writes its report and exactly the CSV files
@@ -585,8 +589,6 @@ class TestExitCodes:
         "text, key",
         [
             ("device: [1]", "device"),
-            ("loss: {components: [1, 2]}", "loss.components"),
-            ("loss: {components: {a: x}}", "loss.components.a"),
             ("sweeps: {drive_ratios: 5}", "sweeps.drive_ratios"),
             ("sweeps: {drive_ratios: [a]}", "sweeps.drive_ratios[0]"),
             ("sweeps: {drive_ratios: [3.0]}", "sweeps.drive_ratios"),
@@ -604,7 +606,6 @@ class TestExitCodes:
             ("readout: {preselect_sigmas: -1}", "readout.preselect_sigmas"),
             ("readout: {snr: .inf}", "readout.snr"),
             ("qnd: {n_theta: 2.5}", "qnd.n_theta"),
-            ("qnd: {mc_seeds: 0}", "qnd.mc_seeds"),
             ("qnd: {n_shots: 0}", "qnd.n_shots"),
             ("qnd: {noise_var: -0.01}", "qnd.noise_var"),
             ("qnd: {scale: 1.5}", "qnd.scale"),
@@ -618,8 +619,6 @@ class TestExitCodes:
             ("mollow: {points: 1}", "mollow.points"),
             ("mollow: {gain_truth: 0.0}", "mollow.gain_truth"),
             ("loss: {detector_gain: 0.0}", "loss.detector_gain"),
-            ("loss: {components: {a: 1.0}}", "loss.components.a"),
-            ("loss: {components: {a: -0.1}}", "loss.components.a"),
             ("mollow: {span: .inf}", "mollow.span"),
             ("stark: {p_max: .inf}", "stark.p_max"),
             ("mollow: {gain_truth: .inf}", "mollow.gain_truth"),
@@ -640,7 +639,6 @@ class TestExitCodes:
             ("seed: true", "seed"),
             ("qnd: {n_shots: true}", "qnd.n_shots"),
             ("sweeps: {drive_ratios: [true, 4.0, 6.0]}", "sweeps.drive_ratios[0]"),
-            ("loss: {components: {a: false}}", "loss.components.a"),
             ("device: {kappa: .inf}", "device.kappa"),
             ("device: {g0: .nan}", "device.g0"),
             ("device: {T1: .inf}", "device.T1"),
@@ -649,26 +647,21 @@ class TestExitCodes:
             ("device: {gamma_source: -1.0}", "device.gamma_source"),
             ("protocol: {Tw: .inf}", "protocol.Tw"),
             ("protocol: {gamma_photon: .nan}", "protocol.gamma_photon"),
-            ("qnd: {floor: .inf}", "qnd.floor"),
-            ("qnd: {gate: .inf}", "qnd.gate"),
             ("readout: {preselect_sigmas: .inf}", "readout.preselect_sigmas"),
             # the quoted figures live in acceptance.PAPER_VALUES, not in a config
             ("reference: {single_shot_dark: 0.134}", "unknown key 'reference'"),
-            ('loss: {components: {"circulator, isolator": 0.08}}', "loss.components"),
-            (r'loss: {components: {"a\"b": 0.08}}', "loss.components"),
-            (r'loss: {components: {"a\rb": 0.08}}', "loss.components"),
-            (r'loss: {components: {"a\nb": 0.08}}', "loss.components"),
+            # so do criterion 7's gate, floor and seed count (moments) and the
+            # itemized loss budget (calibration)
+            ("qnd: {gate: 0.99}", "unknown key 'qnd.gate'"),
+            ("qnd: {floor: 0.9}", "unknown key 'qnd.floor'"),
+            ("qnd: {mc_seeds: 1}", "unknown key 'qnd.mc_seeds'"),
+            ("loss: {components: {a: 0.2}}", "unknown key 'loss.components'"),
             ("device: {nu_ro: 4800.0}", "device.nu_ro"),
-            # integers past the float range, in a list, a mapping and a scalar
+            # integers past the float range, in a list and a scalar
             pytest.param(
                 f"sweeps: {{drive_ratios: [{HUGE_INT}, 4.0, 6.0]}}",
                 "sweeps.drive_ratios[0]",
                 id="huge-int-drive_ratios",
-            ),
-            pytest.param(
-                f"loss: {{components: {{a: {HUGE_INT}}}}}",
-                "loss.components.a",
-                id="huge-int-components",
             ),
             pytest.param(f"device: {{T1: {HUGE_INT}}}", "device.T1", id="huge-int-T1"),
             # runner preconditions, checked at load time
@@ -709,7 +702,6 @@ class TestExitCodes:
             ),
             ("qnd: {noise_var: x}", "'qnd.noise_var' must be a number, got 'x'"),
             ("sweeps: {drive_ratios: 5}", "'sweeps.drive_ratios' must be a list of numbers"),
-            ("loss: {components: {'a,b': 0.1}}", "'loss.components' name 'a,b' must not"),
             ("output_dir: 5", "'output_dir' must be a string, got 5"),
             ("config_version: 7", "'config_version' must be 1, got 7"),
             ("device: {nu_ef: 6000.0}", "'device.nu_ef' must equal nu_ge + alpha"),
@@ -827,29 +819,37 @@ class TestExitCodes:
         else:
             assert np.all(r_e == 1)
 
-    def test_overflow_exit_2(self, tmp_path, capsys):
-        # a huge but finite coupling overflows Python float arithmetic in the
-        # dispersive shift: a numeric error, not a traceback
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "subcommand, text, message",
+        [
+            # a huge but finite coupling squares past the float range in the
+            # dispersive shift, which names the shift and the coupling
+            ("stark", "device: {g0: 1.0e+200}", CHI_PAST_THE_RANGE),
+            ("loss", "device: {g0: 1.0e+200}", CHI_PAST_THE_RANGE),
+            # numpy's overflow, division and invalid faults raise under the CLI
+            ("stark", "stark: {p_max: 1.0e-300}", "invalid value encountered in scalar divide"),
+            ("stark", "stark: {photons_per_unit: 1.0e+300}", "overflow encountered in multiply"),
+            ("mollow", "device: {gamma_source: 1.0e+200}", "invalid value encountered in divide"),
+            ("loss", "device: {gamma_source: 1.0e+200}", "invalid value encountered in divide"),
+            ("readout", "readout: {snr: 1.0e+300}", "overflow encountered in square"),
+        ],
+    )
+    def test_overflow_exit_2(self, tmp_path, capsys, subcommand, text, message):
+        # an in-domain value past what the arithmetic holds is a numeric
+        # error: one line, no warning or traceback, and no file written
         path = tmp_path / "run.yaml"
-        path.write_text("device: {g0: 1.0e+200}\n")
-        assert cli.main(["stark", "--config", str(path), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "stark: " in err
-        assert "Traceback" not in err
+        path.write_text(text + "\n")
+        out = tmp_path / "out"
+        assert cli.main([subcommand, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"{subcommand}: {message}\n"
+        assert not out.exists()
 
     def test_check_exit_3_on_failing_criterion(self, tmp_path, capsys):
         # g0 = 45 MHz moves chi to -3.03 MHz, outside criterion 1's
-        # -2.40 +- 0.01 band; a lighter statistics block keeps this test quick
+        # -2.40 +- 0.01 band; fewer readout shots keep this test quick
         path = tmp_path / "run.yaml"
-        path.write_text(
-            yaml.safe_dump(
-                {
-                    "device": {"g0": 45.0},
-                    "qnd": {"mc_seeds": 20},
-                    "readout": {"n_shots": 2000},
-                }
-            )
-        )
+        path.write_text(yaml.safe_dump({"device": {"g0": 45.0}, "readout": {"n_shots": 2000}}))
         out = tmp_path / "out"
         assert cli.main(["check", "--config", str(path), "--out", str(out)]) == 3
         text = capsys.readouterr().out
@@ -899,7 +899,7 @@ class TestExitCodes:
         # fails, not the run
         path = tmp_path / "run.yaml"
         path.write_text(
-            yaml.safe_dump({**data, "qnd": {"mc_seeds": 20}, "readout": {"n_shots": 2000}})
+            yaml.safe_dump({**data, "readout": {"n_shots": 2000}})
         )
         out = tmp_path / "out"
         assert cli.main(["check", "--config", str(path), "--out", str(out)]) == 3

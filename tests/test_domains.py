@@ -12,6 +12,7 @@ import math
 import re
 import tempfile
 from dataclasses import asdict, fields, is_dataclass, replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from scipy.optimize import minimize_scalar
 
 from qndsim import cli
 from qndsim.calibration import driven_atom_model, steady_population
-from qndsim.config import ConfigError, LossRunConfig, SweepConfig, default_config, from_dict
+from qndsim.config import ConfigError, SweepConfig, default_config, from_dict
 from qndsim.core import steady_state
 from qndsim.device import DeviceParams, reflection_coefficient
 from qndsim.domain import Domain, DomainError
@@ -83,7 +84,6 @@ DOMAIN_RULES = tuple(
         lambda: _COUNT.check("key", 0.5),
         lambda: _UNIT.check("key", 10**400),
         lambda: SweepConfig(drive_ratios=5),
-        lambda: LossRunConfig(components=5),
     )
 )
 
@@ -125,12 +125,10 @@ def outside(domain):
 
 
 def field_values(domain, default, optional):
-    """In-domain values of one field; lists and mappings hold any number."""
+    """In-domain values of one field; a list holds any number."""
     one = inside(domain)
     if isinstance(default, list):
         return st.lists(one, max_size=5)
-    if isinstance(default, dict):
-        return st.dictionaries(st.sampled_from(["a", "b", "c"]), one, max_size=3)
     return st.none() | one if optional else one
 
 
@@ -185,12 +183,7 @@ def instances(cls, limit):
 def test_one_field_outside_its_domain_names_its_key(leaf, data):
     path, domain, default, _ = leaf
     bad = data.draw(outside(domain))
-    if isinstance(default, list):
-        bad_field = [bad, *default[1:]]
-    elif isinstance(default, dict):
-        bad_field = {**default, next(iter(default)): bad}
-    else:
-        bad_field = bad
+    bad_field = [bad, *default[1:]] if isinstance(default, list) else bad
     config = asdict(default_config())
     node = config
     for key in path[:-1]:
@@ -206,6 +199,60 @@ def test_one_field_outside_its_domain_names_its_key(leaf, data):
     with pytest.raises(DomainError) as exc:
         replace(section, **{path[-1]: bad_field})
     assert exc.value.key.startswith(path[-1])
+
+
+# The bounds the shipped YAML's comments write as words
+_BOUNDS = {"inf": math.inf, "pi": math.pi, "2**64": 2**64}
+
+
+def _yaml_comments(text: str) -> dict:
+    """{key path: trailing comment} of the YAML's key lines; a grid field's
+    comment is its line in the grid header, under the path ("grid", name)."""
+    comments, path = {}, []
+    for line in text.splitlines():
+        header = re.fullmatch(r"#\s{2,}(\w+): (.*)", line)
+        if header:
+            comments["grid", header[1]] = header[2]
+            continue
+        key = re.fullmatch(r"( *)(\w+):[^#]*(?:# (.*))?", line)
+        if key:
+            path[len(key[1]) // 2 :] = [key[2]]
+            if key[3] is not None:
+                comments[tuple(path)] = key[3]
+    return comments
+
+
+def _stated_domain(comment: str) -> Domain | None:
+    """The domain a comment states: "integer" marks an integer, "in [a, b)"
+    gives the interval and "any" an unbounded one. None where a rule fixes
+    the value instead, as "must be 1" does."""
+    kind = int if "integer" in comment else float
+    interval = re.search(r"\bin ([\[(])([^,]+), ([^\])]+)([\])])", comment)
+    if interval:
+        lo, hi = (_BOUNDS[end] if end in _BOUNDS else float(end) for end in interval.group(2, 3))
+        return Domain(kind, lo, hi, interval[1] == "(", interval[4] == ")")
+    if re.search(r"\bany\b", comment):
+        return Domain(kind, -math.inf, math.inf, True, True)
+    return None
+
+
+def test_shipped_comments_state_the_declared_domains():
+    # each numeric field's comment in the shipped YAML is a second copy of
+    # its declared domain; a field whose value a rule fixes (config_version,
+    # device.nu_ef) states the rule and its kind
+    text = resources.files("qndsim").joinpath("data/device_defaults.yaml").read_text()
+    comments = _yaml_comments(text)
+    wrong = []
+    for path, domain, _, _ in LEAVES:
+        comment = comments[("grid", path[-1]) if len(path) == 3 else path]
+        stated = _stated_domain(comment)
+        if stated is None:
+            ok = "must" in comment and ("integer" in comment) == (domain.kind is int)
+        else:
+            ok = stated == domain
+        if not ok:
+            wrong.append(f"{'.'.join(path)}: {comment!r} against {domain}")
+    assert not wrong
 
 
 @settings(max_examples=60, **DETERMINISTIC)

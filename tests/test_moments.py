@@ -10,6 +10,7 @@ from test_domains import DETERMINISTIC
 from qndsim.config import QndRunConfig
 from qndsim.moments import (
     MODES,
+    POWER_GATE,
     expected_moments,
     max_power_deviation,
     qnd_monte_carlo,
@@ -108,18 +109,18 @@ class TestExpectedMoments:
 class TestMaxPowerDeviation:
     def test_identical_inputs_pass(self):
         n_off, _ = expected_moments(np.linspace(0, math.pi, 9), "off", QND.scale)
-        deviation = max_power_deviation(n_off, n_off, QND.floor)
-        assert deviation == 0.0 and deviation <= QND.gate
+        deviation = max_power_deviation(n_off, n_off)
+        assert deviation == 0.0 and deviation <= POWER_GATE
 
     def test_scaled_power_fails(self):
         n_off, _ = expected_moments(np.linspace(0, math.pi, 9), "off", QND.scale)
-        deviation = max_power_deviation(1.05 * n_off, n_off, QND.floor)
+        deviation = max_power_deviation(1.05 * n_off, n_off)
         assert deviation == pytest.approx(0.05, rel=1e-9)
-        assert not deviation <= QND.gate
+        assert not deviation <= POWER_GATE
 
     def test_mismatched_grids_rejected(self):
         with pytest.raises(ValueError):
-            max_power_deviation(np.array([1.0]), np.array([]), QND.floor)
+            max_power_deviation(np.array([1.0]), np.array([]))
 
 
 class TestMonteCarlo:
@@ -138,11 +139,10 @@ class TestMonteCarlo:
             QND.scale,
             QND.n_shots,
             QND.noise_var,
-            QND.floor,
             QND.coherence_offset,
         )
         assert deviations.shape == (100,)
-        assert np.count_nonzero(deviations <= QND.gate) >= 95
+        assert np.count_nonzero(deviations <= POWER_GATE) >= 95
 
     def test_coherence_offset_knob(self):
         # a spurious coherent amplitude c adds the power c^2 to the ON mode

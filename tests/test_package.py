@@ -200,11 +200,10 @@ def test_tracer_layers_resolve(monkeypatch):
 # keeps no default of its own.
 CONFIGURED_PARAMETERS = [
     (moments.expected_moments, "scale"),
-    (moments.max_power_deviation, "floor"),
     *((moments.simulate_moment_estimates, name)
       for name in ("scale", "n_shots", "noise_var", "coherence_offset")),
     *((moments.qnd_monte_carlo, name)
-      for name in ("scale", "n_shots", "noise_var", "floor", "coherence_offset")),
+      for name in ("scale", "n_shots", "noise_var", "coherence_offset")),
     (readout.histogram_shots, "n_bins"),
     (readout.preselect_threshold, "n_sigmas"),
     (calibration.true_mollow_spectrum, "span"),
