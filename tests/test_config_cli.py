@@ -185,6 +185,9 @@ class TestConfig:
     @pytest.mark.parametrize(
         "section, match",
         [
+            # criterion 7's seed count, gate and floor are constants in
+            # moments: no value of them loads
+            ({"mc_seeds": 0}, "qnd.mc_seeds"),
             ({"n_shots": 0}, "qnd.n_shots"),
             ({"n_theta": 1}, "qnd.n_theta"),
             ({"noise_var": -0.01}, "qnd.noise_var"),
@@ -192,6 +195,8 @@ class TestConfig:
             ({"noise_var": math.inf}, "qnd.noise_var"),
             ({"scale": 0.0}, "qnd.scale"),
             ({"scale": 1.5}, "qnd.scale"),
+            ({"gate": 0.0}, "qnd.gate"),
+            ({"floor": -0.25}, "qnd.floor"),
             ({"coherence_offset": math.nan}, "qnd.coherence_offset"),
         ],
     )
@@ -656,6 +661,21 @@ class TestExitCodes:
             ("qnd: {floor: 0.9}", "unknown key 'qnd.floor'"),
             ("qnd: {mc_seeds: 1}", "unknown key 'qnd.mc_seeds'"),
             ("loss: {components: {a: 0.2}}", "unknown key 'loss.components'"),
+            # whatever value a removed key carries: one its old domain refused,
+            # a name no CSV row could hold, or an integer past the float range
+            ("qnd: {mc_seeds: 0}", "qnd.mc_seeds"),
+            ("qnd: {floor: .inf}", "qnd.floor"),
+            ("qnd: {gate: .inf}", "qnd.gate"),
+            ("loss: {components: [1, 2]}", "loss.components"),
+            ('loss: {components: {"circulator, isolator": 0.08}}', "loss.components"),
+            (r'loss: {components: {"a\"b": 0.08}}', "loss.components"),
+            (r'loss: {components: {"a\rb": 0.08}}', "loss.components"),
+            (r'loss: {components: {"a\nb": 0.08}}', "loss.components"),
+            pytest.param(
+                f"loss: {{components: {{a: {HUGE_INT}}}}}",
+                "unknown key 'loss.components'",
+                id="huge-int-components",
+            ),
             ("device: {nu_ro: 4800.0}", "device.nu_ro"),
             # integers past the float range, in a list and a scalar
             pytest.param(
@@ -844,6 +864,17 @@ class TestExitCodes:
         assert cli.main([subcommand, "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"{subcommand}: {message}\n"
         assert not out.exists()
+
+    def test_numpy_error_state_is_the_callers_after_main(self, tmp_path, capsys):
+        # the raise policy holds inside a subcommand only, whether it fails
+        # on a numpy fault or succeeds
+        before = np.geterr()
+        path = tmp_path / "run.yaml"
+        path.write_text("readout: {snr: 1.0e+300}\n")
+        assert cli.main(["readout", "--config", str(path), "--out", str(tmp_path / "a")]) == 2
+        assert np.geterr() == before
+        assert cli.main(["stark", "--out", str(tmp_path / "b")]) == 0
+        assert np.geterr() == before
 
     def test_check_exit_3_on_failing_criterion(self, tmp_path, capsys):
         # g0 = 45 MHz moves chi to -3.03 MHz, outside criterion 1's

@@ -14,6 +14,7 @@ from qndsim.device import (
     reflection_coefficient,
     wrap_phase,
 )
+from qndsim.errors import NumericsError
 
 PARAMS = DeviceParams()
 GAMMA_ATOM = SpectroscopyConfig().gamma_atom_mhz
@@ -101,6 +102,19 @@ class TestDispersiveShift:
         assert dispersive_shift(-340.0, c * 40.0, -676.0) == pytest.approx(
             c**2 * base, rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "g, delta",
+        [
+            (1.0e200, -676.0),  # g**2 overflows Python float arithmetic
+            (1.0e154, -676.0),  # g**2 holds, alpha g**2 does not
+            (1.0e150, 1.0e-160),  # a finite numerator over a vanishing detuning
+        ],
+    )
+    def test_past_the_float_range_names_the_shift_and_g(self, g, delta):
+        with pytest.raises(NumericsError) as exc:
+            dispersive_shift(-340.0, g, delta)
+        assert str(exc.value) == f"dispersive shift chi passes the float range at g = {g!r} MHz"
 
 
 class TestDressedFrequencies:
